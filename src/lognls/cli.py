@@ -28,6 +28,7 @@ from .evolution import (
     evolve,
     pc_identity_rhs,
     pseudoconformal_residual,
+    snapshot_steps,
 )
 from .groundstate import (
     find_ground_state,
@@ -106,8 +107,43 @@ def validate_config(config: dict) -> dict:
     times = outputs.get("snapshot_times", [])
     if len(paths) != len(times):
         raise ConfigError("snapshot_paths and snapshot_times must have equal length")
+    _check_snapshot_times(config, [float(t) for t in times])
     config.setdefault("seed", 0)
     return config
+
+
+def _check_snapshot_times(config: dict, times: list[float]):
+    """Each requested snapshot must name its own state of the run that writes it."""
+    if not times:
+        return
+    exp = config["experiment"]
+    if exp == "minimize":
+        if times != [0.0]:
+            raise ConfigError("minimize writes one snapshot, requested as snapshot_times [0.0]")
+        return
+    if exp not in ("evolve", "stability"):
+        raise ConfigError(f"the {exp} experiment writes no snapshots")
+    tsec = config["time"]
+    try:
+        snapshot_steps(times, float(tsec["dt"]), float(tsec["t_final"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _strict_json(obj):
+    """The summary with every non-finite float as null: JSON has no inf or nan."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    return obj
+
+
+def _write_summary(path, summary: dict):
+    text = json.dumps(_strict_json(summary), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _resolve_outputs(config: dict, out_dir: str | None) -> dict:
@@ -307,8 +343,8 @@ def _write_traj(config, outputs, traj, g, model, suffix=""):
             path = path.with_name(path.stem + suffix + path.suffix)
         header, rows = _trajectory_rows(traj, g.dim)
         write_csv(path, provenance(config), header, rows)
-    for (snap_path, snap_t), (t, fld) in zip(outputs["snapshots"], traj.snapshots):
-        write_snapshot(snap_path, fld, model, t)
+    for snap_path, snap_t in outputs["snapshots"]:
+        write_snapshot(snap_path, traj.snapshots[snap_t], model, snap_t)
 
 
 def _run_stability(config, outputs, asserts: Assertions):
@@ -471,8 +507,10 @@ def _run_contrast(config, outputs, asserts: Assertions):
     asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + 1e-6)
     _write_traj(config, outputs, traj_log, g, model)
     _write_traj(config, outputs, traj_cubic, g, cubic, suffix="_purecubic")
+    blew_up = math.isfinite(blowup_time)
     return {
-        "blowup_time": blowup_time,
+        "blowup_time": blowup_time if blew_up else None,
+        "blew_up": blew_up,
         "sup_kinetic_log": sup_kin,
         "h1_bound": traj_log.h1_bound,
     }
@@ -536,9 +574,7 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         try:
             failed_outputs = _resolve_outputs(config if isinstance(config, dict) else {}, out_dir)
             if failed_outputs.get("summary_json_path"):
-                Path(failed_outputs["summary_json_path"]).write_text(
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                )
+                _write_summary(failed_outputs["summary_json_path"], summary)
         except Exception:
             pass
         return 2, summary
@@ -561,9 +597,7 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     if code == 0 and not summary["pass"]:
         code = 1
     if outputs.get("summary_json_path"):
-        Path(outputs["summary_json_path"]).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_summary(outputs["summary_json_path"], summary)
     return code, summary
 
 

@@ -2,9 +2,23 @@
 
 One step is a half linear substep (exact Fourier multiplier exp(-i|k|^2 dt/4)),
 the exact nonlinear phase rotation (|u| is pointwise invariant under the
-nonlinear subflow), and another half linear substep.  The main loop fuses
-adjacent half substeps; sampling synchronizes on a copy, so recorded states
-are genuine full-step states.
+nonlinear subflow), and another half linear substep.  ``SplitStep`` is the one
+implementation of that step; ``evolve`` and ``strang_step`` both drive it.  Its
+loop fuses adjacent half substeps; sampling synchronizes on a copy, so
+recorded states are genuine full-step states.
+
+The kernel builds the half and full propagators once per run and transforms
+in place with ``scipy.fft`` (``overwrite_x``).  The nonlinear rotation writes
+cos and sin of the phase into the real and imaginary parts of one
+preallocated complex buffer (bitwise equal to ``exp(-i dt rate)``), and a
+synchronized record state is formed in that same buffer, so a run holds the
+state, one buffer and the two propagators between steps.
+
+The transforms run on scipy's default single worker, and there is no knob
+for it.  Measured on a shared 2-vCPU host (n = 256, 400 steps, numpy 2.4,
+scipy 1.17), two workers cost more than one in both wall and CPU time:
+5.9-8.8 ms against 3.6-4.1 ms of wall time per step, and 4.5-4.8 ms against
+3.6-4.0 ms of CPU time per step.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fftn, ifftn
 
 from . import grid as _grid
 from .errors import (
@@ -107,7 +122,7 @@ class Trajectory:
     samples: list[Observables] = field(default_factory=list)
     orbit_distances: list[float] | None = None
     pc_quantity: list[float] | None = None
-    snapshots: list[tuple[float, _grid.ComplexField]] = field(default_factory=list)
+    snapshots: dict[float, _grid.ComplexField] = field(default_factory=dict)  # by requested time
     h1_bound: float | None = None
     final_field: _grid.ComplexField | None = None
 
@@ -131,16 +146,82 @@ class Trajectory:
         ) / scale
 
 
+class SplitStep:
+    """Strang split-step propagator of one model on one grid with time step dt."""
+
+    def __init__(self, grid: _grid.Grid, model: ModelParams, dt: float):
+        self.model = model
+        self.dt = dt
+        self.half = np.exp(-0.25j * dt * grid.k2)
+        self.full = np.exp(-0.5j * dt * grid.k2)
+        self.buffer = np.empty(grid.shape, dtype=complex)
+
+    def _linear(self, v: np.ndarray, propagator: np.ndarray) -> np.ndarray:
+        """Fourier multiplier substep; overwrites v and returns the result."""
+        coeffs = fftn(v, overwrite_x=True)
+        coeffs *= propagator
+        return ifftn(coeffs, overwrite_x=True)
+
+    def _rotate(self, v: np.ndarray) -> None:
+        """Exact nonlinear subflow over dt, in place: v *= exp(-i dt rate(|v|^2))."""
+        angle = -self.dt * nonlinear_phase_rate(np.abs(v) ** 2, self.model)
+        np.cos(angle, out=self.buffer.real)
+        np.sin(angle, out=self.buffer.imag)
+        v *= self.buffer
+
+    def run(self, values: np.ndarray, n_steps: int, sampled=lambda step: False):
+        """Advance ``values`` by n_steps steps, yielding (step, full-step state).
+
+        The final step is always yielded, together with every earlier step for
+        which ``sampled(step)`` holds.  ``values`` is overwritten.  A state
+        yielded before the final step lives in ``self.buffer`` and is valid
+        only until the loop resumes; the final state lives in the storage of
+        ``values`` and is not touched again.
+        """
+        v = self._linear(values, self.half)  # staggered state
+        for step in range(1, n_steps + 1):
+            self._rotate(v)
+            if step == n_steps:
+                yield step, self._linear(v, self.half)
+                return
+            if sampled(step):
+                self.buffer[...] = v
+                yield step, self._linear(self.buffer, self.half)
+            v = self._linear(v, self.full)
+
+
 def strang_step(field: _grid.ComplexField, dt: float, model: ModelParams) -> _grid.ComplexField:
-    """One full Strang step (unfused reference implementation)."""
-    g = field.grid
-    half = np.exp(-0.25j * dt * g.k2)
-    v = np.fft.ifftn(np.fft.fftn(field.values) * half)
-    v *= np.exp(-1j * dt * nonlinear_phase_rate(np.abs(v) ** 2, model))
-    v = np.fft.ifftn(np.fft.fftn(v) * half)
-    out = _grid.ComplexField(g, v)
+    """One full Strang step of ``field``, which is left untouched."""
+    ((_, values),) = SplitStep(field.grid, model, dt).run(field.values.copy(), 1)
+    out = _grid.ComplexField(field.grid, values)
     out.check_finite()
     return out
+
+
+def _lattice_step(t: float, dt: float, what: str) -> int:
+    """The step index n with n dt = t; ValueError if t is off the dt lattice."""
+    step = int(round(t / dt))
+    if abs(step * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{what} must be an integer multiple of dt, got {t} with dt={dt}")
+    return step
+
+
+def snapshot_steps(times, dt: float, t_final: float) -> dict[int, float]:
+    """Step index -> requested time for each snapshot time.
+
+    ValueError if a time is off the dt lattice, lies outside [0, t_final], or
+    names the same step as another time.
+    """
+    n_steps = _lattice_step(t_final, dt, "t_final")
+    steps: dict[int, float] = {}
+    for t in times:
+        step = _lattice_step(t, dt, "snapshot time")
+        if not 0 <= step <= n_steps:
+            raise ValueError(f"snapshot time {t} lies outside [0, t_final={t_final}]")
+        if step in steps:
+            raise ValueError(f"snapshot times {steps[step]} and {t} name the same step")
+        steps[step] = t
+    return steps
 
 
 def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
@@ -222,9 +303,8 @@ def evolve(config: EvolutionConfig) -> Trajectory:
     model = config.model
     g = config.grid
     dt = config.dt
-    n_steps = int(round(config.t_final / dt))
-    if abs(n_steps * dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError("t_final must be an integer multiple of dt")
+    n_steps = _lattice_step(config.t_final, dt, "t_final")
+    snapshots = snapshot_steps(config.snapshot_times, dt, config.t_final)
 
     u = build_initial(config)
     traj = Trajectory()
@@ -249,10 +329,6 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         kmax2 = float(np.max(g.k2))
         threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
 
-    snapshot_steps = {
-        int(round(ts / dt)): ts for ts in config.snapshot_times
-    }
-
     def record(step: int, values: np.ndarray):
         t = step * dt
         fld = _grid.ComplexField(g, values)
@@ -266,8 +342,8 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         if config.track_orbit:
             dist, _, _ = orbit_distance(fld, config.reference, reference=reference_field)
             traj.orbit_distances.append(dist)
-        if step in snapshot_steps:
-            traj.snapshots.append((t, fld.copy()))
+        if step in snapshots:
+            traj.snapshots[snapshots[step]] = fld.copy()
         gradsq = 2.0 * obs.kinetic
         if gradsq > threshold:
             raise BlowUpDetected(
@@ -287,19 +363,12 @@ def evolve(config: EvolutionConfig) -> Trajectory:
 
     record(0, u.values)
 
-    half = np.exp(-0.25j * dt * g.k2)
-    full = np.exp(-0.5j * dt * g.k2)
-    v = np.fft.ifftn(np.fft.fftn(u.values) * half)  # staggered state
+    def sampled(step):
+        return step % config.sample_every == 0 or step in snapshots
+
     last = None
-    for step in range(1, n_steps + 1):
-        v = v * np.exp(-1j * dt * nonlinear_phase_rate(np.abs(v) ** 2, model))
-        if step % config.sample_every == 0 or step == n_steps or step in snapshot_steps:
-            synced = np.fft.ifftn(np.fft.fftn(v) * half)
-            last = record(step, synced)
-            if step != n_steps:
-                v = np.fft.ifftn(np.fft.fftn(v) * full)
-        else:
-            v = np.fft.ifftn(np.fft.fftn(v) * full)
+    for step, values in SplitStep(g, model, dt).run(u.values, n_steps, sampled):
+        last = record(step, values)
     traj.final_field = last
     return traj
 
@@ -321,11 +390,11 @@ def orbit_distance(
     g = grid or field.grid
     if reference is None:
         reference = embed_radial(profile, g)
-    u_hat = np.fft.fftn(field.values)
-    p_hat = np.fft.fftn(reference.values)
+    u_hat = fftn(field.values)
+    p_hat = fftn(reference.values)
     weight = 1.0 + g.k2
     # C(y) = <u, phi(.-y)>_H1 for every grid shift y, via one inverse FFT
-    corr = np.fft.ifftn(u_hat * np.conj(p_hat) * weight) * g.dx ** g.dim
+    corr = ifftn(u_hat * np.conj(p_hat) * weight, overwrite_x=True) * g.dx ** g.dim
     corr_abs = np.abs(corr)
     best = np.unravel_index(int(np.argmax(corr_abs)), corr_abs.shape)
 
@@ -347,10 +416,10 @@ def orbit_distance(
         else:
             shifted_hat *= np.exp(-1j * g.k[:, None] * yvec[0])
             shifted_hat *= np.exp(-1j * g.k[None, :] * yvec[1])
-        shifted = np.fft.ifftn(shifted_hat)
         pairing = np.sum(u_hat * np.conj(shifted_hat) * weight) * (
             g.dx ** g.dim / field.values.size
         )
+        shifted = ifftn(shifted_hat, overwrite_x=True)
         theta = float(np.angle(pairing))
         diff = _grid.ComplexField(g, field.values - np.exp(1j * theta) * shifted)
         return _grid.h1_norm(diff), theta

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fftn, ifftn
 
 from .errors import NonFiniteField, SizeMismatch
 
@@ -96,31 +97,31 @@ def field_from_function(grid: Grid, fn) -> ComplexField:
 
 
 def transform(field: ComplexField) -> np.ndarray:
-    return np.fft.fftn(field.values)
+    return fftn(field.values)
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> ComplexField:
     coeffs = np.asarray(coeffs)
     if coeffs.shape != grid.shape:
         raise SizeMismatch(f"coefficient shape {coeffs.shape} != grid shape {grid.shape}")
-    return ComplexField(grid, np.fft.ifftn(coeffs))
+    return ComplexField(grid, ifftn(coeffs))
 
 
 def laplacian(field: ComplexField) -> ComplexField:
     g = field.grid
-    return ComplexField(g, np.fft.ifftn(-g.k2 * np.fft.fftn(field.values)))
+    return ComplexField(g, ifftn(-g.k2 * fftn(field.values), overwrite_x=True))
 
 
 def gradient(field: ComplexField) -> tuple[ComplexField, ...]:
     g = field.grid
-    coeffs = np.fft.fftn(field.values)
+    coeffs = fftn(field.values)
     if g.dim == 1:
-        return (ComplexField(g, np.fft.ifftn(1j * g.k_deriv * coeffs)),)
+        return (ComplexField(g, ifftn(1j * g.k_deriv * coeffs, overwrite_x=True)),)
     kx = g.k_deriv[:, None]
     ky = g.k_deriv[None, :]
     return (
-        ComplexField(g, np.fft.ifftn(1j * kx * coeffs)),
-        ComplexField(g, np.fft.ifftn(1j * ky * coeffs)),
+        ComplexField(g, ifftn(1j * kx * coeffs, overwrite_x=True)),
+        ComplexField(g, ifftn(1j * ky * coeffs, overwrite_x=True)),
     )
 
 
@@ -130,21 +131,6 @@ def integrate(grid: Grid, samples: np.ndarray) -> float:
     if samples.shape != grid.shape:
         raise SizeMismatch(f"sample shape {samples.shape} != grid shape {grid.shape}")
     return float(np.real(np.sum(samples))) * grid.dx ** grid.dim
-
-
-def l2_inner(a: ComplexField, b: ComplexField) -> complex:
-    """int a conj(b) by the cell rule."""
-    if a.grid != b.grid:
-        raise SizeMismatch("fields live on different grids")
-    return complex(np.sum(a.values * np.conj(b.values))) * a.grid.dx ** a.grid.dim
-
-
-def h1_inner(a: ComplexField, b: ComplexField) -> complex:
-    """int (a conj(b) + grad a . conj(grad b))."""
-    acc = l2_inner(a, b)
-    for ga, gb in zip(gradient(a), gradient(b)):
-        acc += l2_inner(ga, gb)
-    return acc
 
 
 def h1_norm(a: ComplexField) -> float:

@@ -38,13 +38,12 @@ from .model import (
     Family,
     ModelParams,
     Observables,
+    _DENSITY_CLAMP,
     _bisect_root,
     amplitude_roots,
     omega_window,
     potential_G,
 )
-
-_DENSITY_CLAMP = 1e-300
 
 
 class ShotClass(Enum):
@@ -543,7 +542,6 @@ def _radial_integrals(profile: RadialProfile, model: ModelParams) -> dict:
     mass = I(rho) + tail(2)
     grad2 = I(dphi * dphi) + d * d * tail(2)
     quartic = I(rho * rho) + tail(4)
-    sigma2 = I(rho * r * r) + tail(2, m=2)
     # int phi^n ln phi^2 tail: (C e^{-dr})^n (ln C^2 - 2 d r)
     log_quartic = I(rho * rho * lnrho) + lnC2 * tail(4) - 2.0 * d * tail(4, m=1)
     sextic = I(rho ** 3) + tail(6)
@@ -569,7 +567,6 @@ def _radial_integrals(profile: RadialProfile, model: ModelParams) -> dict:
         "log_sextic": log_sextic,
         "nl": nl,  # int phi^2 rate(phi^2) = int N(phi) phi
         "pd": pd,  # int V(phi^2)
-        "sigma2": sigma2,
     }
 
 
@@ -620,7 +617,6 @@ def radial_observables(profile: RadialProfile, model: ModelParams | None = None)
         kinetic=kinetic,
         potential=ints["pd"],
         quartic=ints["quartic"],
-        sigma_weight=math.sqrt(max(ints["sigma2"], 0.0)),
         action=energy + profile.omega * ints["mass"],
     )
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fftn, ifftn
 
 from . import grid as _grid
 from .errors import (
@@ -37,13 +38,13 @@ class MinimizerResult:
 def gradient_E(field: _grid.ComplexField, model: ModelParams) -> _grid.ComplexField:
     """First variation of the energy: -1/2 Lap u + rate(|u|^2) u."""
     g = field.grid
-    lap = np.fft.ifftn(-g.k2 * np.fft.fftn(field.values))
+    lap = ifftn(-g.k2 * fftn(field.values), overwrite_x=True)
     rho = np.abs(field.values) ** 2
     return _grid.ComplexField(g, -0.5 * lap + nonlinear_phase_rate(rho, model) * field.values)
 
 
 def _energy(values: np.ndarray, g: _grid.Grid, model: ModelParams) -> float:
-    coeffs = np.fft.fftn(values)
+    coeffs = fftn(values)
     kinetic = 0.5 * float(np.sum(g.k2 * np.abs(coeffs) ** 2)) * g.dx ** g.dim / values.size
     rho = np.abs(values) ** 2
     return kinetic + _grid.integrate(g, potential_density(rho, model))
@@ -91,8 +92,8 @@ def minimize_energy(
 
     e_cur = _energy(values, g, model)
     for iteration in range(1, max_iter + 1):
-        coeffs = np.fft.fftn(values)
-        lap = np.fft.ifftn(-g.k2 * coeffs)
+        coeffs = fftn(values)
+        lap = ifftn(-g.k2 * coeffs, overwrite_x=True)
         grad = -0.5 * lap + nonlinear_phase_rate(np.abs(values) ** 2, model) * values
         omega_hat = -float(np.real(np.sum(grad * np.conj(values)))) * cell / rho
         resid_field = grad + omega_hat * values
@@ -106,7 +107,7 @@ def minimize_energy(
                 iterations=iteration - 1,
             )
         if precondition:
-            direction = np.fft.ifftn(pinv * np.fft.fftn(resid_field))
+            direction = ifftn(pinv * fftn(resid_field, overwrite_x=True), overwrite_x=True)
         else:
             direction = resid_field
         accepted = False
@@ -148,7 +149,7 @@ def negative_energy_witness(
         raise ValueError("witness requires a nonzero field")
     e0 = _energy(vals, g, model)
     quartic = _grid.integrate(g, np.abs(vals) ** 4)
-    coeffs = np.fft.fftn(vals)
+    coeffs = fftn(vals)
 
     mu = 1.0
     while mu > 1e-8:

@@ -228,7 +228,6 @@ class Observables:
     kinetic: float
     potential: float
     quartic: float
-    sigma_weight: float
     action: float | None = None
 
     @property
@@ -265,9 +264,6 @@ def observables(field, model: ModelParams) -> Observables:
         _grid.integrate(g, np.imag(np.conj(vals) * gr.values)) for gr in grads
     )
     quartic = _grid.integrate(g, rho * rho)
-    xs = _grid.coordinates(g)
-    r2 = sum(x * x for x in xs)
-    sigma_weight = math.sqrt(max(_grid.integrate(g, r2 * rho), 0.0))
     energy = kinetic + potential
     action = None
     if model.omega is not None:
@@ -279,7 +275,6 @@ def observables(field, model: ModelParams) -> Observables:
         kinetic=kinetic,
         potential=potential,
         quartic=quartic,
-        sigma_weight=sigma_weight,
         action=action,
     )
 

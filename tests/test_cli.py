@@ -228,3 +228,132 @@ class TestSweepMatchesMassSweep:
         _, agg = read_csv(tmp_path / "profile.csv")
         rows, _ = mass_asymptotics_sweep(1.0, [1e-2, 1e-3])
         assert list(agg["mass"]) == [r.mass for r in rows]  # same solver, bitwise
+
+
+def _evolve_config(times, paths=None):
+    return {
+        "experiment": "evolve",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 64, "half_width": 10.0},
+        "time": {"dt": 0.005, "t_final": 0.1, "sample_every": 5},
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+        "outputs": {
+            "summary_json_path": "s.json",
+            "snapshot_paths": paths or [f"snap{i}.nlsf" for i in range(len(times))],
+            "snapshot_times": times,
+        },
+    }
+
+
+class TestSnapshotTimes:
+    def test_each_file_holds_its_requested_time(self, tmp_path):
+        cfg = _evolve_config([0.1, 0.03], ["late.nlsf", "early.nlsf"])
+        assert run_config(cfg, out_dir=str(tmp_path / "both"))[0] == 0
+        late, late_meta = read_snapshot(tmp_path / "both" / "late.nlsf")
+        early, early_meta = read_snapshot(tmp_path / "both" / "early.nlsf")
+        assert (late_meta["t"], early_meta["t"]) == (0.1, 0.03)
+        # the same state as a run that stops at t = 0.03
+        short = _evolve_config([0.03], ["early.nlsf"])
+        short["time"]["t_final"] = 0.03
+        assert run_config(short, out_dir=str(tmp_path / "short"))[0] == 0
+        alone, _ = read_snapshot(tmp_path / "short" / "early.nlsf")
+        assert np.max(np.abs(early.values - alone.values)) <= 1e-14
+        assert np.max(np.abs(late.values - alone.values)) > 1e-6
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.2], [0.0325], [0.05, 0.05]],
+        ids=["past_t_final", "off_the_dt_lattice", "duplicate"],
+    )
+    def test_unrecordable_times_are_config_errors(self, tmp_path, times):
+        code, summary = run_config(_evolve_config(times), out_dir=str(tmp_path))
+        assert code == 2
+        assert summary["error"]["code"] == "ConfigError"
+        assert not list(tmp_path.glob("*.nlsf"))
+
+    def test_snapshots_from_other_experiments_rejected(self, tmp_path):
+        cfg = _ground_config()
+        cfg["outputs"].update(snapshot_paths=["x.nlsf"], snapshot_times=[0.0])
+        assert run_config(cfg, out_dir=str(tmp_path))[0] == 2
+
+    def test_minimize_snapshot_at_zero_stays_valid(self):
+        cfg = {
+            "experiment": "minimize",
+            "model": {"family": "cubic_log_2d", "lambda": 1.0},
+            "grid": {"dim": 2, "n": 32, "half_width": 8.0},
+            "rho": 1.0,
+            "outputs": {"snapshot_paths": ["min.nlsf"], "snapshot_times": [0.0]},
+        }
+        validate_config(cfg)
+        cfg["outputs"]["snapshot_times"] = [0.5]
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_SMALL_GRID = {"dim": 2, "n": 64, "half_width": 12.0}
+_SMALL_TIME = {"dt": 5e-3, "t_final": 0.05, "sample_every": 2}
+_STRICT_JSON_CONFIGS = {
+    "ground": _ground_config(),
+    "evolve": _evolve_config([0.05]),
+    "stability": {
+        "experiment": "stability",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": _SMALL_GRID,
+        "time": _SMALL_TIME,
+        "initial": {"kind": "ground_state", "omega": 0.2},
+        "perturbation": {"kind": "gaussian_bump", "delta": 1e-2, "width": 2.0},
+    },
+    "minimize": {
+        "experiment": "minimize",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 48, "half_width": 10.0},
+        "rho": 1.0,
+        "tol": 1e-3,
+    },
+    "sweep_mass": {
+        "experiment": "sweep_mass",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "omega_list": [0.1, 0.05],
+    },
+    "convexity1d": {
+        "experiment": "convexity1d",
+        "model": {"family": "quintic_log_1d", "lambda": 1.0},
+        "omega_grid": [0.05],
+    },
+    # no blow-up before the deadline: the summary has no time to report
+    "contrast_blowup": {
+        "experiment": "contrast_blowup",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": _SMALL_GRID,
+        "time": _SMALL_TIME,
+        "initial": {"kind": "gaussian", "amplitude": 0.5, "width": 1.0},
+        "blowup_deadline": 0.05,
+    },
+    "pseudoconformal": {
+        "experiment": "pseudoconformal",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": _SMALL_GRID,
+        "time": _SMALL_TIME,
+        "initial": {"kind": "ground_state", "omega": 0.2},
+        "refine_dt": False,
+    },
+    "rejected": {"experiment": "ground", "model": {"family": "cubic_log_2d", "lambda": -1.0},
+                 "outputs": {}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRICT_JSON_CONFIGS))
+def test_summary_is_strict_json(tmp_path, name):
+    cfg = json.loads(json.dumps(_STRICT_JSON_CONFIGS[name]))
+    cfg["outputs"] = dict(cfg.get("outputs", {}), summary_json_path="summary.json")
+    run_config(cfg, out_dir=str(tmp_path))
+    text = (tmp_path / "summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=_reject_constant)
+    if name == "contrast_blowup":
+        assert summary["metrics"]["blowup_time"] is None
+        assert summary["metrics"]["blew_up"] is False
+        assert summary["pass"] is False

@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import ifftn
 
+from lognls import evolution
 from lognls.errors import BlowUpDetected, InsufficientSamples
 from lognls.evolution import (
     EvolutionConfig,
@@ -14,6 +19,7 @@ from lognls.evolution import (
     orbit_distance,
     pc_identity_rhs,
     pseudoconformal_residual,
+    snapshot_steps,
     strang_step,
 )
 from lognls.grid import ComplexField, Grid, coordinates, h1_norm, integrate
@@ -245,3 +251,106 @@ class TestSnapshotInitial:
         assert traj.samples[0].mass == pytest.approx(
             integrate(g, np.abs(u0.values) ** 2), rel=1e-14
         )
+
+
+class TestSnapshotSteps:
+    def test_steps_keyed_by_requested_time(self):
+        assert snapshot_steps((0.1, 0.03, 0.0), 0.01, 0.1) == {10: 0.1, 3: 0.03, 0: 0.0}
+
+    @pytest.mark.parametrize(
+        "times", [(0.11,), (-0.01,), (0.035,), (0.05, 0.05), (0.05, 0.05 + 1e-12)]
+    )
+    def test_rejects_times_no_step_records_once(self, times):
+        with pytest.raises(ValueError):
+            snapshot_steps(times, 0.01, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# properties of the split-step kernel on smooth random fields
+# ---------------------------------------------------------------------------
+
+_KERNEL_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def smooth_fields(draw):
+    """A band-limited random field on a 16^2 or 32^2 grid, peak modulus in [0.1, 2]."""
+    n = draw(st.sampled_from([16, 32]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    peak = draw(st.floats(min_value=0.1, max_value=2.0))
+    g = Grid(2, n, 5.0)
+    rng = np.random.default_rng(seed)
+    kc2 = (float(np.max(np.abs(g.k))) / 6.0) ** 2
+    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    values = ifftn(coeffs * np.exp(-g.k2 / (2.0 * kc2)))
+    return ComplexField(g, peak * values / np.max(np.abs(values)))
+
+
+models = st.builds(
+    ModelParams,
+    st.sampled_from([Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D]),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+time_steps = st.floats(min_value=1e-4, max_value=1e-2)
+
+
+def _mass(u):
+    return integrate(u.grid, np.abs(u.values) ** 2)
+
+
+def _free_config(u, model, dt, steps, sample_every, snapshot_times=()):
+    return EvolutionConfig(
+        model=model, grid=u.grid, dt=dt, t_final=steps * dt, sample_every=sample_every,
+        initial=u, snapshot_times=snapshot_times, check_invariants=False,
+        blowup_threshold=math.inf,
+    )
+
+
+class TestSplitStepProperties:
+    @_KERNEL_SETTINGS
+    @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=5))
+    def test_mass_is_conserved(self, u0, model, dt, steps):
+        u = u0
+        for _ in range(steps):
+            u = strang_step(u, dt, model)
+        assert abs(_mass(u) - _mass(u0)) <= 1e-12 * _mass(u0)
+
+    @_KERNEL_SETTINGS
+    @given(smooth_fields(), models, time_steps)
+    def test_backward_step_undoes_forward_step(self, u0, model, dt):
+        before = u0.values.copy()
+        back = strang_step(strang_step(u0, dt, model), -dt, model)
+        assert np.array_equal(u0.values, before)  # the input is left untouched
+        assert np.max(np.abs(back.values - before)) <= 1e-12
+
+    @_KERNEL_SETTINGS
+    @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6))
+    def test_evolve_matches_iterated_strang_step(self, u0, model, dt, steps, sample_every):
+        traj = evolve(_free_config(u0, model, dt, steps, sample_every))
+        u = u0
+        for _ in range(steps):
+            u = strang_step(u, dt, model)
+        assert np.max(np.abs(traj.final_field.values - u.values)) <= 1e-12
+
+    @_KERNEL_SETTINGS
+    @given(smooth_fields(), time_steps, st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6), st.sets(st.integers(0, 6), max_size=4))
+    def test_records_never_share_kernel_memory(self, u0, dt, steps, sample_every, picks):
+        kernels = []
+
+        class Recorded(evolution.SplitStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(self)
+
+        model = ModelParams(Family.CUBIC_LOG_2D, 1.0)
+        times = tuple(k * dt for k in sorted(picks) if k <= steps)
+        with mock.patch.object(evolution, "SplitStep", Recorded):
+            traj = evolve(_free_config(u0, model, dt, steps, sample_every, times))
+        (kernel,) = kernels
+        owned = [kernel.buffer, kernel.half, kernel.full, u0.values]
+        kept = [f.values for f in traj.snapshots.values()] + [traj.final_field.values]
+        assert sorted(traj.snapshots) == sorted(times)
+        for i, a in enumerate(kept):
+            assert not any(np.shares_memory(a, b) for b in owned + kept[i + 1:])
