@@ -314,7 +314,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         if config.reference is None:
             raise ValueError("orbit tracking needs a reference profile")
         traj.orbit_distances = []
-        reference_field = embed_radial(config.reference, g)
+        reference_hat = fftn(embed_radial(config.reference, g).values, overwrite_x=True)
 
     obs0 = observables(u, model)
     bound = h1_apriori_bound(obs0, model)
@@ -329,18 +329,20 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         kmax2 = float(np.max(g.k2))
         threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
 
-    def record(step: int, values: np.ndarray):
+    def record(step: int, values: np.ndarray, obs: Observables | None = None):
         t = step * dt
         fld = _grid.ComplexField(g, values)
-        if not np.all(np.isfinite(values.view(float))):
-            raise NonFiniteField(f"non-finite field at t={t}")
-        obs = observables(fld, model)
+        if obs is None:
+            try:
+                obs = observables(fld, model)
+            except NonFiniteField:
+                raise NonFiniteField(f"non-finite field at t={t}") from None
         traj.times.append(t)
         traj.samples.append(obs)
         if config.monitor_pc:
             traj.pc_quantity.append(pc_functional(fld, t, model))
         if config.track_orbit:
-            dist, _, _ = orbit_distance(fld, config.reference, reference=reference_field)
+            dist, _, _ = orbit_distance(fld, config.reference, reference_hat=reference_hat)
             traj.orbit_distances.append(dist)
         if step in snapshots:
             traj.snapshots[snapshots[step]] = fld.copy()
@@ -361,7 +363,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
             )
         return fld
 
-    record(0, u.values)
+    record(0, u.values, obs0)
 
     def sampled(step):
         return step % config.sample_every == 0 or step in snapshots
@@ -377,25 +379,28 @@ def orbit_distance(
     field: _grid.ComplexField,
     profile: RadialProfile,
     grid: _grid.Grid | None = None,
-    reference: _grid.ComplexField | None = None,
+    reference_hat: np.ndarray | None = None,
 ) -> tuple[float, float, tuple[float, ...]]:
     """min over (theta, y) of the H1 distance to e^{i theta} phi(. - y).
 
     The shift is searched by spectral cross-correlation of the H1 pairing,
     refined by one quadratic interpolation per axis; the optimal phase is the
-    argument of the pairing.  The reported distance is recomputed directly
-    from the difference field, so exact orbit members return ~1e-14, not the
-    half-precision left by cancelling near-equal norms.
+    argument of the pairing.  The reported distance is the H1 norm of the
+    difference spectrum u_hat - e^{i theta} e^{-i k.y} phi_hat (Parseval), a
+    direct difference, so exact orbit members return ~1e-14, not the
+    half-precision left by cancelling near-equal norms.  ``reference_hat``,
+    the forward transform of phi embedded on the grid, lets a caller that
+    measures many fields against one profile transform it once.
     """
     g = grid or field.grid
-    if reference is None:
-        reference = embed_radial(profile, g)
+    p_hat = reference_hat
+    if p_hat is None:
+        p_hat = fftn(embed_radial(profile, g).values, overwrite_x=True)
     u_hat = fftn(field.values)
-    p_hat = fftn(reference.values)
     weight = 1.0 + g.k2
-    # C(y) = <u, phi(.-y)>_H1 for every grid shift y, via one inverse FFT
-    corr = ifftn(u_hat * np.conj(p_hat) * weight, overwrite_x=True) * g.dx ** g.dim
-    corr_abs = np.abs(corr)
+    # |C(y)| with C(y) = <u, phi(.-y)>_H1 up to a positive factor, for every
+    # grid shift y, via one inverse FFT
+    corr_abs = np.abs(ifftn(u_hat * np.conj(p_hat) * weight, overwrite_x=True))
     best = np.unravel_index(int(np.argmax(corr_abs)), corr_abs.shape)
 
     shift_idx = []
@@ -416,13 +421,11 @@ def orbit_distance(
         else:
             shifted_hat *= np.exp(-1j * g.k[:, None] * yvec[0])
             shifted_hat *= np.exp(-1j * g.k[None, :] * yvec[1])
-        pairing = np.sum(u_hat * np.conj(shifted_hat) * weight) * (
-            g.dx ** g.dim / field.values.size
-        )
-        shifted = ifftn(shifted_hat, overwrite_x=True)
-        theta = float(np.angle(pairing))
-        diff = _grid.ComplexField(g, field.values - np.exp(1j * theta) * shifted)
-        return _grid.h1_norm(diff), theta
+        # the H1 pairing <u, phi(.-y)> up to a positive factor
+        theta = float(np.angle(np.sum(u_hat * np.conj(shifted_hat) * weight)))
+        shifted_hat *= -np.exp(1j * theta)
+        shifted_hat += u_hat
+        return _grid.spectral_h1_norm(g, shifted_hat), theta
 
     d_refined, theta_refined = distance_at(y)
     y_grid = tuple(

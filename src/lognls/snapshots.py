@@ -40,23 +40,33 @@ def write_snapshot(
 
 
 def read_snapshot(path) -> tuple[ComplexField, dict]:
+    """Field and {lam, omega, t} of an NLSF file; ConfigError if it is malformed."""
     raw = Path(path).read_bytes()
-    if raw[:4] != NLSF_MAGIC:
+    if raw[:4] != NLSF_MAGIC or len(raw) < 12:
         raise ConfigError(f"{path}: not an NLSF snapshot")
     version, dim = struct.unpack_from("<II", raw, 4)
     if version != NLSF_VERSION:
         raise ConfigError(f"{path}: unsupported NLSF version {version}")
-    off = 12
-    ns = struct.unpack_from("<" + "I" * dim, raw, off)
-    off += 4 * dim
-    widths = struct.unpack_from("<" + "d" * dim, raw, off)
-    off += 8 * dim
-    lam, omega, t = struct.unpack_from("<ddd", raw, off)
-    off += 24
+    if dim not in (1, 2):
+        raise ConfigError(f"{path}: dimension {dim} is not 1 or 2")
+    off = 12 + 12 * dim + 24
+    if len(raw) < off:
+        raise ConfigError(f"{path}: {len(raw)} bytes is shorter than the {off}-byte header")
+    ns = struct.unpack_from("<" + "I" * dim, raw, 12)
+    widths = struct.unpack_from("<" + "d" * dim, raw, 12 + 4 * dim)
+    lam, omega, t = struct.unpack_from("<ddd", raw, off - 24)
+    if not all(0.0 < w < math.inf for w in widths):
+        raise ConfigError(f"{path}: half-widths {widths} are not positive and finite")
     if len(set(ns)) != 1 or len(set(widths)) != 1:
         raise ConfigError(f"{path}: anisotropic snapshots are not supported")
     n = ns[0]
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"{path}: {n} points per axis is not an even number of at least 2")
     count = n ** dim
+    if len(raw) != off + 16 * count:
+        raise ConfigError(
+            f"{path}: {len(raw)} bytes, but a {n}^{dim} snapshot takes {off + 16 * count}"
+        )
     flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
     values = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dim)
     grid = Grid(dim, n, widths[0])

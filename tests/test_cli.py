@@ -56,6 +56,70 @@ class TestSnapshotFormat:
         assert meta["omega"] is None and meta["lam"] == 0.0
 
 
+def _snapshot_start_config(path):
+    return {
+        "experiment": "evolve",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 32, "half_width": 8.0},
+        "time": {"dt": 0.001, "t_final": 0.002, "sample_every": 1},
+        "initial": {"kind": "snapshot", "path": str(path)},
+        "outputs": {"summary_json_path": "s.json"},
+    }
+
+
+def _cut_header(raw):
+    return raw[:30]
+
+
+def _cut_samples(raw):
+    return raw[:-16]
+
+
+def _trailing_byte(raw):
+    return raw + b"\0"
+
+
+def _dim_three(raw):
+    return raw[:8] + (3).to_bytes(4, "little") + raw[12:]
+
+
+def _odd_n(raw):
+    return raw[:12] + (31).to_bytes(4, "little") + (31).to_bytes(4, "little") + raw[20:]
+
+
+def _nan_width(raw):
+    return raw[:20] + np.array([np.nan, np.nan], dtype="<f8").tobytes() + raw[36:]
+
+
+class TestMalformedSnapshot:
+    def _write(self, tmp_path):
+        g = Grid(2, 32, 8.0)
+        xs = np.meshgrid(g.axis, g.axis, indexing="ij")
+        fld = ComplexField(g, np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0))
+        path = tmp_path / "start.nlsf"
+        write_snapshot(path, fld, ModelParams(Family.CUBIC_LOG_2D, 1.0), t=0.0)
+        return path
+
+    def test_well_formed_file_runs(self, tmp_path):
+        path = self._write(tmp_path)
+        assert run_config(_snapshot_start_config(path), out_dir=str(tmp_path))[0] == 0
+
+    @pytest.mark.parametrize(
+        "damage", [_cut_header, _cut_samples, _trailing_byte, _dim_three, _odd_n, _nan_width],
+        ids=["shorter_than_header", "short_samples", "trailing_bytes", "dim_3", "odd_n",
+             "nan_half_width"],
+    )
+    def test_malformed_file_is_config_error(self, tmp_path, damage):
+        path = self._write(tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ConfigError):
+            read_snapshot(path)
+        code, summary = run_config(_snapshot_start_config(path), out_dir=str(tmp_path))
+        assert code == 2
+        assert summary["error"]["code"] == "ConfigError"
+        assert str(path) in summary["error"]["message"]
+
+
 class TestCsvFormat:
     def test_seventeen_digit_roundtrip(self, tmp_path):
         values = [math.pi, 1.0 / 3.0, 6.02214076e23, 1e-300]

@@ -3,9 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from scipy.fft import ifftn
+from scipy.fft import fftn
 
 from lognls import evolution
 from lognls.errors import BlowUpDetected, InsufficientSamples
@@ -25,6 +25,8 @@ from lognls.evolution import (
 from lognls.grid import ComplexField, Grid, coordinates, h1_norm, integrate
 from lognls.groundstate import embed_radial, find_ground_state
 from lognls.model import Family, ModelParams
+
+from conftest import PROPERTY_SETTINGS, smooth_fields
 
 
 def _gaussian(g, amp=1.0, width=1.0):
@@ -269,23 +271,6 @@ class TestSnapshotSteps:
 # properties of the split-step kernel on smooth random fields
 # ---------------------------------------------------------------------------
 
-_KERNEL_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def smooth_fields(draw):
-    """A band-limited random field on a 16^2 or 32^2 grid, peak modulus in [0.1, 2]."""
-    n = draw(st.sampled_from([16, 32]))
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    peak = draw(st.floats(min_value=0.1, max_value=2.0))
-    g = Grid(2, n, 5.0)
-    rng = np.random.default_rng(seed)
-    kc2 = (float(np.max(np.abs(g.k))) / 6.0) ** 2
-    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    values = ifftn(coeffs * np.exp(-g.k2 / (2.0 * kc2)))
-    return ComplexField(g, peak * values / np.max(np.abs(values)))
-
-
 models = st.builds(
     ModelParams,
     st.sampled_from([Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D]),
@@ -307,7 +292,7 @@ def _free_config(u, model, dt, steps, sample_every, snapshot_times=()):
 
 
 class TestSplitStepProperties:
-    @_KERNEL_SETTINGS
+    @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=5))
     def test_mass_is_conserved(self, u0, model, dt, steps):
         u = u0
@@ -315,7 +300,7 @@ class TestSplitStepProperties:
             u = strang_step(u, dt, model)
         assert abs(_mass(u) - _mass(u0)) <= 1e-12 * _mass(u0)
 
-    @_KERNEL_SETTINGS
+    @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps)
     def test_backward_step_undoes_forward_step(self, u0, model, dt):
         before = u0.values.copy()
@@ -323,7 +308,7 @@ class TestSplitStepProperties:
         assert np.array_equal(u0.values, before)  # the input is left untouched
         assert np.max(np.abs(back.values - before)) <= 1e-12
 
-    @_KERNEL_SETTINGS
+    @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=6))
     def test_evolve_matches_iterated_strang_step(self, u0, model, dt, steps, sample_every):
@@ -333,7 +318,7 @@ class TestSplitStepProperties:
             u = strang_step(u, dt, model)
         assert np.max(np.abs(traj.final_field.values - u.values)) <= 1e-12
 
-    @_KERNEL_SETTINGS
+    @PROPERTY_SETTINGS
     @given(smooth_fields(), time_steps, st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=6), st.sets(st.integers(0, 6), max_size=4))
     def test_records_never_share_kernel_memory(self, u0, dt, steps, sample_every, picks):
@@ -354,3 +339,23 @@ class TestSplitStepProperties:
         assert sorted(traj.snapshots) == sorted(times)
         for i, a in enumerate(kept):
             assert not any(np.shares_memory(a, b) for b in owned + kept[i + 1:])
+
+
+def _periodic_gap(a, b, period):
+    return abs((a - b + 0.5 * period) % period - 0.5 * period)
+
+
+class TestOrbitDistanceProperties:
+    @PROPERTY_SETTINGS
+    @given(smooth_fields(dims=(1, 2)), st.data(), st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_orbit_member_recovers_phase_and_shift(self, phi, data, theta0):
+        g = phi.grid
+        cells = tuple(data.draw(st.integers(0, g.n - 1)) for _ in range(g.dim))
+        u = ComplexField(
+            g, np.exp(1j * theta0) * np.roll(phi.values, cells, axis=tuple(range(g.dim)))
+        )
+        dist, theta, y = orbit_distance(u, None, reference_hat=fftn(phi.values))
+        assert dist <= 1e-12
+        assert _periodic_gap(theta, theta0, 2.0 * math.pi) <= 1e-10
+        for y_axis, c in zip(y, cells):
+            assert _periodic_gap(y_axis, c * g.dx, 2.0 * g.half_width) <= 1e-10

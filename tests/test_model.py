@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lognls.errors import (
@@ -10,7 +12,7 @@ from lognls.errors import (
     NonPositiveLambda,
     OmegaOutOfWindow,
 )
-from lognls.grid import ComplexField, Grid, coordinates
+from lognls.grid import ComplexField, Grid, coordinates, gradient, h1_norm, integrate
 from lognls.model import (
     Family,
     ModelParams,
@@ -21,6 +23,8 @@ from lognls.model import (
     omega_window,
     potential_G,
 )
+
+from conftest import PROPERTY_SETTINGS, smooth_fields
 
 
 def test_omega_window_values():
@@ -228,3 +232,52 @@ def test_lagrangian_accessors_on_stationary_profile(profile_01):
     # S = T/2 - V exactly, and V vanishes on stationary states
     assert obs.action == pytest.approx(0.5 * obs.lagrangian_T - obs.lagrangian_V, rel=1e-12)
     assert abs(obs.lagrangian_V) <= 1e-7 * max(obs.lagrangian_T, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the Parseval observables on smooth random fields
+# ---------------------------------------------------------------------------
+
+
+def _family_of(u):
+    return Family.CUBIC_LOG_2D if u.grid.dim == 2 else Family.QUINTIC_LOG_1D
+
+
+def _assert_same_observables(a, b, rel):
+    for name in ("mass", "kinetic", "potential", "energy", "quartic"):
+        assert getattr(a, name) == pytest.approx(getattr(b, name), rel=rel, abs=1e-300)
+    # |P_j| <= ||u|| ||d_j u|| bounds every momentum component
+    scale = math.sqrt(a.mass * 2.0 * a.kinetic)
+    assert np.max(np.abs(np.subtract(a.momentum, b.momentum))) <= rel * scale
+
+
+class TestObservablesProperties:
+    @PROPERTY_SETTINGS
+    @given(smooth_fields(dims=(1, 2)), st.floats(min_value=0.5, max_value=2.0),
+           st.floats(min_value=-math.pi, max_value=math.pi))
+    def test_gauge_invariance(self, u, lam, theta):
+        m = ModelParams(_family_of(u), lam)
+        rotated = ComplexField(u.grid, np.exp(1j * theta) * u.values)
+        _assert_same_observables(observables(rotated, m), observables(u, m), 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(smooth_fields(dims=(1, 2)), st.floats(min_value=0.5, max_value=2.0), st.data())
+    def test_translation_invariance(self, u, lam, data):
+        m = ModelParams(_family_of(u), lam)
+        cells = tuple(data.draw(st.integers(0, u.grid.n - 1)) for _ in range(u.grid.dim))
+        shifted = ComplexField(u.grid, np.roll(u.values, cells, axis=tuple(range(u.grid.dim))))
+        _assert_same_observables(observables(shifted, m), observables(u, m), 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(smooth_fields(dims=(1, 2)))
+    def test_parseval_matches_gradient_definitions(self, u):
+        g = u.grid
+        grads = gradient(u)
+        obs = observables(u, ModelParams(_family_of(u), 1.0))
+        kinetic = 0.5 * sum(integrate(g, np.abs(d.values) ** 2) for d in grads)
+        momentum = [integrate(g, np.imag(np.conj(u.values) * d.values)) for d in grads]
+        assert obs.kinetic == pytest.approx(kinetic, rel=1e-12)
+        scale = math.sqrt(obs.mass * 2.0 * kinetic)
+        assert np.max(np.abs(np.subtract(obs.momentum, momentum))) <= 1e-12 * scale
+        h1_squared = integrate(g, np.abs(u.values) ** 2) + 2.0 * kinetic
+        assert h1_norm(u) == pytest.approx(math.sqrt(h1_squared), rel=1e-12)
