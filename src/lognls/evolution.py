@@ -329,14 +329,13 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         kmax2 = float(np.max(g.k2))
         threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
 
-    def record(step: int, values: np.ndarray, obs: Observables | None = None):
+    def record(step: int, values: np.ndarray):
         t = step * dt
         fld = _grid.ComplexField(g, values)
-        if obs is None:
-            try:
-                obs = observables(fld, model)
-            except NonFiniteField:
-                raise NonFiniteField(f"non-finite field at t={t}") from None
+        try:
+            obs = observables(fld, model)
+        except NonFiniteField:
+            raise NonFiniteField(f"non-finite field at t={t}") from None
         traj.times.append(t)
         traj.samples.append(obs)
         if config.monitor_pc:
@@ -363,7 +362,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
             )
         return fld
 
-    record(0, u.values, obs0)
+    record(0, u.values)
 
     def sampled(step):
         return step % config.sample_every == 0 or step in snapshots

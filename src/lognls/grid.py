@@ -133,34 +133,22 @@ def integrate(grid: Grid, samples: np.ndarray) -> float:
     return float(np.real(np.sum(samples))) * grid.dx ** grid.dim
 
 
-def power_marginals(grid: Grid, coeffs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """|coeffs|^2 summed over all axes but one, for each axis, in integral units.
+def spectral_h1_norm(grid: Grid, coeffs: np.ndarray) -> float:
+    """H1 norm of the field whose forward transform is ``coeffs``, by Parseval.
 
-    With coeffs = fftn(u), Parseval turns the quadratic form of a multiplier
-    w(k_j) acting on axis j into a dot product with that axis' marginal m_j:
-    int conj(u) w(-i d_j) u = w(k_j) . m_j.  So ||d_j u||^2 = k_deriv^2 . m_j
-    and int Im(conj(u) d_j u) = k_deriv . m_j need no inverse transform and
-    no n^dim weight mesh; sum(m_j) is ||u||^2.  Contract the marginals with
-    elementwise sums, not BLAS dot products: a threaded BLAS pool keeps
-    spinning after each call and costs CPU time beside the transforms.
+    The gradient weights are k_deriv (Nyquist zeroed), as in ``gradient``, so
+    the value equals the gradient-based norm up to rounding.  Each axis'
+    weights contract the marginal of |coeffs|^2 over the other axis, which
+    needs no n^dim weight mesh.  The contractions are elementwise sums, not
+    BLAS dot products: a threaded BLAS pool keeps spinning after each call and
+    costs CPU time beside the transforms.
     """
     power = coeffs.real ** 2
     power += coeffs.imag ** 2
-    scale = grid.dx ** grid.dim / power.size
-    if grid.dim == 1:
-        return (power * scale,)
-    return (power.sum(axis=1) * scale, power.sum(axis=0) * scale)
-
-
-def spectral_h1_norm(grid: Grid, coeffs: np.ndarray) -> float:
-    """H1 norm of the field whose forward transform is ``coeffs``.
-
-    The gradient weights are k_deriv (Nyquist zeroed), as in ``gradient``.
-    """
-    marginals = power_marginals(grid, coeffs)
+    marginals = (power,) if grid.dim == 1 else (power.sum(axis=1), power.sum(axis=0))
     k2 = grid.k_deriv ** 2
-    s = float(np.sum(marginals[0])) + sum(float(np.sum(k2 * m)) for m in marginals)
-    return float(np.sqrt(max(s, 0.0)))
+    s = float(np.sum(power)) + sum(float(np.sum(k2 * m)) for m in marginals)
+    return float(np.sqrt(max(s * grid.dx ** grid.dim / power.size, 0.0)))
 
 
 def h1_norm(a: ComplexField) -> float:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import fftn
 
 from .errors import (
     MissingOmega,
@@ -249,13 +248,7 @@ class Observables:
 
 
 def observables(field, model: ModelParams) -> Observables:
-    """Mass, energy, momentum and friends from one forward transform.
-
-    Mass and the density integrals use cell quadrature on the samples.
-    Kinetic energy and momentum come from the spectrum by Parseval, with the
-    Nyquist-zeroed ``k_deriv`` of ``grid.gradient``: the same values as the
-    integrals of |grad u|^2 / 2 and Im(conj(u) grad u), up to rounding.
-    """
+    """Mass, energy, momentum and friends by spectral gradient + cell quadrature."""
     from . import grid as _grid
 
     vals = field.values
@@ -264,10 +257,12 @@ def observables(field, model: ModelParams) -> Observables:
     g = field.grid
     rho = np.abs(vals) ** 2
     mass = _grid.integrate(g, rho)
-    marginals = _grid.power_marginals(g, fftn(vals))
-    kinetic = 0.5 * sum(float(np.sum(g.k_deriv ** 2 * m)) for m in marginals)
+    grads = _grid.gradient(field)
+    kinetic = 0.5 * sum(_grid.integrate(g, np.abs(gr.values) ** 2) for gr in grads)
     potential = _grid.integrate(g, potential_density(rho, model))
-    momentum = tuple(float(np.sum(g.k_deriv * m)) for m in marginals)
+    momentum = tuple(
+        _grid.integrate(g, np.imag(np.conj(vals) * gr.values)) for gr in grads
+    )
     quartic = _grid.integrate(g, rho * rho)
     energy = kinetic + potential
     action = None

@@ -26,7 +26,7 @@ from lognls.grid import ComplexField, Grid, coordinates, h1_norm, integrate
 from lognls.groundstate import embed_radial, find_ground_state
 from lognls.model import Family, ModelParams
 
-from conftest import PROPERTY_SETTINGS, smooth_fields
+from properties import PROPERTY_SETTINGS, smooth_fields
 
 
 def _gaussian(g, amp=1.0, width=1.0):

@@ -24,7 +24,7 @@ from lognls.model import (
     potential_G,
 )
 
-from conftest import PROPERTY_SETTINGS, smooth_fields
+from properties import PROPERTY_SETTINGS, smooth_fields
 
 
 def test_omega_window_values():
@@ -235,7 +235,7 @@ def test_lagrangian_accessors_on_stationary_profile(profile_01):
 
 
 # ---------------------------------------------------------------------------
-# properties of the Parseval observables on smooth random fields
+# properties of observables and the Parseval H1 norm on smooth random fields
 # ---------------------------------------------------------------------------
 
 
@@ -270,14 +270,8 @@ class TestObservablesProperties:
 
     @PROPERTY_SETTINGS
     @given(smooth_fields(dims=(1, 2)))
-    def test_parseval_matches_gradient_definitions(self, u):
+    def test_parseval_h1_norm_matches_gradient_definition(self, u):
         g = u.grid
-        grads = gradient(u)
-        obs = observables(u, ModelParams(_family_of(u), 1.0))
-        kinetic = 0.5 * sum(integrate(g, np.abs(d.values) ** 2) for d in grads)
-        momentum = [integrate(g, np.imag(np.conj(u.values) * d.values)) for d in grads]
-        assert obs.kinetic == pytest.approx(kinetic, rel=1e-12)
-        scale = math.sqrt(obs.mass * 2.0 * kinetic)
-        assert np.max(np.abs(np.subtract(obs.momentum, momentum))) <= 1e-12 * scale
-        h1_squared = integrate(g, np.abs(u.values) ** 2) + 2.0 * kinetic
+        h1_squared = integrate(g, np.abs(u.values) ** 2)
+        h1_squared += sum(integrate(g, np.abs(d.values) ** 2) for d in gradient(u))
         assert h1_norm(u) == pytest.approx(math.sqrt(h1_squared), rel=1e-12)
