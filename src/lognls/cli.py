@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -28,7 +29,6 @@ from .evolution import (
     evolve,
     pc_identity_rhs,
     pseudoconformal_residual,
-    snapshot_steps,
 )
 from .groundstate import (
     find_ground_state,
@@ -37,7 +37,7 @@ from .groundstate import (
 )
 from .minimize import minimize_energy
 from .model import Family, ModelParams, amplitude_roots
-from .snapshots import format_float, model_from_config, write_csv, write_snapshot
+from .snapshots import format_float, write_csv, write_snapshot
 
 EXPERIMENTS = (
     "ground",
@@ -50,16 +50,17 @@ EXPERIMENTS = (
     "pseudoconformal",
 )
 
+# ---------------------------------------------------------------------------
+# config schema: the keys of "grid", "initial" (per kind) and "perturbation"
+# are the init fields of the dataclasses they build
+# ---------------------------------------------------------------------------
+
+_INITIAL_KINDS = {"ground_state": GroundStateInit, "gaussian": GaussianInit,
+                  "snapshot": SnapshotInit}
 _MODEL_KEYS = {"family", "lambda", "omega"}
-_GRID_KEYS = {"dim", "n", "half_width"}
 _TIME_KEYS = {"dt", "t_final", "sample_every"}
 _OUTPUT_KEYS = {"csv_path", "summary_json_path", "snapshot_paths", "snapshot_times"}
-_INITIAL_KEYS = {
-    "ground_state": {"kind", "omega", "center", "phase", "boost"},
-    "gaussian": {"kind", "amplitude", "width", "center", "boost"},
-    "snapshot": {"kind", "path"},
-}
-_PERTURBATION_KEYS = {"kind", "delta", "center", "width", "mode", "renormalize"}
+_POSITIVE_KEYS = ("rho", "tol", "fd_delta", "blowup_deadline")
 
 _TOP_KEYS = {
     "ground": {"experiment", "model", "outputs", "seed", "tol"},
@@ -73,61 +74,183 @@ _TOP_KEYS = {
 }
 
 
+def _number(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{value!r} is not a finite number")
+    return x
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{value!r} is not a string")
+    return value
+
+
+def _read(convert, value, where: str):
+    """convert(value), any failure a ConfigError that names the key."""
+    try:
+        return convert(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# config value -> dataclass field value, by the field's annotation
+_CONVERT = {
+    "int": int,
+    "float": _number,
+    "bool": bool,
+    "str": _string,
+    "tuple[float, ...] | None": lambda v: tuple(map(_number, v)) if v else None,
+    "tuple[int, ...] | None": lambda v: tuple(map(int, v)) if v else None,
+}
+
+
+def _fields(cls) -> list[dataclasses.Field]:
+    return [f for f in dataclasses.fields(cls) if f.init]
+
+
+def _keys(cls) -> set[str]:
+    return {f.name for f in _fields(cls)}
+
+
+def _from_section(cls, section: dict, where: str):
+    """The dataclass ``cls`` built from a section whose keys are its init fields."""
+    kwargs = {}
+    for f in _fields(cls):
+        if f.name in section:
+            kwargs[f.name] = _read(_CONVERT[f.type], section[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {where}")
+    return cls(**kwargs)
+
+
+# lists that are values in their own right, never swept: tuple fields and these
+_INHERENT_LISTS = {
+    ("omega_list",),
+    ("omega_grid",),
+    ("outputs", "snapshot_paths"),
+    ("outputs", "snapshot_times"),
+} | {
+    (name, f.name)
+    for name, classes in (("initial", _INITIAL_KINDS.values()), ("perturbation", [Perturbation]))
+    for cls in classes
+    for f in _fields(cls)
+    if f.type.startswith("tuple")
+}
+
+
+def _section(config: dict, name: str, allowed: set | None = None) -> dict:
+    """config[name], checked to be a JSON object (with only allowed keys, if given)."""
+    if name not in config:
+        raise ConfigError(f"missing '{name}' section")
+    section = config[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {section!r}")
+    if allowed is not None:
+        _check_keys(section, allowed, name)
+    return section
+
+
 def _check_keys(section: dict, allowed: set, where: str):
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _outputs(config: dict) -> dict:
+    """The outputs section, checked: path strings and numeric snapshot times."""
+    outputs = _section(config, "outputs", _OUTPUT_KEYS) if "outputs" in config else {}
+    for key in ("csv_path", "summary_json_path"):
+        if outputs.get(key) is not None:
+            _read(_string, outputs[key], f"outputs.{key}")
+    paths = outputs.get("snapshot_paths", [])
+    times = outputs.get("snapshot_times", [])
+    if not isinstance(paths, list) or not isinstance(times, list):
+        raise ConfigError("snapshot_paths and snapshot_times must be lists")
+    if len(paths) != len(times):
+        raise ConfigError("snapshot_paths and snapshot_times must have equal length")
+    for p, t in zip(paths, times):
+        _read(_string, p, "outputs.snapshot_paths")
+        _read(_number, t, "outputs.snapshot_times")
+    return outputs
+
+
 def validate_config(config: dict) -> dict:
+    """Check a config's structure: JSON objects, known keys and kinds (``_parse`` reads values)."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
     _check_keys(config, _TOP_KEYS[exp], "top level")
-    if "model" not in config:
-        raise ConfigError("missing 'model' section")
-    _check_keys(config["model"], _MODEL_KEYS, "model")
-    model_from_config(config["model"])  # window/positivity checks fail here
-    if "grid" in config:
-        _check_keys(config["grid"], _GRID_KEYS, "grid")
-    if "time" in config:
-        _check_keys(config["time"], _TIME_KEYS, "time")
+    _section(config, "model", _MODEL_KEYS)
+    for name, allowed in (("grid", _keys(_grid.Grid)), ("time", _TIME_KEYS)):
+        if name in config:
+            _section(config, name, allowed)
     if "initial" in config:
-        kind = config["initial"].get("kind")
-        if kind not in _INITIAL_KEYS:
-            raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KEYS)}")
-        _check_keys(config["initial"], _INITIAL_KEYS[kind], "initial")
-    if config.get("perturbation") is not None and "perturbation" in config:
-        _check_keys(config["perturbation"], _PERTURBATION_KEYS, "perturbation")
-    outputs = config.get("outputs", {})
-    _check_keys(outputs, _OUTPUT_KEYS, "outputs")
-    paths = outputs.get("snapshot_paths", [])
-    times = outputs.get("snapshot_times", [])
-    if len(paths) != len(times):
-        raise ConfigError("snapshot_paths and snapshot_times must have equal length")
-    _check_snapshot_times(config, [float(t) for t in times])
+        kind = _section(config, "initial").get("kind")
+        if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
+            raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
+        _check_keys(config["initial"], {"kind"} | _keys(_INITIAL_KINDS[kind]), "initial")
+    if config.get("perturbation") is not None:
+        _section(config, "perturbation", _keys(Perturbation))
+    # an evolution's snapshot times are checked against its dt lattice by EvolutionConfig
+    times = _outputs(config).get("snapshot_times", [])
+    if exp == "minimize" and times not in ([], [0.0]):
+        raise ConfigError("minimize writes one snapshot, requested as snapshot_times [0.0]")
+    if times and exp not in ("evolve", "stability", "minimize"):
+        raise ConfigError(f"the {exp} experiment writes no snapshots")
     config.setdefault("seed", 0)
     return config
 
 
-def _check_snapshot_times(config: dict, times: list[float]):
-    """Each requested snapshot must name its own state of the run that writes it."""
-    if not times:
-        return
-    exp = config["experiment"]
-    if exp == "minimize":
-        if times != [0.0]:
-            raise ConfigError("minimize writes one snapshot, requested as snapshot_times [0.0]")
-        return
-    if exp not in ("evolve", "stability"):
-        raise ConfigError(f"the {exp} experiment writes no snapshots")
-    tsec = config["time"]
-    try:
-        snapshot_steps(times, float(tsec["dt"]), float(tsec["t_final"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _model(section: dict) -> ModelParams:
+    omega = section.get("omega")
+    return ModelParams(
+        Family(section["family"]),
+        _read(_number, section["lambda"], "model.lambda"),
+        None if omega is None else _read(_number, omega, "model.omega"),
+    )
+
+
+def _parse(config: dict) -> dict:
+    """The typed "model", "grid", "evolution" and "omegas" of a validated config.
+
+    Built, and the positive scalars checked, before any numerical work starts.
+    """
+    for key in _POSITIVE_KEYS:
+        if key in config and not _read(_number, config[key], key) > 0:
+            raise ConfigError(f"{key} must be positive, got {config[key]!r}")
+    keys = _TOP_KEYS[config["experiment"]]
+    typed = {"model": _model(config["model"])}
+    if "grid" in keys:
+        typed["grid"] = _from_section(_grid.Grid, _section(config, "grid"), "grid")
+    if "time" in keys:
+        typed["evolution"] = _evolution_config(config, typed["model"], typed["grid"])
+    for key in ("omega_list", "omega_grid"):
+        if key in keys:
+            typed["omegas"] = _read(lambda ws: [_number(w) for w in ws], config.get(key), key)
+            if not typed["omegas"]:
+                raise ConfigError(f"{key} needs at least one frequency")
+    return typed
+
+
+def _evolution_config(config: dict, model: ModelParams, grid: _grid.Grid) -> EvolutionConfig:
+    """The evolution a config asks for; runners vary it with dataclasses.replace."""
+    tsec = _section(config, "time")
+    initial = _section(config, "initial")
+    pert = config.get("perturbation")
+    return EvolutionConfig(
+        model=model,
+        grid=grid,
+        dt=_read(_number, tsec["dt"], "time.dt"),
+        t_final=_read(_number, tsec["t_final"], "time.t_final"),
+        sample_every=_read(int, tsec.get("sample_every", 1), "time.sample_every"),
+        initial=_from_section(_INITIAL_KINDS[initial["kind"]], initial, "initial"),
+        perturbation=_from_section(Perturbation, pert, "perturbation") if pert else None,
+        snapshot_times=tuple(float(t) for t in config.get("outputs", {}).get("snapshot_times", [])),
+    )
 
 
 def _strict_json(obj):
@@ -146,26 +269,23 @@ def _write_summary(path, summary: dict):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _writable(path: Path) -> Path:
+    """``path``, its directory made; a directory or an unwritable place raises."""
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _resolve_outputs(config: dict, out_dir: str | None) -> dict:
-    base = Path(out_dir) if out_dir else Path(".")
-    resolved = {}
+    base = Path(out_dir or ".")
     outputs = config.get("outputs", {})
-    for key in ("csv_path", "summary_json_path"):
-        if outputs.get(key):
-            p = Path(outputs[key])
-            resolved[key] = p if p.is_absolute() else base / p
-    resolved["snapshots"] = []
-    for p, t in zip(outputs.get("snapshot_paths", []), outputs.get("snapshot_times", [])):
-        pp = Path(p)
-        resolved["snapshots"].append((pp if pp.is_absolute() else base / pp, float(t)))
-    for p in [resolved.get("csv_path"), resolved.get("summary_json_path")] + [
-        s[0] for s in resolved["snapshots"]
-    ]:
-        if p is not None:
-            try:
-                p.parent.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise ConfigError(f"output path {p} is not writable: {exc}")
+    resolved = {key: _writable(base / outputs[key])
+                for key in ("csv_path", "summary_json_path") if outputs.get(key)}
+    resolved["snapshots"] = [
+        (_writable(base / p), float(t))
+        for p, t in zip(outputs.get("snapshot_paths", []), outputs.get("snapshot_times", []))
+    ]
     return resolved
 
 
@@ -181,42 +301,6 @@ def provenance(config: dict) -> list[str]:
     lines: list[str] = []
     _flatten("", config, lines)
     return lines
-
-
-def _grid_from(section: dict) -> _grid.Grid:
-    return _grid.Grid(int(section["dim"]), int(section["n"]), float(section["half_width"]))
-
-
-def _initial_from(section: dict):
-    kind = section["kind"]
-    if kind == "ground_state":
-        return GroundStateInit(
-            omega=float(section["omega"]),
-            center=tuple(section["center"]) if section.get("center") else None,
-            phase=float(section.get("phase", 0.0)),
-            boost=tuple(section["boost"]) if section.get("boost") else None,
-        )
-    if kind == "gaussian":
-        return GaussianInit(
-            amplitude=float(section.get("amplitude", 1.0)),
-            width=float(section.get("width", 1.0)),
-            center=tuple(section["center"]) if section.get("center") else None,
-            boost=tuple(section["boost"]) if section.get("boost") else None,
-        )
-    return SnapshotInit(path=section["path"])
-
-
-def _perturbation_from(section: dict | None) -> Perturbation | None:
-    if not section:
-        return None
-    return Perturbation(
-        kind=section["kind"],
-        delta=float(section["delta"]),
-        center=tuple(section["center"]) if section.get("center") else None,
-        width=float(section.get("width", 2.0)),
-        mode=tuple(int(m) for m in section["mode"]) if section.get("mode") else None,
-        renormalize=bool(section.get("renormalize", False)),
-    )
 
 
 class Assertions:
@@ -271,8 +355,8 @@ def _trajectory_rows(traj, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_ground(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
+def _run_ground(config, typed, outputs, asserts: Assertions):
+    model = typed["model"]
     if model.omega is None:
         raise ConfigError("ground experiment requires model.omega")
     tol = float(config.get("tol", 1e-7))
@@ -308,21 +392,9 @@ def _run_ground(config, outputs, asserts: Assertions):
     return metrics
 
 
-def _run_evolve(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    g = _grid_from(config["grid"])
-    tsec = config["time"]
-    cfg = EvolutionConfig(
-        model=model,
-        grid=g,
-        dt=float(tsec["dt"]),
-        t_final=float(tsec["t_final"]),
-        sample_every=int(tsec.get("sample_every", 1)),
-        initial=_initial_from(config["initial"]),
-        perturbation=_perturbation_from(config.get("perturbation")),
-        snapshot_times=tuple(t for _, t in outputs["snapshots"]),
-    )
-    traj = evolve(cfg)
+def _run_evolve(config, typed, outputs, asserts: Assertions):
+    model, g = typed["model"], typed["grid"]
+    traj = evolve(typed["evolution"])
     asserts.check("mass_drift", traj.mass_drift, 1e-11)
     asserts.check("energy_drift", traj.energy_drift, 1e-6)
     asserts.check("momentum_drift", traj.momentum_drift, 1e-9)
@@ -347,32 +419,16 @@ def _write_traj(config, outputs, traj, g, model, suffix=""):
         write_snapshot(snap_path, traj.snapshots[snap_t], model, snap_t)
 
 
-def _run_stability(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    g = _grid_from(config["grid"])
-    init = _initial_from(config["initial"])
-    if not isinstance(init, GroundStateInit):
+def _run_stability(config, typed, outputs, asserts: Assertions):
+    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
+    if not isinstance(cfg.initial, GroundStateInit):
         raise ConfigError("stability experiment requires ground_state initial data")
-    pert = _perturbation_from(config.get("perturbation"))
-    if pert is None:
+    if cfg.perturbation is None:
         raise ConfigError("stability experiment requires a perturbation")
-    reference = find_ground_state(model, init.omega)
-    tsec = config["time"]
-    cfg = EvolutionConfig(
-        model=model,
-        grid=g,
-        dt=float(tsec["dt"]),
-        t_final=float(tsec["t_final"]),
-        sample_every=int(tsec.get("sample_every", 1)),
-        initial=init,
-        perturbation=pert,
-        reference=reference,
-        track_orbit=True,
-        snapshot_times=tuple(t for _, t in outputs["snapshots"]),
-    )
-    traj = evolve(cfg)
+    reference = find_ground_state(model, cfg.initial.omega)
+    traj = evolve(dataclasses.replace(cfg, reference=reference, track_orbit=True))
     sup_dist = max(traj.orbit_distances)
-    asserts.check("sup_orbit_distance", sup_dist, 10.0 * pert.delta)
+    asserts.check("sup_orbit_distance", sup_dist, 10.0 * cfg.perturbation.delta)
     asserts.check("mass_drift", traj.mass_drift, 1e-11)
     _write_traj(config, outputs, traj, g, model)
     return {
@@ -383,9 +439,8 @@ def _run_stability(config, outputs, asserts: Assertions):
     }
 
 
-def _run_minimize(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    g = _grid_from(config["grid"])
+def _run_minimize(config, typed, outputs, asserts: Assertions):
+    model, g = typed["model"], typed["grid"]
     rho = float(config["rho"])
     tol = float(config.get("tol", 1e-6))
     res = minimize_energy(rho, g, model, tol=tol, precondition=config.get("precondition"))
@@ -411,10 +466,9 @@ def _run_minimize(config, outputs, asserts: Assertions):
     }
 
 
-def _run_sweep_mass(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    omegas = [float(w) for w in config["omega_list"]]
-    rows, mass_q = mass_asymptotics_sweep(model.lam, omegas, tol=float(config.get("tol", 1e-9)))
+def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
+    lam, tol = typed["model"].lam, float(config.get("tol", 1e-9))
+    rows, mass_q = mass_asymptotics_sweep(lam, typed["omegas"], tol=tol)
     masses = [r.mass for r in rows]
     if len(masses) > 1:
         decreasing = all(a > b for a, b in zip(masses, masses[1:]))
@@ -435,10 +489,9 @@ def _run_sweep_mass(config, outputs, asserts: Assertions):
     }
 
 
-def _run_convexity1d(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    omegas = [float(w) for w in config["omega_grid"]]
-    rows = action_convexity_scan(model.lam, omegas, delta=float(config.get("fd_delta", 1e-4)))
+def _run_convexity1d(config, typed, outputs, asserts: Assertions):
+    lam, delta = typed["model"].lam, float(config.get("fd_delta", 1e-4))
+    rows = action_convexity_scan(lam, typed["omegas"], delta=delta)
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
         abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows if r.dpp_fd is not None
@@ -467,25 +520,14 @@ def _run_convexity1d(config, outputs, asserts: Assertions):
     }
 
 
-def _run_contrast(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
+def _run_contrast(config, typed, outputs, asserts: Assertions):
+    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
     if model.family is not Family.CUBIC_LOG_2D:
         raise ConfigError("contrast_blowup compares against the 2D cubic-log family")
-    g = _grid_from(config["grid"])
-    tsec = config["time"]
     deadline = float(config.get("blowup_deadline", 5.0))
-    init = _initial_from(config["initial"])
 
     cubic = ModelParams(Family.PURE_CUBIC_2D, model.lam)
-    cfg_cubic = EvolutionConfig(
-        model=cubic,
-        grid=g,
-        dt=float(tsec["dt"]),
-        t_final=deadline,
-        sample_every=int(tsec.get("sample_every", 1)),
-        initial=init,
-        check_invariants=False,
-    )
+    cfg_cubic = dataclasses.replace(cfg, model=cubic, t_final=deadline, check_invariants=False)
     blowup_time = math.inf
     try:
         traj_cubic = evolve(cfg_cubic)
@@ -494,15 +536,7 @@ def _run_contrast(config, outputs, asserts: Assertions):
         traj_cubic = exc.trajectory
     asserts.check("blowup_before_deadline", blowup_time, deadline, "<")
 
-    cfg_log = EvolutionConfig(
-        model=model,
-        grid=g,
-        dt=float(tsec["dt"]),
-        t_final=float(tsec["t_final"]),
-        sample_every=int(tsec.get("sample_every", 1)),
-        initial=init,
-    )
-    traj_log = evolve(cfg_log)
+    traj_log = evolve(cfg)
     sup_kin = max(s.kinetic for s in traj_log.samples)
     asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + 1e-6)
     _write_traj(config, outputs, traj_log, g, model)
@@ -516,33 +550,20 @@ def _run_contrast(config, outputs, asserts: Assertions):
     }
 
 
-def _run_pseudoconformal(config, outputs, asserts: Assertions):
-    model = model_from_config(config["model"])
-    g = _grid_from(config["grid"])
-    tsec = config["time"]
+def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
+    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
 
     def one(dt, sample_every):
-        cfg = EvolutionConfig(
-            model=model,
-            grid=g,
-            dt=dt,
-            t_final=float(tsec["t_final"]),
-            sample_every=sample_every,
-            initial=_initial_from(config["initial"]),
-            monitor_pc=True,
-        )
-        traj = evolve(cfg)
+        traj = evolve(dataclasses.replace(cfg, dt=dt, sample_every=sample_every, monitor_pc=True))
         return traj, pseudoconformal_residual(traj, model)
 
-    dt = float(tsec["dt"])
-    sample_every = int(tsec.get("sample_every", 1))
-    traj, residual = one(dt, sample_every)
+    traj, residual = one(cfg.dt, cfg.sample_every)
     rhs0 = float(pc_identity_rhs(traj, model)[0])
     asserts.check("pc_residual", residual, 1e-4)
     asserts.check("pc_rhs_zero_at_t0", rhs0, 0.0, "==")
     metrics = {"pc_residual": residual, "pc_rhs_t0": rhs0}
     if config.get("refine_dt", True):
-        _, residual_half = one(dt / 2.0, sample_every * 2)
+        _, residual_half = one(cfg.dt / 2.0, cfg.sample_every * 2)
         ratio = residual / residual_half
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")
         metrics["pc_residual_half_dt"] = residual_half
@@ -563,14 +584,24 @@ _RUNNERS = {
 }
 
 
+# what a malformed config can raise, beside the package's own errors
+_FAULTS = (LogNLSError, KeyError, OSError, TypeError, ValueError)
+
+
+def _error(exc: Exception) -> dict:
+    """A summary's error entry: package errors by type, anything else as a config error."""
+    code = type(exc).__name__ if isinstance(exc, LogNLSError) else "ConfigError"
+    return {"code": code, "message": str(exc)}
+
+
 def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     """Validate, execute, write artifacts; returns (exit_code, summary)."""
     try:
         config = validate_config(copy.deepcopy(config))
+        typed = _parse(config)
         outputs = _resolve_outputs(config, out_dir)
-    except (LogNLSError, KeyError, TypeError, ValueError) as exc:
-        code = type(exc).__name__ if isinstance(exc, LogNLSError) else "ConfigError"
-        summary = {"pass": False, "error": {"code": code, "message": str(exc)}}
+    except _FAULTS as exc:
+        summary = {"pass": False, "error": _error(exc)}
         try:
             failed_outputs = _resolve_outputs(config if isinstance(config, dict) else {}, out_dir)
             if failed_outputs.get("summary_json_path"):
@@ -583,15 +614,12 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     asserts = Assertions()
     code = 0
     try:
-        metrics = _RUNNERS[config["experiment"]](config, outputs, asserts)
+        metrics = _RUNNERS[config["experiment"]](config, typed, outputs, asserts)
         summary["metrics"] = metrics
         summary["error"] = None
-    except LogNLSError as exc:
-        summary["error"] = {"code": type(exc).__name__, "message": str(exc)}
-        code = 2 if isinstance(exc, ConfigError) else 3
-    except (KeyError, TypeError, ValueError) as exc:
-        summary["error"] = {"code": "ConfigError", "message": str(exc)}
-        code = 2
+    except _FAULTS as exc:
+        summary["error"] = _error(exc)
+        code = 3 if isinstance(exc, LogNLSError) and not isinstance(exc, ConfigError) else 2
     summary["assertions"] = asserts.items
     summary["pass"] = asserts.all_pass and summary["error"] is None
     if code == 0 and not summary["pass"]:
@@ -604,18 +632,6 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
-
-_INHERENT_LISTS = {
-    ("omega_list",),
-    ("omega_grid",),
-    ("outputs", "snapshot_paths"),
-    ("outputs", "snapshot_times"),
-    ("initial", "center"),
-    ("initial", "boost"),
-    ("perturbation", "center"),
-    ("perturbation", "mode"),
-}
-
 
 def _find_swept_leaf(obj, prefix=()):
     found = []
@@ -639,8 +655,28 @@ def _get_leaf(obj, path):
     return obj
 
 
+def _numbered(path: str, i: int) -> str:
+    p = Path(path)
+    return str(p.with_name(f"{p.stem}_pt{i:03d}{p.suffix}"))
+
+
+def _sweep_point(base: dict, leaf: tuple, value, i: int) -> dict:
+    """The config of point i: ``value`` at the swept leaf, output files numbered."""
+    point = copy.deepcopy(base)
+    _set_leaf(point, leaf, value)
+    pout = point.setdefault("outputs", {})
+    for key in ("csv_path", "summary_json_path"):
+        if pout.get(key):
+            pout[key] = _numbered(pout[key], i)
+    pout["snapshot_paths"] = [_numbered(p, i) for p in pout.get("snapshot_paths", [])]
+    return point
+
+
 def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
+    """One run per value of the config's single list-valued parameter, plus an aggregate CSV."""
     try:
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
         base = copy.deepcopy(config)
         leaves = _find_swept_leaf(base)
         if len(leaves) != 1:
@@ -648,27 +684,18 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
                 f"sweep needs exactly one list-valued parameter, found {len(leaves)}"
             )
         leaf = leaves[0]
-        values = _get_leaf(base, leaf)
-        aggregate_csv = base.get("outputs", {}).get("csv_path")
+        aggregate_csv = _outputs(base).get("csv_path")
         if not aggregate_csv:
             raise ConfigError("sweep requires outputs.csv_path for the aggregate table")
-    except LogNLSError as exc:
-        return 2, {"pass": False, "error": {"code": type(exc).__name__, "message": str(exc)}}
+        values = _get_leaf(base, leaf)
+        points = [_sweep_point(base, leaf, value, i) for i, value in enumerate(values)]
+        agg_path = _writable(Path(out_dir or ".") / aggregate_csv)
+    except _FAULTS as exc:
+        return 2, {"pass": False, "error": _error(exc)}
 
     results = []
     metric_keys: list[str] = []
-    for i, value in enumerate(values):
-        point = copy.deepcopy(base)
-        _set_leaf(point, leaf, value)
-        pout = point.setdefault("outputs", {})
-        for key in ("csv_path", "summary_json_path"):
-            if pout.get(key):
-                p = Path(pout[key])
-                pout[key] = str(p.with_name(f"{p.stem}_pt{i:03d}{p.suffix}"))
-        pout["snapshot_paths"] = [
-            str(Path(p).with_name(f"{Path(p).stem}_pt{i:03d}{Path(p).suffix}"))
-            for p in pout.get("snapshot_paths", [])
-        ]
+    for value, point in zip(values, points):
         code, summary = run_config(point, out_dir)
         results.append((value, code, summary))
         if code == 0 and not metric_keys:
@@ -690,10 +717,6 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         metrics = summary.get("metrics", {})
         row.extend(metrics.get(k, "") for k in metric_keys)
         rows.append(row)
-    base_dir = Path(out_dir) if out_dir else Path(".")
-    agg = Path(aggregate_csv)
-    agg_path = agg if agg.is_absolute() else base_dir / agg
-    agg_path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(agg_path, provenance(config), header, rows)
     exit_code = 0 if all(code == 0 for _, code, _ in results) else 1
     return exit_code, {

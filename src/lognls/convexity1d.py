@@ -26,7 +26,7 @@ from .errors import (
     OmegaTooCloseToEdge,
     QuadratureFailure,
 )
-from .model import Family, ModelParams, _bisect_root, omega_window_unchecked
+from .model import Family, _bisect_root, omega_window_unchecked
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
@@ -329,7 +329,3 @@ def action_convexity_scan(
     if increasing_omega and not all(a < b for a, b in zip(masses, masses[1:])):
         raise ConservationError("mass failed to increase along increasing omega")
     return rows
-
-
-def model_1d(lam: float, omega: float | None = None) -> ModelParams:
-    return ModelParams(Family.QUINTIC_LOG_1D, lam, omega)

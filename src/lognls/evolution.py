@@ -74,6 +74,9 @@ class SnapshotInit:
     path: str
 
 
+PERTURBATION_KINDS = ("gaussian_bump", "fourier_mode")
+
+
 @dataclass
 class Perturbation:
     """Seed disturbance scaled to an exact H1 size delta.
@@ -89,6 +92,10 @@ class Perturbation:
     width: float = 2.0
     mode: tuple[int, ...] | None = None
     renormalize: bool = False
+
+    def __post_init__(self):
+        if self.kind not in PERTURBATION_KINDS:
+            raise ValueError(f"perturbation kind {self.kind!r} is not one of {PERTURBATION_KINDS}")
 
 
 @dataclass
@@ -108,12 +115,13 @@ class EvolutionConfig:
     check_invariants: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or self.dt > 1e-2 + 1e-15:
+        if not 0 < self.dt <= 1e-2 + 1e-15:
             raise ValueError("dt must lie in (0, 1e-2] for accuracy")
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             raise ValueError("t_final must be positive")
         if self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
+        snapshot_steps(self.snapshot_times, self.dt, self.t_final)
 
 
 @dataclass
@@ -272,14 +280,12 @@ def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.C
         if size == 0.0:
             raise ValueError("bump perturbation vanishes on this state")
         out = field.values * (1.0 + (pert.delta / size) * bump)
-    elif pert.kind == "fourier_mode":
+    else:  # fourier_mode
         mode = pert.mode or (1,) * g.dim
         k = tuple(math.pi / g.half_width * m for m in mode)
         wave = np.exp(1j * sum(ki * x for ki, x in zip(k, xs)))
         norm = math.sqrt((2.0 * g.half_width) ** g.dim * (1.0 + sum(ki ** 2 for ki in k)))
         out = field.values + (pert.delta / norm) * wave
-    else:
-        raise ValueError(f"unknown perturbation kind {pert.kind!r}")
     result = _grid.ComplexField(g, out)
     if pert.renormalize:
         m0 = _grid.integrate(g, np.abs(field.values) ** 2)

@@ -7,6 +7,7 @@ forward transform is the unnormalized sum; the inverse carries 1/N per axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be a positive even integer")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         self.dx = 2.0 * self.half_width / self.n
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         # Odd derivatives on a real field need the Nyquist mode suppressed.
@@ -89,27 +90,6 @@ class ComplexField:
     def check_finite(self):
         if not np.all(np.isfinite(self.values.view(float))):
             raise NonFiniteField("field contains non-finite samples")
-
-
-def field_from_function(grid: Grid, fn) -> ComplexField:
-    """Sample a callable fn(*coords) on the grid."""
-    return ComplexField(grid, np.asarray(fn(*coordinates(grid)), dtype=complex))
-
-
-def transform(field: ComplexField) -> np.ndarray:
-    return fftn(field.values)
-
-
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> ComplexField:
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape != grid.shape:
-        raise SizeMismatch(f"coefficient shape {coeffs.shape} != grid shape {grid.shape}")
-    return ComplexField(grid, ifftn(coeffs))
-
-
-def laplacian(field: ComplexField) -> ComplexField:
-    g = field.grid
-    return ComplexField(g, ifftn(-g.k2 * fftn(field.values), overwrite_x=True))
 
 
 def gradient(field: ComplexField) -> tuple[ComplexField, ...]:

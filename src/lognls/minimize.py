@@ -35,19 +35,20 @@ class MinimizerResult:
     iterations: int
 
 
-def gradient_E(field: _grid.ComplexField, model: ModelParams) -> _grid.ComplexField:
-    """First variation of the energy: -1/2 Lap u + rate(|u|^2) u."""
+def gradient_E(field: _grid.ComplexField, model: ModelParams, coeffs=None) -> _grid.ComplexField:
+    """First variation of the energy: -1/2 Lap u + rate(|u|^2) u (``coeffs``: fftn(u), if held)."""
     g = field.grid
-    lap = ifftn(-g.k2 * fftn(field.values), overwrite_x=True)
+    lap = ifftn(-g.k2 * (fftn(field.values) if coeffs is None else coeffs), overwrite_x=True)
     rho = np.abs(field.values) ** 2
     return _grid.ComplexField(g, -0.5 * lap + nonlinear_phase_rate(rho, model) * field.values)
 
 
-def _energy(values: np.ndarray, g: _grid.Grid, model: ModelParams) -> float:
+def _energy(values: np.ndarray, g: _grid.Grid, model: ModelParams) -> tuple[float, np.ndarray]:
+    """Energy of the samples ``values`` and their forward transform."""
     coeffs = fftn(values)
     kinetic = 0.5 * float(np.sum(g.k2 * np.abs(coeffs) ** 2)) * g.dx ** g.dim / values.size
     rho = np.abs(values) ** 2
-    return kinetic + _grid.integrate(g, potential_density(rho, model))
+    return kinetic + _grid.integrate(g, potential_density(rho, model)), coeffs
 
 
 def minimize_energy(
@@ -90,11 +91,9 @@ def minimize_energy(
     tau_cap = 4.0 if precondition else 10.0 * tau0
     pinv = 1.0 / (1.0 + g.k2)
 
-    e_cur = _energy(values, g, model)
+    e_cur, coeffs = _energy(values, g, model)
     for iteration in range(1, max_iter + 1):
-        coeffs = fftn(values)
-        lap = ifftn(-g.k2 * coeffs, overwrite_x=True)
-        grad = -0.5 * lap + nonlinear_phase_rate(np.abs(values) ** 2, model) * values
+        grad = gradient_E(_grid.ComplexField(g, values), model, coeffs).values
         omega_hat = -float(np.real(np.sum(grad * np.conj(values)))) * cell / rho
         resid_field = grad + omega_hat * values
         residual = math.sqrt(float(np.sum(np.abs(resid_field) ** 2)) * cell / rho)
@@ -114,9 +113,9 @@ def minimize_energy(
         while tau > 1e-18:
             cand = values - tau * direction
             cand *= math.sqrt(rho / mass_of(cand))
-            e_new = _energy(cand, g, model)
+            e_new, cand_coeffs = _energy(cand, g, model)
             if e_new <= e_cur:
-                values = cand
+                values, coeffs = cand, cand_coeffs
                 e_cur = e_new
                 tau = min(tau * 1.3, tau_cap)
                 accepted = True
@@ -147,15 +146,14 @@ def negative_energy_witness(
     vals = field.values
     if not np.any(vals):
         raise ValueError("witness requires a nonzero field")
-    e0 = _energy(vals, g, model)
+    e0, coeffs = _energy(vals, g, model)
     quartic = _grid.integrate(g, np.abs(vals) ** 4)
-    coeffs = fftn(vals)
 
     mu = 1.0
     while mu > 1e-8:
         mu *= 0.5
         rescaled = _rescale_field(coeffs, g, mu)
-        e_grid = _energy(rescaled, g, model)
+        e_grid, _ = _energy(rescaled, g, model)
         closed = mu * mu * e0 - 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2) * quartic
         if abs(e_grid - closed) > 1e-6 * max(abs(closed), abs(e0), 1.0):
             raise ConservationError(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import ComplexField, Grid
-from .model import Family, ModelParams
+from .model import ModelParams
 
 NLSF_MAGIC = b"NLSF"
 NLSF_VERSION = 1
@@ -116,8 +116,3 @@ def read_csv(path) -> tuple[list[str], dict[str, np.ndarray]]:
         except ValueError:
             cols[name] = np.asarray(vals)
     return comments, cols
-
-
-def model_from_config(section: dict) -> ModelParams:
-    family = Family(section["family"])
-    return ModelParams(family, float(section["lambda"]), section.get("omega"))

@@ -1,9 +1,15 @@
+import copy
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from properties import PROPERTY_SETTINGS
 
+import lognls.cli
 from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
 from lognls.grid import ComplexField, Grid
@@ -421,3 +427,196 @@ def test_summary_is_strict_json(tmp_path, name):
         assert summary["metrics"]["blowup_time"] is None
         assert summary["metrics"]["blew_up"] is False
         assert summary["pass"] is False
+
+
+def _tiny_evolve():
+    return {
+        "experiment": "evolve",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 16, "half_width": 5.0},
+        "time": {"dt": 5e-3, "t_final": 1e-2, "sample_every": 1},
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+        "outputs": {
+            "csv_path": "traj.csv",
+            "summary_json_path": "summary.json",
+            "snapshot_paths": ["end.nlsf"],
+            "snapshot_times": [1e-2],
+        },
+    }
+
+
+def _tiny_stability():
+    return {
+        "experiment": "stability",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 16, "half_width": 8.0},
+        "time": {"dt": 5e-3, "t_final": 1e-2},
+        "initial": {"kind": "ground_state", "omega": 0.2, "center": [0.0, 0.0]},
+        "perturbation": {"kind": "fourier_mode", "delta": 1e-2, "mode": [1, 0]},
+        "outputs": {"csv_path": "orbit.csv", "summary_json_path": "summary.json"},
+    }
+
+
+def _tiny_minimize():
+    return {
+        "experiment": "minimize",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 16, "half_width": 6.0},
+        "rho": 1.0,
+        "tol": 1e-2,
+        "outputs": {"summary_json_path": "summary.json"},
+    }
+
+
+def _with(config, path, value):
+    """A copy of config with the section or leaf at ``path`` (keys) set to value."""
+    config = copy.deepcopy(config)
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
+def _assert_config_error(code, summary):
+    assert code == 2
+    assert summary["pass"] is False
+    assert summary["error"]["code"] == "ConfigError"
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("value", [None, [1, 2], "gaussian"], ids=["null", "list", "string"])
+    def test_initial_section_not_an_object(self, tmp_path, value):
+        cfg = _with(_tiny_evolve(), ("initial",), value)
+        _assert_config_error(*run_config(cfg, out_dir=str(tmp_path)))
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        assert saved["error"]["code"] == "ConfigError"
+
+    def test_sweep_of_a_non_object(self, tmp_path):
+        _assert_config_error(*run_sweep([1, 2], out_dir=str(tmp_path)))
+
+    def test_sweep_with_non_string_csv_path(self, tmp_path):
+        cfg = _with(_tiny_minimize(), ("rho",), [1.0, 2.0])
+        cfg["outputs"]["csv_path"] = 5
+        _assert_config_error(*run_sweep(cfg, out_dir=str(tmp_path)))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, -5.0])
+    def test_grid_half_width_out_of_range(self, tmp_path, half_width):
+        cfg = _with(_tiny_evolve(), ("grid", "half_width"), half_width)
+        _assert_config_error(*run_config(cfg, out_dir=str(tmp_path)))
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_minimize_rho_out_of_range(self, tmp_path, monkeypatch, rho):
+        def never(*args, **kwargs):
+            raise AssertionError("the minimizer ran on a rejected config")
+
+        monkeypatch.setattr(lognls.cli, "minimize_energy", never)
+        code, summary = run_config(_with(_tiny_minimize(), ("rho",), rho), out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert "rho" in summary["error"]["message"]
+
+    def test_unknown_perturbation_kind_before_ground_state(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the ground state was solved for a rejected config")
+
+        monkeypatch.setattr(lognls.cli, "find_ground_state", never)
+        cfg = _with(_tiny_stability(), ("perturbation", "kind"), "sine_wave")
+        code, summary = run_config(cfg, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert "sine_wave" in summary["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("initial",), {"kind": "snapshot", "path": "missing.nlsf"}),
+            (("outputs", "csv_path"), "."),
+            (("outputs", "summary_json_path"), "."),
+            (("grid", "n"), math.inf),
+            (("time", "dt"), 0),
+        ],
+        ids=["missing_snapshot_file", "csv_path_is_a_directory", "summary_path_is_a_directory",
+             "infinite_n", "zero_dt_with_snapshots"],
+    )
+    def test_other_malformed_values(self, tmp_path, monkeypatch, path, value):
+        monkeypatch.chdir(tmp_path)
+        _assert_config_error(*run_config(_with(_tiny_evolve(), path, value), out_dir="."))
+
+    @pytest.mark.parametrize("experiment, key", [("sweep_mass", "omega_list"),
+                                                 ("convexity1d", "omega_grid")])
+    def test_empty_frequency_list(self, tmp_path, experiment, key):
+        cfg = {"experiment": experiment, "model": {"family": "quintic_log_1d", "lambda": 1.0},
+               key: []}
+        code, summary = run_config(cfg, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert key in summary["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("run", _with(_tiny_evolve(), ("initial",), None)),
+            ("run", _with(_tiny_evolve(), ("initial",), [1, 2])),
+            ("sweep", [1, 2]),
+            ("sweep", _with(_with(_tiny_minimize(), ("rho",), [1.0]), ("outputs", "csv_path"), 5)),
+            ("run", _with(_tiny_evolve(), ("grid", "half_width"), math.nan)),
+            ("run", _with(_tiny_minimize(), ("rho",), 0.0)),
+            ("run", _with(_tiny_stability(), ("perturbation", "kind"), "sine_wave")),
+        ],
+        ids=["run_initial_null", "run_initial_list", "sweep_list", "sweep_csv_path_number",
+             "run_nan_half_width", "run_zero_rho", "run_unknown_perturbation_kind"],
+    )
+    def test_command_line_exits_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "error[ConfigError]" in capsys.readouterr().err
+
+
+_FUZZ_BASES = {
+    "evolve": _tiny_evolve(),
+    "stability": _tiny_stability(),
+    "minimize": _tiny_minimize(),
+}
+
+
+def _paths(obj, prefix=()):
+    """Every section and leaf of a config (lists count as leaves), the root first."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+
+
+_ODD_JSON = st.one_of(
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.text(alphabet="abgx_0", max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-1e6, max_value=-1e-6),
+    st.integers(-10**6, -1),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A tiny valid config with one section or leaf replaced by odd JSON, or an unknown key."""
+    base = _FUZZ_BASES[draw(st.sampled_from(sorted(_FUZZ_BASES)))]
+    path = draw(st.sampled_from(list(_paths(base))))
+    if draw(st.booleans()):
+        target = base
+        for key in path:
+            target = target[key]
+        if isinstance(target, dict):
+            return _with(base, path + ("unknown_key",), draw(_ODD_JSON))
+    return draw(_ODD_JSON) if not path else _with(base, path, draw(_ODD_JSON))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(config=fuzzed_configs())
+def test_fuzzed_config_never_raises(config):
+    for entry in (run_config, run_sweep):
+        with tempfile.TemporaryDirectory() as out:
+            code, summary = entry(copy.deepcopy(config), out_dir=out)
+        assert code in (0, 1, 2, 3)
+        assert isinstance(summary, dict)

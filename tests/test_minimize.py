@@ -49,8 +49,8 @@ class TestGradient:
         )
         errs = {}
         for eps in (1e-3, 1e-4):
-            ep = _energy(u.values + eps * v.values, g, m)
-            em = _energy(u.values - eps * v.values, g, m)
+            ep, _ = _energy(u.values + eps * v.values, g, m)
+            em, _ = _energy(u.values - eps * v.values, g, m)
             errs[eps] = abs((ep - em) / (2.0 * eps) - pairing)
         assert errs[1e-3] <= 1e-4 * max(abs(pairing), 1.0)
         # quadratic decay of the finite-difference error
@@ -93,7 +93,7 @@ class TestMinimize:
         for width in (0.5, 1.0, 3.0):
             trial = np.exp(-r2 / (2.0 * width**2))
             trial *= math.sqrt(rho / integrate(g, np.abs(trial) ** 2))
-            assert res.energy < _energy(trial.astype(complex), g, model2d)
+            assert res.energy < _energy(trial.astype(complex), g, model2d)[0]
 
     def test_radially_nonincreasing_modulus(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
