@@ -105,23 +105,23 @@ _CONVERT = {
     "tuple[int, ...] | None": lambda v: tuple(map(int, v)) if v else None,
 }
 
-
-def _fields(cls) -> list[dataclasses.Field]:
-    return [f for f in dataclasses.fields(cls) if f.init]
-
-
-def _keys(cls) -> set[str]:
-    return {f.name for f in _fields(cls)}
+# {dataclass: {key: (converter, required)}} for each section that builds one; made at
+# import, so a field whose annotation _CONVERT lacks fails here, not as a config error
+_SCHEMA = {
+    cls: {f.name: (_CONVERT[f.type], f.default is dataclasses.MISSING)
+          for f in dataclasses.fields(cls) if f.init}
+    for cls in (_grid.Grid, *_INITIAL_KINDS.values(), Perturbation)
+}
 
 
 def _from_section(cls, section: dict, where: str):
     """The dataclass ``cls`` built from a section whose keys are its init fields."""
     kwargs = {}
-    for f in _fields(cls):
-        if f.name in section:
-            kwargs[f.name] = _read(_CONVERT[f.type], section[f.name], f"{where}.{f.name}")
-        elif f.default is dataclasses.MISSING:
-            raise ConfigError(f"missing key {f.name!r} in {where}")
+    for key, (convert, required) in _SCHEMA[cls].items():
+        if key in section:
+            kwargs[key] = _read(convert, section[key], f"{where}.{key}")
+        elif required:
+            raise ConfigError(f"missing key {key!r} in {where}")
     return cls(**kwargs)
 
 
@@ -135,7 +135,7 @@ _INHERENT_LISTS = {
     (name, f.name)
     for name, classes in (("initial", _INITIAL_KINDS.values()), ("perturbation", [Perturbation]))
     for cls in classes
-    for f in _fields(cls)
+    for f in dataclasses.fields(cls)
     if f.type.startswith("tuple")
 }
 
@@ -185,16 +185,16 @@ def validate_config(config: dict) -> dict:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
     _check_keys(config, _TOP_KEYS[exp], "top level")
     _section(config, "model", _MODEL_KEYS)
-    for name, allowed in (("grid", _keys(_grid.Grid)), ("time", _TIME_KEYS)):
+    for name, allowed in (("grid", _SCHEMA[_grid.Grid].keys()), ("time", _TIME_KEYS)):
         if name in config:
             _section(config, name, allowed)
     if "initial" in config:
         kind = _section(config, "initial").get("kind")
         if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
             raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
-        _check_keys(config["initial"], {"kind"} | _keys(_INITIAL_KINDS[kind]), "initial")
+        _check_keys(config["initial"], {"kind"} | _SCHEMA[_INITIAL_KINDS[kind]].keys(), "initial")
     if config.get("perturbation") is not None:
-        _section(config, "perturbation", _keys(Perturbation))
+        _section(config, "perturbation", _SCHEMA[Perturbation].keys())
     # an evolution's snapshot times are checked against its dt lattice by EvolutionConfig
     times = _outputs(config).get("snapshot_times", [])
     if exp == "minimize" and times not in ([], [0.0]):

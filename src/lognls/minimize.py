@@ -35,10 +35,10 @@ class MinimizerResult:
     iterations: int
 
 
-def gradient_E(field: _grid.ComplexField, model: ModelParams, coeffs=None) -> _grid.ComplexField:
-    """First variation of the energy: -1/2 Lap u + rate(|u|^2) u (``coeffs``: fftn(u), if held)."""
+def gradient_E(field: _grid.ComplexField, model: ModelParams, coeffs: np.ndarray) -> _grid.ComplexField:
+    """First variation of the energy, -1/2 Lap u + rate(|u|^2) u, given ``coeffs`` = fftn(u)."""
     g = field.grid
-    lap = ifftn(-g.k2 * (fftn(field.values) if coeffs is None else coeffs), overwrite_x=True)
+    lap = ifftn(-g.k2 * coeffs, overwrite_x=True)
     rho = np.abs(field.values) ** 2
     return _grid.ComplexField(g, -0.5 * lap + nonlinear_phase_rate(rho, model) * field.values)
 
