@@ -74,17 +74,37 @@ _TOP_KEYS = {
 }
 
 
+def _of_type(kind, what: str):
+    """Converter accepting only a JSON value of type ``kind``: a bool is no number."""
+    def convert(value):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{value!r} is not {what}")
+        return value
+    return convert
+
+
+_integer = _of_type(int, "an integer")
+_boolean = _of_type(bool, "true or false")
+_string = _of_type(str, "a string")
+_numeric = _of_type((int, float), "a number")
+
+
 def _number(value) -> float:
-    x = float(value)
+    x = float(_numeric(value))
     if not math.isfinite(x):
         raise ConfigError(f"{value!r} is not a finite number")
     return x
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{value!r} is not a string")
-    return value
+def _tuple_of(convert):
+    """Converter of a JSON array of ``convert`` items; null or [] reads as None."""
+    def read(value):
+        if value is None:
+            return None
+        if not isinstance(value, list):
+            raise ConfigError(f"{value!r} is not a list")
+        return tuple(map(convert, value)) or None
+    return read
 
 
 def _read(convert, value, where: str):
@@ -97,12 +117,12 @@ def _read(convert, value, where: str):
 
 # config value -> dataclass field value, by the field's annotation
 _CONVERT = {
-    "int": int,
+    "int": _integer,
     "float": _number,
-    "bool": bool,
+    "bool": _boolean,
     "str": _string,
-    "tuple[float, ...] | None": lambda v: tuple(map(_number, v)) if v else None,
-    "tuple[int, ...] | None": lambda v: tuple(map(int, v)) if v else None,
+    "tuple[float, ...] | None": _tuple_of(_number),
+    "tuple[int, ...] | None": _tuple_of(_integer),
 }
 
 # {dataclass: {key: (converter, required)}} for each section that builds one; made at
@@ -215,7 +235,7 @@ def _model(section: dict) -> ModelParams:
 
 
 def _parse(config: dict) -> dict:
-    """The typed "model", "grid", "evolution" and "omegas" of a validated config.
+    """The typed "model", "grid", "evolution", "omegas" and flags of a validated config.
 
     Built, and the positive scalars checked, before any numerical work starts.
     """
@@ -223,14 +243,24 @@ def _parse(config: dict) -> dict:
         if key in config and not _read(_number, config[key], key) > 0:
             raise ConfigError(f"{key} must be positive, got {config[key]!r}")
     keys = _TOP_KEYS[config["experiment"]]
-    typed = {"model": _model(config["model"])}
+    model = _model(config["model"])
+    typed = {"model": model}
     if "grid" in keys:
         typed["grid"] = _from_section(_grid.Grid, _section(config, "grid"), "grid")
+        if typed["grid"].dim != model.dim:
+            raise ConfigError(f"grid.dim {typed['grid'].dim} differs from the "
+                              f"{model.family.value} dimension {model.dim}")
     if "time" in keys:
-        typed["evolution"] = _evolution_config(config, typed["model"], typed["grid"])
+        typed["evolution"] = _evolution_config(config, model, typed["grid"])
+        if isinstance(typed["evolution"].initial, GroundStateInit):
+            model.with_omega(typed["evolution"].initial.omega)  # checks the window
+    if config.get("precondition") is not None:
+        typed["precondition"] = _read(_boolean, config["precondition"], "precondition")
+    if "refine_dt" in keys:
+        typed["refine_dt"] = _read(_boolean, config.get("refine_dt", True), "refine_dt")
     for key in ("omega_list", "omega_grid"):
         if key in keys:
-            typed["omegas"] = _read(lambda ws: [_number(w) for w in ws], config.get(key), key)
+            typed["omegas"] = _read(_tuple_of(_number), config.get(key), key)
             if not typed["omegas"]:
                 raise ConfigError(f"{key} needs at least one frequency")
     return typed
@@ -246,7 +276,7 @@ def _evolution_config(config: dict, model: ModelParams, grid: _grid.Grid) -> Evo
         grid=grid,
         dt=_read(_number, tsec["dt"], "time.dt"),
         t_final=_read(_number, tsec["t_final"], "time.t_final"),
-        sample_every=_read(int, tsec.get("sample_every", 1), "time.sample_every"),
+        sample_every=_read(_integer, tsec.get("sample_every", 1), "time.sample_every"),
         initial=_from_section(_INITIAL_KINDS[initial["kind"]], initial, "initial"),
         perturbation=_from_section(Perturbation, pert, "perturbation") if pert else None,
         snapshot_times=tuple(float(t) for t in config.get("outputs", {}).get("snapshot_times", [])),
@@ -443,7 +473,7 @@ def _run_minimize(config, typed, outputs, asserts: Assertions):
     model, g = typed["model"], typed["grid"]
     rho = float(config["rho"])
     tol = float(config.get("tol", 1e-6))
-    res = minimize_energy(rho, g, model, tol=tol, precondition=config.get("precondition"))
+    res = minimize_energy(rho, g, model, tol=tol, precondition=typed.get("precondition"))
     mass = _grid.integrate(g, np.abs(res.field.values) ** 2)
     asserts.check("residual", res.residual, tol)
     asserts.check("mass_constraint", abs(mass - rho) / rho, 1e-12)
@@ -562,7 +592,7 @@ def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
     asserts.check("pc_residual", residual, 1e-4)
     asserts.check("pc_rhs_zero_at_t0", rhs0, 0.0, "==")
     metrics = {"pc_residual": residual, "pc_rhs_t0": rhs0}
-    if config.get("refine_dt", True):
+    if typed["refine_dt"]:
         _, residual_half = one(cfg.dt / 2.0, cfg.sample_every * 2)
         ratio = residual / residual_half
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")

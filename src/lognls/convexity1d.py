@@ -2,7 +2,8 @@
 
 The autonomous 1D profile obeys the first integral (phi')^2 = -2 G(phi), so
 everything reduces to one-dimensional quadratures in amplitude space.  In the
-turning-point variables used here
+turning-point variables used here, with the rate f and potential density g
+of ``model`` (``nonlinear_phase_rate`` and ``potential_density``),
 
     f(s) = lam s^2 ln s,   g(s) = (lam/3) s^3 ln(s / e^(1/3)),
     W(s) = omega s + g(s),        W(phi_max^2) = 0,  W'(a) < 0,
@@ -26,9 +27,21 @@ from .errors import (
     OmegaTooCloseToEdge,
     QuadratureFailure,
 )
-from .model import Family, _bisect_root, omega_window_unchecked
+from .model import (
+    Family,
+    ModelParams,
+    _density_log,
+    nonlinear_phase_rate,
+    omega_window,
+    potential_density,
+    potential_G,
+    turning_density,
+)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+_MAX_PANELS = 4096
+_DPP_REL_TOL = 1e-8
+_MASS_ACTION_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -49,83 +62,54 @@ class Profile1D:
     lam: float
 
 
-def _window_edge(lam: float) -> float:
-    return omega_window_unchecked(Family.QUINTIC_LOG_1D, lam)[1]
-
-
-def _check_window(lam: float, omega: float):
-    if lam <= 0 or not 0.0 < omega < _window_edge(lam):
-        raise OmegaOutOfWindow(
-            f"omega={omega} outside (0, {_window_edge(lam)}) for lam={lam}"
-        )
-
-
-def f_appendix(s, lam: float):
-    s = np.asarray(s, dtype=float)
-    return lam * s * s * np.log(s)
-
-
-def g_appendix(s, lam: float):
-    s = np.asarray(s, dtype=float)
-    return (lam / 3.0) * s ** 3 * (np.log(s) - 1.0 / 3.0)
-
-
-def w_func(s, lam: float, omega: float):
-    return omega * np.asarray(s, dtype=float) + g_appendix(s, lam)
-
-
 def find_turning_point(lam: float, omega: float) -> TurningPoint:
-    """Smallest positive zero of W: solves s^2 (1/3 - ln s) = 3 omega / lam."""
-    _check_window(lam, omega)
-    target = 3.0 * omega / lam
-
-    def eq(s):
-        ls = math.log(s)
-        return s * s * (1.0 / 3.0 - ls) - target, s * (-1.0 / 3.0 - 2.0 * ls)
-
-    a = _bisect_root(eq, 1e-12, math.exp(-1.0 / 6.0))
-    w_prime = omega + lam * a * a * math.log(a)
+    """Smallest positive zero a of W (``model.turning_density``), and W'(a) < 0 there."""
+    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
+    a = turning_density(model)
+    w_prime = omega + float(nonlinear_phase_rate(a, model))
     if w_prime >= 0.0:
         raise OmegaOutOfWindow("double root: W'(a) >= 0 at the window edge")
     return TurningPoint(a=a, W_prime_at_a=w_prime, omega=omega, lam=lam)
 
 
-def _gauss_panels(fn, lo: float, hi: float, panels: int) -> float:
-    edges = np.linspace(lo, hi, panels + 1)
+def _gauss_segments(fn, edges: np.ndarray) -> np.ndarray:
+    """The 16-point Gauss-Legendre integral of ``fn`` over each [edges[i], edges[i+1]]."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
     vals = fn(pts.ravel()).reshape(pts.shape)
-    return float(np.sum(half * (vals * _GAUSS_W[None, :]).sum(axis=1)))
+    return half * (vals * _GAUSS_W[None, :]).sum(axis=1)
 
 
-def _adaptive_gauss(fn, lo: float, hi: float, rel_tol: float, max_panels: int = 4096):
-    prev = _gauss_panels(fn, lo, hi, 1)
-    panels = 2
-    while panels <= max_panels:
-        cur = _gauss_panels(fn, lo, hi, panels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+def _adaptive_gauss(fn, lo: float, hi: float, rel_tol: float):
+    """Composite Gauss rule on 1, 2, 4, ... equal panels until two agree to rel_tol."""
+    prev, panels = None, 1
+    while panels <= _MAX_PANELS:
+        cur = float(np.sum(_gauss_segments(fn, np.linspace(lo, hi, panels + 1))))
+        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
             return cur
-        prev = cur
-        panels *= 2
+        prev, panels = cur, 2 * panels
     raise QuadratureFailure("composite Gauss quadrature failed to settle")
 
 
-def dpp_forms(lam: float, omega: float, rel_tol: float = 1e-8) -> tuple[float, float]:
+def dpp_forms(lam: float, omega: float) -> tuple[float, float]:
     """(general, simplified) evaluations of the curvature integral d''(omega).
 
     Both integrands carry the (s/W)^{1/2} endpoint singularity at s = a,
     absorbed by the substitution s = a - t^2.
     """
-    _check_window(lam, omega)
-    if omega > 0.95 * _window_edge(lam):
+    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
+    if omega > 0.95 * omega_window(model)[1]:
         raise OmegaTooCloseToEdge(
             "W'(a) -> 0 within 5% of the window edge; curvature integral is singular"
         )
     tp = find_turning_point(lam, omega)
     a = tp.a
-    fa = lam * a * a * math.log(a)
-    ga = g_appendix(a, lam)
+    fa = float(nonlinear_phase_rate(a, model))
+    ga = potential_density(a, model)
+
+    def W(s):
+        return omega * s + potential_density(s, model)
 
     def bracket_factor(s):
         # 3 + a s (f(a) - f(s)) / (a g(s) - s g(a)); near s=a the raw form
@@ -135,22 +119,20 @@ def dpp_forms(lam: float, omega: float, rel_tol: float = 1e-8) -> tuple[float, f
         out = np.empty_like(s)
         near = a - s < 1e-4 * a
         sn = s[near]
-        wn = w_func(sn, lam, omega)
-        out[near] = (lam / 3.0) * sn * (a * a - sn * sn) / wn
+        out[near] = (lam / 3.0) * sn * (a * a - sn * sn) / W(sn)
         sf = s[~near]
-        out[~near] = 3.0 + a * sf * (fa - f_appendix(sf, lam)) / (
-            a * g_appendix(sf, lam) - sf * ga
+        out[~near] = 3.0 + a * sf * (fa - nonlinear_phase_rate(sf, model)) / (
+            a * potential_density(sf, model) - sf * ga
         )
         return out
 
     def general_integrand(t):
         s = a - t * t
-        w = w_func(s, lam, omega)
-        return 2.0 * t * bracket_factor(s) * np.sqrt(s / w)
+        return 2.0 * t * bracket_factor(s) * np.sqrt(s / W(s))
 
     def simplified_integrand(t):
         s = a - t * t
-        w = w_func(s, lam, omega)
+        w = W(s)
         return 2.0 * t * ((a * a - s * s) / w) * s * np.sqrt(s / w)
 
     # For this equation (phi')^2 = 2 W(phi^2), so the amplitude-space measure
@@ -158,31 +140,20 @@ def dpp_forms(lam: float, omega: float, rel_tol: float = 1e-8) -> tuple[float, f
     # curvature inherits the same 1/sqrt(2).  Cross-checked against centered
     # differences of the action and of the mass.
     pref = -1.0 / (2.0 * tp.W_prime_at_a) / math.sqrt(2.0)
-    general = pref * _adaptive_gauss(general_integrand, 0.0, math.sqrt(a), rel_tol)
-    simplified = pref * _adaptive_gauss(simplified_integrand, 0.0, math.sqrt(a), rel_tol)
+    general = pref * _adaptive_gauss(general_integrand, 0.0, math.sqrt(a), _DPP_REL_TOL)
+    simplified = pref * _adaptive_gauss(simplified_integrand, 0.0, math.sqrt(a), _DPP_REL_TOL)
     return general, simplified
 
 
-def dpp_quadrature(lam: float, omega: float, rel_tol: float = 1e-8) -> float:
-    """Canonical (general-form) d''(omega)."""
-    return dpp_forms(lam, omega, rel_tol)[0]
-
-
 # ---------------------------------------------------------------------------
-# amplitude-space quadratures: the profile and its observables, no ODE solve
+# amplitude-space quadratures: the profile and its observables, no ODE solve;
+# along the profile (phi')^2 = -2 G(phi) > 0 on (0, phi_max)
 # ---------------------------------------------------------------------------
 
 
-def _neg2G(phi, lam: float, omega: float):
-    """-2 G(phi) = (phi')^2 along the profile; equals 2 W(phi^2) / 1 ... > 0 on (0, phi_max)."""
-    phi = np.asarray(phi, dtype=float)
-    s = phi * phi
-    return 2.0 * w_func(s, lam, omega)
-
-
-def mass_action_1d(lam: float, omega: float, rel_tol: float = 1e-11):
+def mass_action_1d(lam: float, omega: float):
     """(mass, action, energy) of the 1D ground state by amplitude quadrature."""
-    _check_window(lam, omega)
+    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
     a = find_turning_point(lam, omega).a
     phimax = math.sqrt(a)
     tmax = math.sqrt(phimax)
@@ -190,21 +161,21 @@ def mass_action_1d(lam: float, omega: float, rel_tol: float = 1e-11):
     # substitute phi = phimax - t^2; sqrt(-2G) ~ t near t=0, integrands smooth
     def mass_integrand(t):
         phi = phimax - t * t
-        return 2.0 * t * 2.0 * phi * phi / np.sqrt(_neg2G(phi, lam, omega))
+        return 2.0 * t * 2.0 * phi * phi / np.sqrt(-2.0 * potential_G(phi, model))
 
     def grad_integrand(t):
         phi = phimax - t * t
-        return 2.0 * t * 2.0 * np.sqrt(_neg2G(phi, lam, omega))
+        return 2.0 * t * 2.0 * np.sqrt(-2.0 * potential_G(phi, model))
 
     def sextic_integrand(t):
         phi = phimax - t * t
         s = phi * phi
-        val = np.where(s > 1e-280, s ** 3 * (np.log(np.where(s > 0, s, 1.0)) - 1.0 / 3.0), 0.0)
-        return 2.0 * t * 2.0 * val / np.sqrt(_neg2G(phi, lam, omega))
+        val = s ** 3 * (_density_log(s) - 1.0 / 3.0)
+        return 2.0 * t * 2.0 * val / np.sqrt(-2.0 * potential_G(phi, model))
 
-    mass = _adaptive_gauss(mass_integrand, 0.0, tmax, rel_tol)
-    grad2 = _adaptive_gauss(grad_integrand, 0.0, tmax, rel_tol)
-    log_sextic = _adaptive_gauss(sextic_integrand, 0.0, tmax, rel_tol)
+    mass = _adaptive_gauss(mass_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
+    grad2 = _adaptive_gauss(grad_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
+    log_sextic = _adaptive_gauss(sextic_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
     energy = 0.5 * grad2 + (lam / 3.0) * log_sextic
     action = energy + omega * mass
     return mass, action, energy
@@ -219,7 +190,7 @@ def ground_state_1d_quadrature(
     charts: t = sqrt(phi_max - phi) near the turning amplitude (square-root
     tangency) and u = ln(phi) down the exponential tail.
     """
-    _check_window(lam, omega)
+    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("n_nodes must be an odd integer >= 3")
     a = find_turning_point(lam, omega).a
@@ -231,9 +202,9 @@ def ground_state_1d_quadrature(
 
     def dx_dt(t):
         phi = phimax - t * t
-        return 2.0 * t / np.sqrt(_neg2G(phi, lam, omega))
+        return 2.0 * t / np.sqrt(-2.0 * potential_G(phi, model))
 
-    x_a = _cumulative_gauss(dx_dt, t_edges)
+    x_a = np.concatenate(([0.0], np.cumsum(_gauss_segments(dx_dt, t_edges))))
     phi_a = phimax - t_edges ** 2
 
     # chart B: phi from phimax/2 down to the floor, u = ln phi
@@ -242,14 +213,14 @@ def ground_state_1d_quadrature(
 
     def dx_du(u):
         phi = np.exp(u)
-        return -phi / np.sqrt(_neg2G(phi, lam, omega))
+        return -phi / np.sqrt(-2.0 * potential_G(phi, model))
 
-    x_b = x_a[-1] + _cumulative_gauss(dx_du, u_edges)
+    x_b = x_a[-1] + np.cumsum(_gauss_segments(dx_du, u_edges))
     phi_b = np.exp(u_edges)
 
-    x_table = np.concatenate([x_a, x_b[1:]])
+    x_table = np.concatenate([x_a, x_b])
     phi_table = np.concatenate([phi_a, phi_b[1:]])
-    dphi_table = -np.sqrt(_neg2G(phi_table, lam, omega))
+    dphi_table = -np.sqrt(-2.0 * potential_G(phi_table, model))
     dphi_table[0] = 0.0
 
     spline = CubicHermiteSpline(x_table, phi_table, dphi_table)
@@ -271,18 +242,6 @@ def ground_state_1d_quadrature(
         omega=omega,
         lam=lam,
     )
-
-
-def _cumulative_gauss(fn, edges: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GAUSS_X[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    seg = half * (vals * _GAUSS_W[None, :]).sum(axis=1)
-    out = np.empty(edges.size)
-    out[0] = 0.0
-    np.cumsum(seg, out=out[1:])
-    return out
 
 
 @dataclass

@@ -41,10 +41,6 @@ class BracketFailure(LogNLSError, ArithmeticError):
     """Shooting bracket lost its sign change; bad parameters or a bug upstream."""
 
 
-class GridTooSmall(LogNLSError, ValueError):
-    pass
-
-
 class BlowUpDetected(LogNLSError, ArithmeticError):
     """Gradient-norm proxy crossed the collapse threshold during evolution."""
 
@@ -88,3 +84,7 @@ class UnsupportedFamily(LogNLSError, ValueError):
 
 class ConfigError(LogNLSError, ValueError):
     pass
+
+
+class GridTooSmall(ConfigError):
+    """The grid cannot hold the requested field: a config error, exit code 2."""

@@ -68,6 +68,10 @@ class GaussianInit:
     center: tuple[float, ...] | None = None
     boost: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"gaussian width must be positive, got {self.width}")
+
 
 @dataclass
 class SnapshotInit:
@@ -383,7 +387,6 @@ def evolve(config: EvolutionConfig) -> Trajectory:
 def orbit_distance(
     field: _grid.ComplexField,
     profile: RadialProfile,
-    grid: _grid.Grid | None = None,
     reference_hat: np.ndarray | None = None,
 ) -> tuple[float, float, tuple[float, ...]]:
     """min over (theta, y) of the H1 distance to e^{i theta} phi(. - y).
@@ -397,7 +400,7 @@ def orbit_distance(
     the forward transform of phi embedded on the grid, lets a caller that
     measures many fields against one profile transform it once.
     """
-    g = grid or field.grid
+    g = field.grid
     p_hat = reference_hat
     if p_hat is None:
         p_hat = fftn(embed_radial(profile, g).values, overwrite_x=True)

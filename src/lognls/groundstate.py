@@ -40,10 +40,16 @@ from .model import (
     Observables,
     _DENSITY_CLAMP,
     _bisect_root,
+    _density_log,
     amplitude_roots,
     omega_window,
     potential_G,
+    turning_density,
 )
+
+# DP5 tolerances of every shot, and the node count of a returned profile
+_RTOL, _ATOL = 1e-12, 1e-14
+_N_NODES = 3201
 
 
 class ShotClass(Enum):
@@ -184,13 +190,14 @@ def _make_rhs(model: ModelParams, omega: float):
     return rhs
 
 
-def _integrate_radial(model, omega, b, r_max, rtol, atol, store):
+def _integrate_radial(model, omega, b, r_max, store):
     """March the radial ODE from r=0 and classify the trajectory.
 
     Returns (classification, rs, ps, qs); the lists are populated only when
     ``store`` is true (plus always the final point).
     """
     rhs = _make_rhs(model, omega)
+    rtol, atol = _RTOL, _ATOL  # locals: the step loop is hot
     r, p, q = 0.0, float(b), 0.0
     k1p, k1q = rhs(r, p, q)
     h = min(1e-3 / math.sqrt(2.0 * abs(omega) + abs(k1q / max(b, 1e-300)) + 1e-12), 0.01)
@@ -281,18 +288,13 @@ def shoot(
     model: ModelParams,
     omega: float | None = None,
     b: float = 1.0,
-    r_max: float | None = None,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
     store: bool = False,
 ) -> ShotResult:
-    """Integrate one trajectory and classify it."""
+    """Integrate one trajectory out to ``default_r_max`` and classify it."""
     if b <= 0:
         raise NonPositiveB(f"initial amplitude must be positive, got {b}")
     omega = _resolve_omega(model, omega)
-    if r_max is None:
-        r_max = default_r_max(omega)
-    cls, rs, ps, qs = _integrate_radial(model, omega, b, r_max, rtol, atol, store)
+    cls, rs, ps, qs = _integrate_radial(model, omega, b, default_r_max(omega), store)
     result = ShotResult(cls, rs[-1], ps[-1], qs[-1])
     if store:
         result.r = np.asarray(rs)
@@ -330,14 +332,7 @@ def _positive_G_zero(model: ModelParams, omega: float) -> float:
             return z * z * (0.25 - lz) - target, 2.0 * z * (0.25 - lz) - z
 
         return _bisect_root(eq, 1e-12, math.exp(-0.25))
-    # quintic: z^2 = s with s^2 (1/3 - ln s) = 3 omega/lam on (0, e^{-1/6})
-    target = 3.0 * omega / lam
-
-    def eq1(s):
-        ls = math.log(s)
-        return s * s * (1.0 / 3.0 - ls) - target, 2.0 * s * (1.0 / 3.0 - ls) - s
-
-    return math.sqrt(_bisect_root(eq1, 1e-12, math.exp(-1.0 / 6.0)))
+    return math.sqrt(turning_density(model.with_omega(omega)))
 
 
 def _upper_amplitude(model: ModelParams, omega: float) -> float:
@@ -363,14 +358,13 @@ def _upper_amplitude(model: ModelParams, omega: float) -> float:
 
 
 def _classify(model, omega, b, r_max):
-    return _integrate_radial(model, omega, b, r_max, 1e-12, 1e-14, False)[0]
+    return _integrate_radial(model, omega, b, r_max, False)[0]
 
 
 def find_ground_state(
     model: ModelParams,
     omega: float | None = None,
     tol: float = 1e-7,
-    n_nodes: int = 3201,
 ) -> RadialProfile:
     """Bisect the shooting amplitude and return the certified profile.
 
@@ -433,7 +427,7 @@ def find_ground_state(
             break
 
     b = 0.5 * (lo + hi)
-    _, rs, ps, qs = _integrate_radial(model, omega, b, r_max, 1e-12, 1e-14, True)
+    _, rs, ps, qs = _integrate_radial(model, omega, b, r_max, True)
     rs = np.asarray(rs)
     ps = np.asarray(ps)
     qs = np.asarray(qs)
@@ -456,7 +450,7 @@ def find_ground_state(
         raise BracketFailure("tail not resolved below 1e-3 of the peak amplitude")
 
     spline = CubicHermiteSpline(rs[: i_cut + 1], ps[: i_cut + 1], qs[: i_cut + 1])
-    r_nodes = np.linspace(0.0, float(rs[i_cut]), n_nodes)
+    r_nodes = np.linspace(0.0, float(rs[i_cut]), _N_NODES)
     values = spline(r_nodes)
     derivs = spline.derivative()(r_nodes)
     values[0] = b
@@ -509,8 +503,9 @@ def _tail_T(a: float, r0: float, m: int) -> float:
     return e * (r0 ** 3 / a + 3.0 * r0 ** 2 / a ** 2 + 6.0 * r0 / a ** 3 + 6.0 / a ** 4)
 
 
-def _radial_integrals(profile: RadialProfile, model: ModelParams) -> dict:
+def _radial_integrals(profile: RadialProfile) -> dict:
     """All certification integrals over R^d: sampled Simpson + analytic tails."""
+    model = profile.model
     r = profile.r_nodes
     phi = profile.values
     dphi = profile.derivs
@@ -533,7 +528,7 @@ def _radial_integrals(profile: RadialProfile, model: ModelParams) -> dict:
             return 2.0 * C ** n * _tail_T(n * d, r0, m)
 
     rho = phi * phi
-    lnrho = np.where(rho > _DENSITY_CLAMP, np.log(np.where(rho > 0, rho, 1.0)), 0.0)
+    lnrho = _density_log(rho)
     lnC2 = math.log(C * C) if C > 0 else 0.0
 
     def I(samples):
@@ -570,22 +565,17 @@ def _radial_integrals(profile: RadialProfile, model: ModelParams) -> dict:
     }
 
 
-def pohozaev_residuals(
-    profile: RadialProfile,
-    model: ModelParams | None = None,
-    omega: float | None = None,
-) -> tuple[float, float, float]:
+def pohozaev_residuals(profile: RadialProfile) -> tuple[float, float, float]:
     """Normalized residuals of the stationary integral identities.
 
     2D families: (multiply-by-phi, dilation, V = int G = 0).  The 1D family
     has no dilation identity; r2 and rV are both the first-integral identity
     (1/2) int phi'^2 + int G = 0 there.
     """
-    model = model or profile.model
-    omega = profile.omega if omega is None else omega
+    model, omega = profile.model, profile.omega
     if profile.values.size == 0 or not np.any(profile.values):
         return (0.0, 0.0, 0.0)
-    ints = _radial_integrals(profile, model)
+    ints = _radial_integrals(profile)
     M, K2, nl, pd = ints["mass"], ints["grad2"], ints["nl"], ints["pd"]
     GV = -omega * M - pd  # int G(phi) = -omega M - int V(phi^2)
 
@@ -604,16 +594,15 @@ def pohozaev_residuals(
     return (r1, r2, rV)
 
 
-def radial_observables(profile: RadialProfile, model: ModelParams | None = None) -> Observables:
+def radial_observables(profile: RadialProfile) -> Observables:
     """Mass/energy/action of a radial profile by the certification quadrature."""
-    model = model or profile.model
-    ints = _radial_integrals(profile, model)
+    ints = _radial_integrals(profile)
     kinetic = 0.5 * ints["grad2"]
     energy = kinetic + ints["pd"]
     return Observables(
         mass=ints["mass"],
         energy=energy,
-        momentum=(0.0,) * model.dim,
+        momentum=(0.0,) * profile.model.dim,
         kinetic=kinetic,
         potential=ints["pd"],
         quartic=ints["quartic"],

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .model import Family, ModelParams, nonlinear_phase_rate, potential_density
 
+_MAX_ITER = 20000
 
 @dataclass
 class MinimizerResult:
@@ -56,11 +57,9 @@ def minimize_energy(
     grid: _grid.Grid,
     model: ModelParams,
     tol: float = 1e-8,
-    max_iter: int = 20000,
     precondition: bool | None = None,
-    initial: _grid.ComplexField | None = None,
 ) -> MinimizerResult:
-    """Gradient flow on the sphere M(u) = rho, stopping on the eigen-residual."""
+    """Gradient flow on the sphere M(u) = rho from a Gaussian, stopping on the eigen-residual."""
     if rho <= 0:
         raise NonPositiveRho(f"mass constraint must be positive, got {rho}")
     if model.lam <= 0:
@@ -71,19 +70,11 @@ def minimize_energy(
         precondition = grid.n >= 512
 
     g = grid
-    cell = g.dx ** g.dim
-
-    def mass_of(values):
-        return float(np.sum(np.abs(values) ** 2)) * cell
-
-    if initial is None:
-        xs = _grid.coordinates(g)
-        r2 = sum(x * x for x in xs)
-        width = max(1.0, g.half_width / 6.0)
-        values = np.exp(-r2 / (2.0 * width ** 2)).astype(complex)
-    else:
-        values = initial.values.astype(complex)
-    values = values * math.sqrt(rho / mass_of(values))
+    xs = _grid.coordinates(g)
+    r2 = sum(x * x for x in xs)
+    width = max(1.0, g.half_width / 6.0)
+    values = np.exp(-r2 / (2.0 * width ** 2)).astype(complex)
+    values = values * math.sqrt(rho / _grid.integrate(g, np.abs(values) ** 2))
 
     kmax2 = float(np.max(g.k2))
     tau0 = 0.1 / (1.0 + 0.5 * kmax2)
@@ -92,11 +83,11 @@ def minimize_energy(
     pinv = 1.0 / (1.0 + g.k2)
 
     e_cur, coeffs = _energy(values, g, model)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITER + 1):
         grad = gradient_E(_grid.ComplexField(g, values), model, coeffs).values
-        omega_hat = -float(np.real(np.sum(grad * np.conj(values)))) * cell / rho
+        omega_hat = -_grid.integrate(g, grad * np.conj(values)) / rho
         resid_field = grad + omega_hat * values
-        residual = math.sqrt(float(np.sum(np.abs(resid_field) ** 2)) * cell / rho)
+        residual = math.sqrt(_grid.integrate(g, np.abs(resid_field) ** 2) / rho)
         if residual <= tol:
             return MinimizerResult(
                 field=_grid.ComplexField(g, values),
@@ -112,7 +103,7 @@ def minimize_energy(
         accepted = False
         while tau > 1e-18:
             cand = values - tau * direction
-            cand *= math.sqrt(rho / mass_of(cand))
+            cand *= math.sqrt(rho / _grid.integrate(g, np.abs(cand) ** 2))
             e_new, cand_coeffs = _energy(cand, g, model)
             if e_new <= e_cur:
                 values, coeffs = cand, cand_coeffs
@@ -127,7 +118,7 @@ def minimize_energy(
             raise MaxIterations(
                 f"descent stalled at residual {residual:.3e} after {iteration} iterations"
             )
-    raise MaxIterations(f"no convergence to {tol} within {max_iter} iterations")
+    raise MaxIterations(f"no convergence to {tol} within {_MAX_ITER} iterations")
 
 
 def negative_energy_witness(

@@ -89,8 +89,8 @@ def omega_window(model: ModelParams) -> tuple[float, float]:
     return omega_window_unchecked(model.family, model.lam)
 
 
-def _bisect_root(f, lo: float, hi: float, width: float = 1e-15):
-    """Bracketing bisection to the given width, then one Newton polish.
+def _bisect_root(f, lo: float, hi: float):
+    """Bracketing bisection to a width of 1e-15, then one Newton polish.
 
     The callers guarantee monotonicity of ``f`` on [lo, hi], so the bracket
     never lies.  ``f`` returns (value, derivative).
@@ -103,7 +103,7 @@ def _bisect_root(f, lo: float, hi: float, width: float = 1e-15):
         return hi
     if flo * fhi > 0.0:
         raise ValueError("root not bracketed")
-    while hi - lo > width:
+    while hi - lo > 1e-15:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -149,6 +149,23 @@ def amplitude_roots(model: ModelParams) -> tuple[float, float]:
     lower = _bisect_root(eq, 1e-300, inv_e)
     upper = _bisect_root(eq, inv_e, 1.0)
     return math.sqrt(lower), math.sqrt(upper)
+
+
+def turning_density(model: ModelParams) -> float:
+    """Smallest s > 0 with s^2 (1/3 - ln s) = 3 omega/lam, on (0, e^{-1/6}).
+
+    G(sqrt(s)) = 0 there for the 1D quintic-log family: s is the squared
+    peak amplitude of its ground state.
+    """
+    if model.family is not Family.QUINTIC_LOG_1D:
+        raise OmegaOutOfWindow("the turning density is defined for the 1D quintic-log family")
+    target = 3.0 * model.require_omega() / model.lam
+
+    def eq(s):
+        ls = math.log(s)
+        return s * s * (1.0 / 3.0 - ls) - target, s * (-1.0 / 3.0 - 2.0 * ls)
+
+    return _bisect_root(eq, 1e-12, math.exp(-1.0 / 6.0))
 
 
 def _density_log(rho: np.ndarray | float) -> np.ndarray | float:

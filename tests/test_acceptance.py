@@ -290,7 +290,7 @@ def test_criterion_09_minimizer_vs_shooter(profiles):
     rho = radial_observables(profile).mass
     g = Grid(2, 384, 30.0)
     res = minimize_energy(rho, g, MODEL, tol=1e-6, precondition=True)
-    dist, _, _ = orbit_distance(res.field, profile, g)
+    dist, _, _ = orbit_distance(res.field, profile)
     assert dist <= 1e-4
     assert abs(res.lagrange_omega - 0.1) <= 1e-3
     energies = {}

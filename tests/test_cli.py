@@ -468,6 +468,13 @@ def _tiny_minimize():
     }
 
 
+def _tiny_pseudoconformal():
+    config = _tiny_evolve()
+    config["experiment"] = "pseudoconformal"
+    config["outputs"] = {"csv_path": "pc.csv", "summary_json_path": "summary.json"}
+    return config
+
+
 def _with(config, path, value):
     """A copy of config with the section or leaf at ``path`` (keys) set to value."""
     config = copy.deepcopy(config)
@@ -482,6 +489,34 @@ def _assert_config_error(code, summary):
     assert code == 2
     assert summary["pass"] is False
     assert summary["error"]["code"] == "ConfigError"
+
+
+# a value of the wrong JSON type, and the key its error names
+_STRICT_TYPE_CASES = {
+    "lambda_string": (_with(_tiny_evolve(), ("model", "lambda"), "1"), "model.lambda"),
+    "amplitude_bool": (_with(_tiny_evolve(), ("initial", "amplitude"), True), "initial.amplitude"),
+    "n_float": (_with(_tiny_evolve(), ("grid", "n"), 16.7), "grid.n"),
+    "dim_bool": (_with(_tiny_evolve(), ("grid", "dim"), True), "grid.dim"),
+    "sample_every_float": (_with(_tiny_evolve(), ("time", "sample_every"), 2.5), "time.sample_every"),
+    "center_string": (_with(_tiny_evolve(), ("initial", "center"), "00"), "initial.center"),
+    "mode_float": (_with(_tiny_stability(), ("perturbation", "mode"), [1.5, 0]), "perturbation.mode"),
+    "renormalize_string": (
+        _with(_tiny_stability(), ("perturbation", "renormalize"), "false"), "perturbation.renormalize"),
+    "precondition_string": (_with(_tiny_minimize(), ("precondition",), "false"), "precondition"),
+    "refine_dt_string": (_with(_tiny_pseudoconformal(), ("refine_dt",), "false"), "refine_dt"),
+}
+
+# a well-typed value out of range, and the error code of its exit 2
+_OUT_OF_RANGE_CASES = {
+    "omega_negative": (_with(_tiny_stability(), ("initial", "omega"), -1.0), "OmegaOutOfWindow"),
+    "omega_zero": (_with(_tiny_stability(), ("initial", "omega"), 0.0), "OmegaOutOfWindow"),
+    "omega_past_edge": (_with(_tiny_stability(), ("initial", "omega"), 0.31), "OmegaOutOfWindow"),
+    "lambda_zero": (_with(_tiny_stability(), ("model", "lambda"), 0.0), "OmegaOutOfWindow"),
+    "gaussian_width_zero": (_with(_tiny_evolve(), ("initial", "width"), 0.0), "ConfigError"),
+    "gaussian_width_negative": (_with(_tiny_evolve(), ("initial", "width"), -1.0), "ConfigError"),
+    "grid_dim_of_another_family": (_with(_tiny_evolve(), ("grid", "dim"), 1), "ConfigError"),
+    "grid_too_small": (_with(_tiny_stability(), ("grid", "half_width"), 1.0), "GridTooSmall"),
+}
 
 
 class TestMalformedConfig:
@@ -553,24 +588,54 @@ class TestMalformedConfig:
         assert key in summary["error"]["message"]
 
     @pytest.mark.parametrize(
-        "command, config",
+        "command, config, code",
         [
-            ("run", _with(_tiny_evolve(), ("initial",), None)),
-            ("run", _with(_tiny_evolve(), ("initial",), [1, 2])),
-            ("sweep", [1, 2]),
-            ("sweep", _with(_with(_tiny_minimize(), ("rho",), [1.0]), ("outputs", "csv_path"), 5)),
-            ("run", _with(_tiny_evolve(), ("grid", "half_width"), math.nan)),
-            ("run", _with(_tiny_minimize(), ("rho",), 0.0)),
-            ("run", _with(_tiny_stability(), ("perturbation", "kind"), "sine_wave")),
-        ],
+            ("run", _with(_tiny_evolve(), ("initial",), None), "ConfigError"),
+            ("run", _with(_tiny_evolve(), ("initial",), [1, 2]), "ConfigError"),
+            ("sweep", [1, 2], "ConfigError"),
+            ("sweep", _with(_with(_tiny_minimize(), ("rho",), [1.0]), ("outputs", "csv_path"), 5),
+             "ConfigError"),
+            ("run", _with(_tiny_evolve(), ("grid", "half_width"), math.nan), "ConfigError"),
+            ("run", _with(_tiny_minimize(), ("rho",), 0.0), "ConfigError"),
+            ("run", _with(_tiny_stability(), ("perturbation", "kind"), "sine_wave"), "ConfigError"),
+        ]
+        + [("run", config, "ConfigError") for config, _ in _STRICT_TYPE_CASES.values()]
+        + [("run", config, code) for config, code in _OUT_OF_RANGE_CASES.values()],
         ids=["run_initial_null", "run_initial_list", "sweep_list", "sweep_csv_path_number",
-             "run_nan_half_width", "run_zero_rho", "run_unknown_perturbation_kind"],
+             "run_nan_half_width", "run_zero_rho", "run_unknown_perturbation_kind"]
+        + [f"run_{name}" for name in (*_STRICT_TYPE_CASES, *_OUT_OF_RANGE_CASES)],
     )
-    def test_command_line_exits_2(self, tmp_path, capsys, command, config):
+    def test_command_line_exits_2(self, tmp_path, capsys, command, config, code):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == 2
-        assert "error[ConfigError]" in capsys.readouterr().err
+        assert f"error[{code}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", _STRICT_TYPE_CASES.values(), ids=list(_STRICT_TYPE_CASES))
+    def test_value_of_the_wrong_json_type(self, tmp_path, monkeypatch, config, key):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected config ran")
+
+        for name in ("evolve", "find_ground_state", "minimize_energy"):
+            monkeypatch.setattr(lognls.cli, name, never)
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert key in summary["error"]["message"]
+
+    @pytest.mark.parametrize("config, code", _OUT_OF_RANGE_CASES.values(), ids=list(_OUT_OF_RANGE_CASES))
+    def test_parameter_out_of_range(self, tmp_path, config, code):
+        exit_code, summary = run_config(config, out_dir=str(tmp_path))
+        assert exit_code == 2
+        assert summary["error"]["code"] == code
+        assert json.loads((tmp_path / "summary.json").read_text())["error"]["code"] == code
+
+    def test_window_checked_before_the_ground_state(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the ground state was solved for a rejected config")
+
+        monkeypatch.setattr(lognls.cli, "find_ground_state", never)
+        config, code = _OUT_OF_RANGE_CASES["omega_past_edge"]
+        assert run_config(config, out_dir=str(tmp_path))[1]["error"]["code"] == code
 
 
 _FUZZ_BASES = {

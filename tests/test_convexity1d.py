@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from properties import PROPERTY_SETTINGS
 from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
@@ -9,17 +12,21 @@ from scipy.optimize import brentq
 from lognls.convexity1d import (
     action_convexity_scan,
     dpp_forms,
-    dpp_quadrature,
     find_turning_point,
     ground_state_1d_quadrature,
     mass_action_1d,
-    w_func,
 )
 from lognls.errors import OmegaOutOfWindow, OmegaTooCloseToEdge
 from lognls.groundstate import find_ground_state
-from lognls.model import Family, ModelParams, potential_G
+from lognls.model import Family, ModelParams, omega_window, potential_G
 
 EDGE = 1.0 / (6.0 * math.e ** (1.0 / 3.0))
+
+
+def w_closed(s, lam, omega):
+    """W(s) = omega s + (lam/3) s^3 (ln s - 1/3), whose first zero is the turning point."""
+    s = np.asarray(s, dtype=float)
+    return omega * s + (lam / 3.0) * s**3 * (np.log(s) - 1.0 / 3.0)
 
 
 class TestTurningPoint:
@@ -34,13 +41,13 @@ class TestTurningPoint:
         assert tp.a == pytest.approx(a_oracle, rel=1e-12)
         assert tp.a == pytest.approx(0.3185, abs=2e-4)
         assert tp.W_prime_at_a == pytest.approx(-0.066, abs=1e-3)
-        assert abs(w_func(tp.a, 1.0, 0.05)) < 1e-12
+        assert abs(w_closed(tp.a, 1.0, 0.05)) < 1e-12
         assert tp.W_prime_at_a < 0.0
 
     def test_W_positive_below_a(self):
         tp = find_turning_point(1.0, 0.05)
         s = (np.arange(1000) + 0.5) / 1000 * tp.a
-        assert np.all(w_func(s, 1.0, 0.05) > 0.0)
+        assert np.all(w_closed(s, 1.0, 0.05) > 0.0)
 
     def test_edge_limit_double_root(self):
         # W = W' = 0 merge at s = e^{-1/6}; the root walks into it like sqrt
@@ -64,14 +71,14 @@ class TestTurningPoint:
         m = ModelParams(Family.QUINTIC_LOG_1D, 1.0, omega=0.05)
         s = np.linspace(1e-6, 1.2, 400)
         np.testing.assert_allclose(
-            potential_G(np.sqrt(s), m), -w_func(s, 1.0, 0.05), rtol=1e-12, atol=1e-15
+            potential_G(np.sqrt(s), m), -w_closed(s, 1.0, 0.05), rtol=1e-12, atol=1e-15
         )
 
 
 class TestDpp:
     def test_positive_across_window_and_fd_oracle(self):
         for omega in (0.01, 0.05, 0.11):
-            general = dpp_quadrature(1.0, omega)
+            general = dpp_forms(1.0, omega)[0]
             assert general > 0.0
             d = 1e-4
             s0 = mass_action_1d(1.0, omega)[1]
@@ -94,7 +101,7 @@ class TestDpp:
         # d'(omega) = M, so d'' is also the slope of the mass along the branch
         d = 1e-4
         slope = (mass_action_1d(1.0, 0.05 + d)[0] - mass_action_1d(1.0, 0.05 - d)[0]) / (2 * d)
-        assert dpp_quadrature(1.0, 0.05) == pytest.approx(slope, rel=1e-4)
+        assert dpp_forms(1.0, 0.05)[0] == pytest.approx(slope, rel=1e-4)
 
     def test_forms_ratio_is_lambda_thirds(self):
         for lam, omega in ((1.0, 0.05), (2.0, 0.1)):
@@ -103,7 +110,24 @@ class TestDpp:
 
     def test_edge_guard(self):
         with pytest.raises(OmegaTooCloseToEdge):
-            dpp_quadrature(1.0, 0.96 * EDGE)
+            dpp_forms(1.0, 0.96 * EDGE)
+
+
+class TestWindowProperties:
+    @PROPERTY_SETTINGS
+    @given(lam=st.floats(0.5, 2.0), fraction=st.floats(0.01, 0.9))
+    def test_identities_across_the_window(self, lam, fraction):
+        omega = fraction * omega_window(ModelParams(Family.QUINTIC_LOG_1D, lam))[1]
+        model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
+        tp = find_turning_point(lam, omega)
+        assert abs(potential_G(math.sqrt(tp.a), model)) <= 1e-12 * omega * tp.a
+        assert tp.W_prime_at_a < 0.0
+        general, simplified = dpp_forms(lam, omega)
+        assert general / simplified == pytest.approx(lam / 3.0, rel=1e-10)
+        # d'(omega) = M: d'' is the centred slope of the mass, step relative to omega
+        d = 1e-3 * omega
+        slope = (mass_action_1d(lam, omega + d)[0] - mass_action_1d(lam, omega - d)[0]) / (2 * d)
+        assert general == pytest.approx(slope, rel=1e-4)
 
 
 class TestProfile1D:

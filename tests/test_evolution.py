@@ -156,7 +156,7 @@ class TestOrbitDistance:
         u = ComplexField(
             g, np.roll(ref.values, shift_cells, axis=0) * np.exp(1j * theta0)
         )
-        dist, theta, y = orbit_distance(u, profile_01, g)
+        dist, theta, y = orbit_distance(u, profile_01)
         assert dist <= 1e-12
         assert theta == pytest.approx(theta0, abs=1e-9)
         assert y[0] == pytest.approx(y0, abs=1e-9)
@@ -170,7 +170,7 @@ class TestOrbitDistance:
         delta = 1e-2
         bump_norm = h1_norm(ComplexField(g, bump))
         u = ComplexField(g, ref.values + delta * bump / bump_norm)
-        dist, _, _ = orbit_distance(u, profile_01, g)
+        dist, _, _ = orbit_distance(u, profile_01)
         assert dist <= delta + 1e-12
 
     def test_perturbation_sizes_are_exact(self, profile_01):

@@ -74,7 +74,7 @@ class TestMinimize:
         g = Grid(2, 384, 30.0)
         res = minimize_energy(rho, g, model2d, tol=1e-6, precondition=True)
         assert res.residual <= 1e-6
-        dist, _, _ = orbit_distance(res.field, profile_01, g)
+        dist, _, _ = orbit_distance(res.field, profile_01)
         assert dist <= 1e-4
         assert abs(res.lagrange_omega - 0.1) <= 1e-3
         mass = integrate(g, np.abs(res.field.values) ** 2)
