@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as _grid
-from .convexity1d import action_convexity_scan
+from .convexity1d import action_convexity_scan, curvature_model
 from .errors import BlowUpDetected, ConfigError, LogNLSError
 from .evolution import (
     EvolutionConfig,
@@ -258,12 +258,40 @@ def _parse(config: dict) -> dict:
         typed["precondition"] = _read(_boolean, config["precondition"], "precondition")
     if "refine_dt" in keys:
         typed["refine_dt"] = _read(_boolean, config.get("refine_dt", True), "refine_dt")
+    if "fd_delta" in keys:
+        typed["fd_delta"] = _read(_number, config.get("fd_delta", 1e-4), "fd_delta")
     for key in ("omega_list", "omega_grid"):
         if key in keys:
-            typed["omegas"] = _read(_tuple_of(_number), config.get(key), key)
-            if not typed["omegas"]:
-                raise ConfigError(f"{key} needs at least one frequency")
+            typed["omegas"] = _frequencies(config, key, model, typed.get("fd_delta"))
     return typed
+
+
+# the one family each frequency-list experiment computes on
+_LIST_FAMILY = {"omega_list": Family.CUBIC_LOG_2D, "omega_grid": Family.QUINTIC_LOG_1D}
+
+
+def _frequencies(config: dict, key: str, model: ModelParams, delta: float | None) -> tuple:
+    """The frequency list ``key``, each frequency checked against the window it is solved in.
+
+    ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than
+    one point its finite-difference neighbours omega +- ``delta`` lie in the window too.
+    """
+    omegas = _read(_tuple_of(_number), config.get(key), key)
+    if not omegas:
+        raise ConfigError(f"{key} needs at least one frequency")
+    family = _LIST_FAMILY[key]
+    if model.family is not family:
+        raise ConfigError(f"{config['experiment']} computes on {family.value}, "
+                          f"not {model.family.value}")
+    for omega in omegas:
+        if key == "omega_list":
+            model.with_omega(omega)  # checks the window
+            continue
+        curvature_model(model.lam, omega)  # the window and its 5% edge margin
+        if len(omegas) > 1:  # the finite-difference neighbours
+            model.with_omega(omega - delta)
+            model.with_omega(omega + delta)
+    return omegas
 
 
 def _evolution_config(config: dict, model: ModelParams, grid: _grid.Grid) -> EvolutionConfig:
@@ -520,8 +548,7 @@ def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
 
 
 def _run_convexity1d(config, typed, outputs, asserts: Assertions):
-    lam, delta = typed["model"].lam, float(config.get("fd_delta", 1e-4))
-    rows = action_convexity_scan(lam, typed["omegas"], delta=delta)
+    rows = action_convexity_scan(typed["model"].lam, typed["omegas"], delta=typed["fd_delta"])
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
         abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows if r.dpp_fd is not None

@@ -92,17 +92,23 @@ def _adaptive_gauss(fn, lo: float, hi: float, rel_tol: float):
     raise QuadratureFailure("composite Gauss quadrature failed to settle")
 
 
+def curvature_model(lam: float, omega: float) -> ModelParams:
+    """The quintic model at ``omega``, refused within 5% of the window edge."""
+    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
+    if omega > 0.95 * omega_window(model)[1]:
+        raise OmegaTooCloseToEdge(
+            "W'(a) -> 0 within 5% of the window edge; curvature integral is singular"
+        )
+    return model
+
+
 def dpp_forms(lam: float, omega: float) -> tuple[float, float]:
     """(general, simplified) evaluations of the curvature integral d''(omega).
 
     Both integrands carry the (s/W)^{1/2} endpoint singularity at s = a,
     absorbed by the substitution s = a - t^2.
     """
-    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
-    if omega > 0.95 * omega_window(model)[1]:
-        raise OmegaTooCloseToEdge(
-            "W'(a) -> 0 within 5% of the window edge; curvature integral is singular"
-        )
+    model = curvature_model(lam, omega)
     tp = find_turning_point(lam, omega)
     a = tp.a
     fa = float(nonlinear_phase_rate(a, model))

@@ -5,6 +5,14 @@ spectral preconditioner P = (1 + |k|^2)^{-1} and backtracking on energy
 increase; convergence is declared on the eigen-residual
 ||grad E(u) + omega u|| / ||u||, which certifies the stationary equation
 directly rather than energy stagnation.
+
+The descent runs on real samples u and their half spectrum rfftn(u): the
+Gaussian start is real and every operator of a step (the Laplacian, P,
+rate(u^2) u and the mass rescale) maps real fields to real fields.  An
+iteration takes two real transforms, the forward one of rate(u^2) u in the
+gradient and the inverse one of the direction; the multiplier and the
+residual come from Parseval on the half spectrum, and each line-search trial
+takes its spectrum from linearity, so a trial takes no transform.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from scipy.fft import irfftn, rfftn
 
 from . import grid as _grid
 from .errors import (
@@ -36,20 +44,48 @@ class MinimizerResult:
     iterations: int
 
 
-def gradient_E(field: _grid.ComplexField, model: ModelParams, coeffs: np.ndarray) -> _grid.ComplexField:
-    """First variation of the energy, -1/2 Lap u + rate(|u|^2) u, given ``coeffs`` = fftn(u)."""
-    g = field.grid
-    lap = ifftn(-g.k2 * coeffs, overwrite_x=True)
-    rho = np.abs(field.values) ** 2
-    return _grid.ComplexField(g, -0.5 * lap + nonlinear_phase_rate(rho, model) * field.values)
+def _half_k2(g: _grid.Grid) -> np.ndarray:
+    """|k|^2 on the rfftn half spectrum (a view of ``g.k2``: the Nyquist column squares alike)."""
+    return g.k2[..., : g.n // 2 + 1]
 
 
-def _energy(values: np.ndarray, g: _grid.Grid, model: ModelParams) -> tuple[float, np.ndarray]:
-    """Energy of the samples ``values`` and their forward transform."""
-    coeffs = fftn(values)
-    kinetic = 0.5 * float(np.sum(g.k2 * np.abs(coeffs) ** 2)) * g.dx ** g.dim / values.size
-    rho = np.abs(values) ** 2
-    return kinetic + _grid.integrate(g, potential_density(rho, model)), coeffs
+def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
+    """dx^d / N times the full-spectrum sum of a Hermitian-symmetric quantity, given its half.
+
+    With ``terms`` = |rfftn(u)|^2 this is the integral of u^2.  Each column of
+    the half spectrum but k_last = 0 and the Nyquist column stands for itself
+    and its mirror image: weight 2, else 1.
+    """
+    total = 2.0 * float(np.sum(terms)) - float(np.sum(terms[..., 0])) - float(np.sum(terms[..., -1]))
+    return total * g.dx ** g.dim / g.n ** g.dim
+
+
+def _power(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs.real ** 2 + coeffs.imag ** 2
+
+
+def gradient_E(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> np.ndarray:
+    """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u)."""
+    return 0.5 * _half_k2(g) * coeffs + rfftn(nonlinear_phase_rate(values * values, model) * values)
+
+
+def _energy(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> float:
+    """Energy of the real samples ``values``, given ``coeffs`` = rfftn(values)."""
+    kinetic = 0.5 * _parseval(g, _half_k2(g) * _power(coeffs))
+    return kinetic + _grid.integrate(g, potential_density(values * values, model))
+
+
+def _eigen_residual(
+    grad: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, rho: float
+) -> tuple[float, np.ndarray, float]:
+    """(omega, half spectrum of grad + omega u, ||grad + omega u|| / sqrt(rho)) by Parseval.
+
+    ``grad`` and ``coeffs`` are the half spectra of grad E(u) and of u, whose
+    mass is ``rho``; omega = -<grad E(u), u> / rho.
+    """
+    omega_hat = -_parseval(g, grad.real * coeffs.real + grad.imag * coeffs.imag) / rho
+    resid = grad + omega_hat * coeffs
+    return omega_hat, resid, math.sqrt(_parseval(g, _power(resid)) / rho)
 
 
 def minimize_energy(
@@ -73,21 +109,21 @@ def minimize_energy(
     xs = _grid.coordinates(g)
     r2 = sum(x * x for x in xs)
     width = max(1.0, g.half_width / 6.0)
-    values = np.exp(-r2 / (2.0 * width ** 2)).astype(complex)
-    values = values * math.sqrt(rho / _grid.integrate(g, np.abs(values) ** 2))
+    values = np.exp(-r2 / (2.0 * width ** 2))
+    values = values * math.sqrt(rho / _grid.integrate(g, values * values))
 
     kmax2 = float(np.max(g.k2))
     tau0 = 0.1 / (1.0 + 0.5 * kmax2)
     tau = 1.0 if precondition else tau0
     tau_cap = 4.0 if precondition else 10.0 * tau0
-    pinv = 1.0 / (1.0 + g.k2)
+    pinv = 1.0 / (1.0 + _half_k2(g)) if precondition else 1.0
 
-    e_cur, coeffs = _energy(values, g, model)
+    coeffs = rfftn(values)
+    e_cur = _energy(values, coeffs, g, model)
     for iteration in range(1, _MAX_ITER + 1):
-        grad = gradient_E(_grid.ComplexField(g, values), model, coeffs).values
-        omega_hat = -_grid.integrate(g, grad * np.conj(values)) / rho
-        resid_field = grad + omega_hat * values
-        residual = math.sqrt(_grid.integrate(g, np.abs(resid_field) ** 2) / rho)
+        omega_hat, resid, residual = _eigen_residual(
+            gradient_E(values, coeffs, g, model), coeffs, g, rho
+        )
         if residual <= tol:
             return MinimizerResult(
                 field=_grid.ComplexField(g, values),
@@ -96,15 +132,15 @@ def minimize_energy(
                 residual=residual,
                 iterations=iteration - 1,
             )
-        if precondition:
-            direction = ifftn(pinv * fftn(resid_field, overwrite_x=True), overwrite_x=True)
-        else:
-            direction = resid_field
+        dir_coeffs = pinv * resid
+        direction = irfftn(dir_coeffs, s=g.shape)
         accepted = False
         while tau > 1e-18:
             cand = values - tau * direction
-            cand *= math.sqrt(rho / _grid.integrate(g, np.abs(cand) ** 2))
-            e_new, cand_coeffs = _energy(cand, g, model)
+            scale = math.sqrt(rho / _grid.integrate(g, cand * cand))
+            cand *= scale
+            cand_coeffs = (coeffs - tau * dir_coeffs) * scale
+            e_new = _energy(cand, cand_coeffs, g, model)
             if e_new <= e_cur:
                 values, coeffs = cand, cand_coeffs
                 e_cur = e_new
@@ -134,17 +170,20 @@ def negative_energy_witness(
     if model.lam <= 0:
         raise ValueError("witness requires lam > 0")
     g = field.grid
-    vals = field.values
+    if np.any(field.values.imag):
+        raise ValueError("witness requires a real field")
+    vals = field.values.real
     if not np.any(vals):
         raise ValueError("witness requires a nonzero field")
-    e0, coeffs = _energy(vals, g, model)
-    quartic = _grid.integrate(g, np.abs(vals) ** 4)
+    coeffs = rfftn(vals)
+    e0 = _energy(vals, coeffs, g, model)
+    quartic = _grid.integrate(g, vals ** 4)
 
     mu = 1.0
     while mu > 1e-8:
         mu *= 0.5
         rescaled = _rescale_field(coeffs, g, mu)
-        e_grid, _ = _energy(rescaled, g, model)
+        e_grid = _energy(rescaled, rfftn(rescaled), g, model)
         closed = mu * mu * e0 - 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2) * quartic
         if abs(e_grid - closed) > 1e-6 * max(abs(closed), abs(e0), 1.0):
             raise ConservationError(
@@ -156,13 +195,19 @@ def negative_energy_witness(
 
 
 def _rescale_field(coeffs: np.ndarray, g: _grid.Grid, mu: float) -> np.ndarray:
-    """Samples of mu * u(mu x) by exact trigonometric interpolation.
+    """Samples of mu * u(mu x) by exact real trigonometric interpolation.
 
-    The DFT interpolant is u(x) = (1/N^d) sum_k c_k e^{i k (x + L)}; the +L
-    offset matters because the domain starts at -L, not 0.
+    ``coeffs`` = rfftn(u).  The interpolant is u(x) = (1/N^d) Re sum_k w_k c_k
+    e^{i k (x + L)} over the half spectrum, with the Hermitian weights w of
+    ``_parseval`` on the last axis and |k| at its Nyquist column; the +L offset
+    matters because the domain starts at -L, not 0.
     """
     targets = mu * g.axis + g.half_width
-    basis = np.exp(1j * np.outer(targets, g.k)) / g.n
+    half = g.n // 2 + 1
+    weights = np.full(half, 2.0)
+    weights[0] = weights[-1] = 1.0
+    last = np.exp(1j * np.outer(targets, np.abs(g.k[:half]))) * (weights / g.n)
     if g.dim == 1:
-        return mu * (basis @ coeffs)
-    return mu * (basis @ coeffs @ basis.T)
+        return mu * (last @ coeffs).real
+    first = np.exp(1j * np.outer(targets, g.k)) / g.n
+    return mu * (first @ coeffs @ last.T).real

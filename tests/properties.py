@@ -25,3 +25,16 @@ def smooth_fields(draw, dims=(2,)):
     coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
     values = ifftn(coeffs * np.exp(-g.k2 / (2.0 * kc2)))
     return ComplexField(g, peak * values / np.max(np.abs(values)))
+
+
+@st.composite
+def real_fields(draw, dims=(1, 2)):
+    """The real part of a ``smooth_fields`` draw plus a drawn multiple of the Nyquist mode.
+
+    The grid's checkerboard (-1)^(sum of indices) lives in the Nyquist column of
+    the half spectrum (and row, in 2D), so that column carries real weight.
+    """
+    field = draw(smooth_fields(dims))
+    g = field.grid
+    checker = (-1.0) ** np.indices(g.shape).sum(axis=0)
+    return g, field.values.real + draw(st.floats(min_value=0.0, max_value=0.5)) * checker

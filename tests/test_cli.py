@@ -506,8 +506,41 @@ _STRICT_TYPE_CASES = {
     "refine_dt_string": (_with(_tiny_pseudoconformal(), ("refine_dt",), "false"), "refine_dt"),
 }
 
+def _tiny_convexity1d():
+    return {
+        "experiment": "convexity1d",
+        "model": {"family": "quintic_log_1d", "lambda": 1.0},
+        "omega_grid": [0.05],
+        "outputs": {"summary_json_path": "summary.json"},
+    }
+
+
+def _tiny_sweep_mass():
+    return {
+        "experiment": "sweep_mass",
+        "model": {"family": "cubic_log_2d", "lambda": 1.0},
+        "omega_list": [0.1],
+        "outputs": {"summary_json_path": "summary.json"},
+    }
+
+
+# frequency lists outside the window their experiment solves in (quintic edge 0.119)
+_FREQUENCY_LIST_CASES = {
+    "omega_grid_past_edge": (_with(_tiny_convexity1d(), ("omega_grid",), [0.2]), "OmegaOutOfWindow"),
+    "omega_grid_near_edge": (_with(_tiny_convexity1d(), ("omega_grid",), [0.115]), "OmegaTooCloseToEdge"),
+    "omega_grid_neighbour_past_edge": (
+        _with(_with(_tiny_convexity1d(), ("omega_grid",), [0.05, 0.1]), ("fd_delta",), 0.05),
+        "OmegaOutOfWindow"),
+    "convexity1d_of_another_family": (
+        _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "ConfigError"),
+    "omega_list_past_edge": (_with(_tiny_sweep_mass(), ("omega_list",), [0.5]), "OmegaOutOfWindow"),
+    "sweep_mass_of_another_family": (
+        _with(_tiny_sweep_mass(), ("model", "family"), "quintic_log_1d"), "ConfigError"),
+}
+
 # a well-typed value out of range, and the error code of its exit 2
 _OUT_OF_RANGE_CASES = {
+    **_FREQUENCY_LIST_CASES,
     "omega_negative": (_with(_tiny_stability(), ("initial", "omega"), -1.0), "OmegaOutOfWindow"),
     "omega_zero": (_with(_tiny_stability(), ("initial", "omega"), 0.0), "OmegaOutOfWindow"),
     "omega_past_edge": (_with(_tiny_stability(), ("initial", "omega"), 0.31), "OmegaOutOfWindow"),
@@ -636,6 +669,19 @@ class TestMalformedConfig:
         monkeypatch.setattr(lognls.cli, "find_ground_state", never)
         config, code = _OUT_OF_RANGE_CASES["omega_past_edge"]
         assert run_config(config, out_dir=str(tmp_path))[1]["error"]["code"] == code
+
+
+    @pytest.mark.parametrize("config, code", _FREQUENCY_LIST_CASES.values(),
+                             ids=list(_FREQUENCY_LIST_CASES))
+    def test_frequency_list_checked_before_work(self, tmp_path, monkeypatch, config, code):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected frequency list ran")
+
+        for name in ("action_convexity_scan", "mass_asymptotics_sweep"):
+            monkeypatch.setattr(lognls.cli, name, never)
+        exit_code, summary = run_config(config, out_dir=str(tmp_path))
+        assert exit_code == 2
+        assert summary["error"]["code"] == code
 
 
 _FUZZ_BASES = {

@@ -2,33 +2,38 @@ import math
 
 import numpy as np
 import pytest
-from scipy.fft import fftn
+from hypothesis import given
+from scipy.fft import fftn, ifftn, irfftn, rfftn
 
+import lognls.minimize
 from lognls.errors import NonPositiveRho, UnsupportedFamily
 from lognls.grid import ComplexField, Grid, coordinates, integrate
 from lognls.groundstate import embed_radial, radial_observables
 from lognls.evolution import orbit_distance
 from lognls.minimize import (
+    _eigen_residual,
     _energy,
     gradient_E,
     minimize_energy,
     negative_energy_witness,
 )
-from lognls.model import Family, ModelParams
+from lognls.model import Family, ModelParams, nonlinear_phase_rate, potential_density
+from properties import PROPERTY_SETTINGS, real_fields
 
 
 def _random_smooth(g, seed):
     rng = np.random.default_rng(seed)
     xs = coordinates(g)
     r2 = sum(x * x for x in xs)
-    envelope = np.exp(-r2 / 8.0)
-    vals = envelope * (
-        rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
-    )
+    vals = np.exp(-r2 / 8.0) * rng.standard_normal(g.shape)
     # smooth by damping high modes
     coeffs = np.fft.fftn(vals)
     coeffs *= np.exp(-0.5 * g.k2)
-    return ComplexField(g, np.fft.ifftn(coeffs))
+    return np.fft.ifftn(coeffs).real
+
+
+def _gradient_samples(u, g, model):
+    return irfftn(gradient_E(u, rfftn(u), g, model), s=g.shape)
 
 
 class TestGradient:
@@ -36,23 +41,22 @@ class TestGradient:
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 64, 8.0)
         zero = np.zeros(g.shape)
-        out = gradient_E(ComplexField(g, zero), m, fftn(zero))
-        assert np.max(np.abs(out.values)) == 0.0
+        out = gradient_E(zero, rfftn(zero), g, m)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_directional_derivative_oracle(self):
-        # (E(u+ev) - E(u-ev)) / (2e) = 2 Re <grad E(u), v> + O(e^2)
+        # (E(u+ev) - E(u-ev)) / (2e) = 2 <grad E(u), v> + O(e^2)
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 64, 8.0)
         u = _random_smooth(g, 3)
         v = _random_smooth(g, 4)
-        grad = gradient_E(u, m, fftn(u.values))
-        pairing = 2.0 * float(
-            np.real(np.sum(grad.values * np.conj(v.values))) * g.dx**2
-        )
+        grad = _gradient_samples(u, g, m)
+        pairing = 2.0 * float(np.sum(grad * v) * g.dx**2)
         errs = {}
         for eps in (1e-3, 1e-4):
-            ep, _ = _energy(u.values + eps * v.values, g, m)
-            em, _ = _energy(u.values - eps * v.values, g, m)
+            plus, minus = u + eps * v, u - eps * v
+            ep = _energy(plus, rfftn(plus), g, m)
+            em = _energy(minus, rfftn(minus), g, m)
             errs[eps] = abs((ep - em) / (2.0 * eps) - pairing)
         assert errs[1e-3] <= 1e-4 * max(abs(pairing), 1.0)
         # quadratic decay of the finite-difference error
@@ -60,12 +64,83 @@ class TestGradient:
 
     def test_shooting_profile_is_stationary(self, model2d, profile_01):
         g = Grid(2, 384, 30.0)
-        u = embed_radial(profile_01, g)
-        grad = gradient_E(u, model2d, fftn(u.values))
-        resid = grad.values + 0.1 * u.values
-        num = math.sqrt(integrate(g, np.abs(resid) ** 2))
-        den = math.sqrt(integrate(g, np.abs(u.values) ** 2))
+        u = embed_radial(profile_01, g).values.real
+        resid = _gradient_samples(u, g, model2d) + 0.1 * u
+        num = math.sqrt(integrate(g, resid**2))
+        den = math.sqrt(integrate(g, u**2))
         assert num / den <= 5e-6  # tail-model rate mismatch dominates
+
+
+_MODELS = {1: ModelParams(Family.QUINTIC_LOG_1D, 1.0), 2: ModelParams(Family.CUBIC_LOG_2D, 1.0)}
+
+
+def _full_spectrum_kinetic(u, g):
+    return 0.5 * float(np.sum(g.k2 * np.abs(fftn(u)) ** 2)) * g.dx**g.dim / u.size
+
+
+def _full_spectrum_gradient(u, g, m):
+    return 0.5 * ifftn(g.k2 * fftn(u)).real + nonlinear_phase_rate(u * u, m) * u
+
+
+class TestHalfSpectrum:
+    """The half-spectrum bookkeeping against full transforms and x-space integrals."""
+
+    @PROPERTY_SETTINGS
+    @given(real_fields())
+    def test_energy_matches_full_spectrum(self, drawn):
+        g, u = drawn
+        m = _MODELS[g.dim]
+        kinetic = _full_spectrum_kinetic(u, g)
+        potential = integrate(g, potential_density(u * u, m))
+        e = _energy(u, rfftn(u), g, m)
+        assert abs(e - (kinetic + potential)) <= 1e-12 * (abs(kinetic) + abs(potential))
+
+    @PROPERTY_SETTINGS
+    @given(real_fields())
+    def test_gradient_matches_full_spectrum(self, drawn):
+        g, u = drawn
+        m = _MODELS[g.dim]
+        expected = _full_spectrum_gradient(u, g, m)
+        got = _gradient_samples(u, g, m)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @PROPERTY_SETTINGS
+    @given(real_fields())
+    def test_multiplier_and_residual_match_x_space(self, drawn):
+        g, u = drawn
+        m = _MODELS[g.dim]
+        rho = integrate(g, u * u)
+        coeffs = rfftn(u)
+        omega, resid, residual = _eigen_residual(gradient_E(u, coeffs, g, m), coeffs, g, rho)
+        grad = _full_spectrum_gradient(u, g, m)
+        omega_x = -integrate(g, grad * u) / rho
+        resid_x = grad + omega_x * u
+        residual_x = math.sqrt(integrate(g, resid_x**2) / rho)
+        assert abs(omega - omega_x) <= 1e-12 * integrate(g, np.abs(grad * u)) / rho
+        assert abs(residual - residual_x) <= 1e-12 * residual_x
+        assert np.max(np.abs(irfftn(resid, s=g.shape) - resid_x)) <= 1e-12 * np.max(np.abs(resid_x))
+
+    def test_two_transforms_per_iteration_none_per_trial(self, model2d, monkeypatch):
+        calls = {"rfftn": 0, "irfftn": 0, "_energy": 0}
+
+        def counted(name):
+            fn = getattr(lognls.minimize, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lognls.minimize, name, counted(name))
+        res = minimize_energy(20.0, Grid(2, 32, 8.0), model2d, tol=1e-5, precondition=True)
+        trials = calls["_energy"] - 1
+        assert trials > res.iterations  # some trial was rejected
+        # the start's transform, then one gradient per pass of the loop (the
+        # last pass converges) and one direction per iteration
+        assert calls["rfftn"] == res.iterations + 2
+        assert calls["irfftn"] == res.iterations
+        assert np.all(res.field.values.imag == 0.0)
 
 
 class TestMinimize:
@@ -95,7 +170,7 @@ class TestMinimize:
         for width in (0.5, 1.0, 3.0):
             trial = np.exp(-r2 / (2.0 * width**2))
             trial *= math.sqrt(rho / integrate(g, np.abs(trial) ** 2))
-            assert res.energy < _energy(trial.astype(complex), g, model2d)[0]
+            assert res.energy < _energy(trial, rfftn(trial), g, model2d)
 
     def test_radially_nonincreasing_modulus(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
@@ -134,6 +209,16 @@ class TestWitness:
         mu, e_mu = negative_energy_witness(u, m)
         assert e_mu < 0.0
 
+    @pytest.mark.parametrize("imag, message", [(None, "nonzero"), (1e-3, "real")],
+                             ids=["zero_field", "complex_field"])
+    def test_rejects_zero_or_complex_field(self, imag, message):
+        g = Grid(2, 64, 8.0)
+        xs = coordinates(g)
+        gauss = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
+        u = ComplexField(g, np.zeros(g.shape) if imag is None else gauss + 1j * imag * gauss)
+        with pytest.raises(ValueError, match=message):
+            negative_energy_witness(u, ModelParams(Family.CUBIC_LOG_2D, 1.0))
+
     def test_wrong_family(self):
         g = Grid(1, 64, 10.0)
         u = ComplexField(g, np.exp(-g.axis**2))
@@ -154,8 +239,8 @@ class TestSmallMass:
 
         g = Grid(2, 64, 8.0)
         xs = coordinates(g)
-        u = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0).astype(complex)
-        back = _rescale_field(np.fft.fftn(u), g, 1.0)
+        u = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
+        back = _rescale_field(rfftn(u), g, 1.0)
         assert np.max(np.abs(back - u)) <= 1e-12
 
 
