@@ -12,8 +12,10 @@ import copy
 import dataclasses
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,42 +38,20 @@ from .groundstate import (
     radial_observables,
 )
 from .minimize import minimize_energy
-from .model import Family, ModelParams, amplitude_roots
+from .model import Family, ModelParams, stationary_amplitude
 from .snapshots import format_float, write_csv, write_snapshot
-
-EXPERIMENTS = (
-    "ground",
-    "evolve",
-    "stability",
-    "minimize",
-    "sweep_mass",
-    "convexity1d",
-    "contrast_blowup",
-    "pseudoconformal",
-)
 
 # ---------------------------------------------------------------------------
 # config schema: the keys of "grid", "initial" (per kind) and "perturbation"
-# are the init fields of the dataclasses they build
+# are the init fields of the dataclasses they build; the top-level keys of
+# each experiment are its entry in EXPERIMENTS, after the runners
 # ---------------------------------------------------------------------------
 
 _INITIAL_KINDS = {"ground_state": GroundStateInit, "gaussian": GaussianInit,
                   "snapshot": SnapshotInit}
 _MODEL_KEYS = {"family", "lambda", "omega"}
-_TIME_KEYS = {"dt", "t_final", "sample_every"}
 _OUTPUT_KEYS = {"csv_path", "summary_json_path", "snapshot_paths", "snapshot_times"}
-_POSITIVE_KEYS = ("rho", "tol", "fd_delta", "blowup_deadline")
-
-_TOP_KEYS = {
-    "ground": {"experiment", "model", "outputs", "seed", "tol"},
-    "evolve": {"experiment", "model", "grid", "time", "initial", "perturbation", "outputs", "seed"},
-    "stability": {"experiment", "model", "grid", "time", "initial", "perturbation", "outputs", "seed"},
-    "minimize": {"experiment", "model", "grid", "outputs", "seed", "rho", "tol", "precondition"},
-    "sweep_mass": {"experiment", "model", "outputs", "seed", "omega_list", "tol"},
-    "convexity1d": {"experiment", "model", "outputs", "seed", "omega_grid", "fd_delta"},
-    "contrast_blowup": {"experiment", "model", "grid", "time", "initial", "outputs", "seed", "blowup_deadline"},
-    "pseudoconformal": {"experiment", "model", "grid", "time", "initial", "outputs", "seed", "refine_dt"},
-}
+_COMMON_KEYS = {"experiment", "model", "outputs", "seed"}
 
 
 def _of_type(kind, what: str):
@@ -96,6 +76,19 @@ def _number(value) -> float:
     return x
 
 
+def _positive(value) -> float:
+    x = _number(value)
+    if not x > 0:
+        raise ConfigError(f"must be positive, got {value!r}")
+    return x
+
+
+def _precondition(value):
+    if value is not None and value is not True:
+        raise ConfigError(f"{value!r} is not true or null: plain descent was removed")
+    return value
+
+
 def _tuple_of(convert):
     """Converter of a JSON array of ``convert`` items; null or [] reads as None."""
     def read(value):
@@ -115,6 +108,23 @@ def _read(convert, value, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _read_keys(schema: dict, section: dict, where: str = "") -> dict:
+    """Each key of ``schema`` {key: (converter, default)} read once from ``section``.
+
+    A missing key takes its default; with none (``dataclasses.MISSING``) it is an error.
+    """
+    values = {}
+    for key, (convert, default) in schema.items():
+        name = f"{where}.{key}" if where else key
+        if key in section:
+            values[key] = _read(convert, section[key], name)
+        elif default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {name!r}")
+        else:
+            values[key] = default
+    return values
+
+
 # config value -> dataclass field value, by the field's annotation
 _CONVERT = {
     "int": _integer,
@@ -125,24 +135,20 @@ _CONVERT = {
     "tuple[int, ...] | None": _tuple_of(_integer),
 }
 
-# {dataclass: {key: (converter, required)}} for each section that builds one; made at
+# {dataclass: {key: (converter, default)}} for each section that builds one; made at
 # import, so a field whose annotation _CONVERT lacks fails here, not as a config error
 _SCHEMA = {
-    cls: {f.name: (_CONVERT[f.type], f.default is dataclasses.MISSING)
-          for f in dataclasses.fields(cls) if f.init}
+    cls: {f.name: (_CONVERT[f.type], f.default) for f in dataclasses.fields(cls) if f.init}
     for cls in (_grid.Grid, *_INITIAL_KINDS.values(), Perturbation)
 }
+# the "time" section, read into the EvolutionConfig fields of the same names
+_TIME = {"dt": (_number, dataclasses.MISSING), "t_final": (_number, dataclasses.MISSING),
+         "sample_every": (_integer, 1)}
 
 
 def _from_section(cls, section: dict, where: str):
     """The dataclass ``cls`` built from a section whose keys are its init fields."""
-    kwargs = {}
-    for key, (convert, required) in _SCHEMA[cls].items():
-        if key in section:
-            kwargs[key] = _read(convert, section[key], f"{where}.{key}")
-        elif required:
-            raise ConfigError(f"missing key {key!r} in {where}")
-    return cls(**kwargs)
+    return cls(**_read_keys(_SCHEMA[cls], section, where))
 
 
 # lists that are values in their own right, never swept: tuple fields and these
@@ -201,11 +207,12 @@ def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     exp = config.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {exp!r}")
-    _check_keys(config, _TOP_KEYS[exp], "top level")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
+    spec = EXPERIMENTS[exp]
+    _check_keys(config, _COMMON_KEYS | set(spec.sections) | spec.scalars.keys(), "top level")
     _section(config, "model", _MODEL_KEYS)
-    for name, allowed in (("grid", _SCHEMA[_grid.Grid].keys()), ("time", _TIME_KEYS)):
+    for name, allowed in (("grid", _SCHEMA[_grid.Grid].keys()), ("time", _TIME.keys())):
         if name in config:
             _section(config, name, allowed)
     if "initial" in config:
@@ -217,10 +224,10 @@ def validate_config(config: dict) -> dict:
         _section(config, "perturbation", _SCHEMA[Perturbation].keys())
     # an evolution's snapshot times are checked against its dt lattice by EvolutionConfig
     times = _outputs(config).get("snapshot_times", [])
-    if exp == "minimize" and times not in ([], [0.0]):
-        raise ConfigError("minimize writes one snapshot, requested as snapshot_times [0.0]")
-    if times and exp not in ("evolve", "stability", "minimize"):
-        raise ConfigError(f"the {exp} experiment writes no snapshots")
+    writes = spec.snapshot_times
+    if writes is not None and times and times != list(writes):
+        raise ConfigError(f"the {exp} experiment writes snapshots only at times {list(writes)}"
+                          if writes else f"the {exp} experiment writes no snapshots")
     config.setdefault("seed", 0)
     return config
 
@@ -235,34 +242,24 @@ def _model(section: dict) -> ModelParams:
 
 
 def _parse(config: dict) -> dict:
-    """The typed "model", "grid", "evolution", "omegas" and flags of a validated config.
+    """The typed "model", "grid", "evolution" and scalar keys of a validated config.
 
-    Built, and the positive scalars checked, before any numerical work starts.
+    Every value is read once, and checked, before any numerical work starts.
     """
-    for key in _POSITIVE_KEYS:
-        if key in config and not _read(_number, config[key], key) > 0:
-            raise ConfigError(f"{key} must be positive, got {config[key]!r}")
-    keys = _TOP_KEYS[config["experiment"]]
-    model = _model(config["model"])
-    typed = {"model": model}
-    if "grid" in keys:
+    spec = EXPERIMENTS[config["experiment"]]
+    typed = _read_keys(spec.scalars, config)
+    model = typed["model"] = _model(config["model"])
+    if "grid" in spec.sections:
         typed["grid"] = _from_section(_grid.Grid, _section(config, "grid"), "grid")
         if typed["grid"].dim != model.dim:
             raise ConfigError(f"grid.dim {typed['grid'].dim} differs from the "
                               f"{model.family.value} dimension {model.dim}")
-    if "time" in keys:
+    if "time" in spec.sections:
         typed["evolution"] = _evolution_config(config, model, typed["grid"])
         if isinstance(typed["evolution"].initial, GroundStateInit):
             model.with_omega(typed["evolution"].initial.omega)  # checks the window
-    if config.get("precondition") is not None:
-        typed["precondition"] = _read(_boolean, config["precondition"], "precondition")
-    if "refine_dt" in keys:
-        typed["refine_dt"] = _read(_boolean, config.get("refine_dt", True), "refine_dt")
-    if "fd_delta" in keys:
-        typed["fd_delta"] = _read(_number, config.get("fd_delta", 1e-4), "fd_delta")
-    for key in ("omega_list", "omega_grid"):
-        if key in keys:
-            typed["omegas"] = _frequencies(config, key, model, typed.get("fd_delta"))
+    for key in _LIST_FAMILY.keys() & typed.keys():
+        _check_frequencies(config["experiment"], key, typed)
     return typed
 
 
@@ -270,41 +267,36 @@ def _parse(config: dict) -> dict:
 _LIST_FAMILY = {"omega_list": Family.CUBIC_LOG_2D, "omega_grid": Family.QUINTIC_LOG_1D}
 
 
-def _frequencies(config: dict, key: str, model: ModelParams, delta: float | None) -> tuple:
-    """The frequency list ``key``, each frequency checked against the window it is solved in.
+def _check_frequencies(experiment: str, key: str, typed: dict):
+    """Each frequency of the list ``typed[key]`` checked against the window it is solved in.
 
-    ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than
-    one point its finite-difference neighbours omega +- ``delta`` lie in the window too.
+    ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than one
+    point its finite-difference neighbours omega +- ``fd_delta`` lie in the window too.
     """
-    omegas = _read(_tuple_of(_number), config.get(key), key)
+    omegas, model = typed[key], typed["model"]
     if not omegas:
         raise ConfigError(f"{key} needs at least one frequency")
     family = _LIST_FAMILY[key]
     if model.family is not family:
-        raise ConfigError(f"{config['experiment']} computes on {family.value}, "
-                          f"not {model.family.value}")
+        raise ConfigError(f"{experiment} computes on {family.value}, not {model.family.value}")
     for omega in omegas:
         if key == "omega_list":
             model.with_omega(omega)  # checks the window
             continue
         curvature_model(model.lam, omega)  # the window and its 5% edge margin
         if len(omegas) > 1:  # the finite-difference neighbours
-            model.with_omega(omega - delta)
-            model.with_omega(omega + delta)
-    return omegas
+            model.with_omega(omega - typed["fd_delta"])
+            model.with_omega(omega + typed["fd_delta"])
 
 
 def _evolution_config(config: dict, model: ModelParams, grid: _grid.Grid) -> EvolutionConfig:
     """The evolution a config asks for; runners vary it with dataclasses.replace."""
-    tsec = _section(config, "time")
     initial = _section(config, "initial")
     pert = config.get("perturbation")
     return EvolutionConfig(
         model=model,
         grid=grid,
-        dt=_read(_number, tsec["dt"], "time.dt"),
-        t_final=_read(_number, tsec["t_final"], "time.t_final"),
-        sample_every=_read(_integer, tsec.get("sample_every", 1), "time.sample_every"),
+        **_read_keys(_TIME, _section(config, "time"), "time"),
         initial=_from_section(_INITIAL_KINDS[initial["kind"]], initial, "initial"),
         perturbation=_from_section(Perturbation, pert, "perturbation") if pert else None,
         snapshot_times=tuple(float(t) for t in config.get("outputs", {}).get("snapshot_times", [])),
@@ -365,14 +357,11 @@ class Assertions:
     def __init__(self):
         self.items: list[dict] = []
 
+    _COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+                "==": operator.eq}
+
     def check(self, name: str, value, threshold, comparator: str = "<="):
-        ok = {
-            "<=": value <= threshold,
-            ">=": value >= threshold,
-            "<": value < threshold,
-            ">": value > threshold,
-            "==": value == threshold,
-        }[comparator]
+        ok = self._COMPARE[comparator](value, threshold)
         self.items.append(
             {
                 "name": name,
@@ -417,8 +406,7 @@ def _run_ground(config, typed, outputs, asserts: Assertions):
     model = typed["model"]
     if model.omega is None:
         raise ConfigError("ground experiment requires model.omega")
-    tol = float(config.get("tol", 1e-7))
-    profile = find_ground_state(model, tol=tol)
+    profile = find_ground_state(model, tol=typed["tol"])
     obs = radial_observables(profile)
     r1, r2, rv = profile.residuals
     asserts.check("pohozaev_r1", abs(r1), 1e-6)
@@ -437,7 +425,7 @@ def _run_ground(config, typed, outputs, asserts: Assertions):
         "pohozaev_rV": rv,
     }
     if model.family is Family.CUBIC_LOG_2D:
-        _, sqz = amplitude_roots(model)
+        sqz = stationary_amplitude(model)
         asserts.check("amplitude_below_sqrt_z_omega", profile.center_value, sqz, "<")
         metrics["sqrt_z_omega"] = sqz
     if outputs.get("csv_path"):
@@ -499,9 +487,8 @@ def _run_stability(config, typed, outputs, asserts: Assertions):
 
 def _run_minimize(config, typed, outputs, asserts: Assertions):
     model, g = typed["model"], typed["grid"]
-    rho = float(config["rho"])
-    tol = float(config.get("tol", 1e-6))
-    res = minimize_energy(rho, g, model, tol=tol, precondition=typed.get("precondition"))
+    rho, tol = typed["rho"], typed["tol"]
+    res = minimize_energy(rho, g, model, tol=tol)
     mass = _grid.integrate(g, np.abs(res.field.values) ** 2)
     asserts.check("residual", res.residual, tol)
     asserts.check("mass_constraint", abs(mass - rho) / rho, 1e-12)
@@ -525,8 +512,8 @@ def _run_minimize(config, typed, outputs, asserts: Assertions):
 
 
 def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
-    lam, tol = typed["model"].lam, float(config.get("tol", 1e-9))
-    rows, mass_q = mass_asymptotics_sweep(lam, typed["omegas"], tol=tol)
+    rows, mass_q = mass_asymptotics_sweep(typed["model"].lam, typed["omega_list"],
+                                          tol=typed["tol"])
     masses = [r.mass for r in rows]
     if len(masses) > 1:
         decreasing = all(a > b for a, b in zip(masses, masses[1:]))
@@ -548,7 +535,7 @@ def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
 
 
 def _run_convexity1d(config, typed, outputs, asserts: Assertions):
-    rows = action_convexity_scan(typed["model"].lam, typed["omegas"], delta=typed["fd_delta"])
+    rows = action_convexity_scan(typed["model"].lam, typed["omega_grid"], delta=typed["fd_delta"])
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
         abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows if r.dpp_fd is not None
@@ -581,7 +568,7 @@ def _run_contrast(config, typed, outputs, asserts: Assertions):
     model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
     if model.family is not Family.CUBIC_LOG_2D:
         raise ConfigError("contrast_blowup compares against the 2D cubic-log family")
-    deadline = float(config.get("blowup_deadline", 5.0))
+    deadline = typed["blowup_deadline"]
 
     cubic = ModelParams(Family.PURE_CUBIC_2D, model.lam)
     cfg_cubic = dataclasses.replace(cfg, model=cubic, t_final=deadline, check_invariants=False)
@@ -629,15 +616,31 @@ def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
     return metrics
 
 
-_RUNNERS = {
-    "ground": _run_ground,
-    "evolve": _run_evolve,
-    "stability": _run_stability,
-    "minimize": _run_minimize,
-    "sweep_mass": _run_sweep_mass,
-    "convexity1d": _run_convexity1d,
-    "contrast_blowup": _run_contrast,
-    "pseudoconformal": _run_pseudoconformal,
+class _Experiment(NamedTuple):
+    run: Callable
+    sections: tuple[str, ...]  # top-level sections beside "model" and "outputs"
+    scalars: dict  # top-level key -> (converter, default; dataclasses.MISSING if required)
+    snapshot_times: tuple | None = ()  # the snapshots it writes; None: any on the dt lattice
+
+
+_EVOLVING = ("grid", "time", "initial")
+_REQUIRED_FREQUENCIES = (_tuple_of(_number), dataclasses.MISSING)
+
+# the one table of experiments; a runner reads its values from ``typed``, so a
+# default never enters the config that summaries and CSV headers echo
+EXPERIMENTS = {
+    "ground": _Experiment(_run_ground, (), {"tol": (_positive, 1e-7)}),
+    "evolve": _Experiment(_run_evolve, (*_EVOLVING, "perturbation"), {}, None),
+    "stability": _Experiment(_run_stability, (*_EVOLVING, "perturbation"), {}, None),
+    "minimize": _Experiment(_run_minimize, ("grid",), {
+        "rho": (_positive, dataclasses.MISSING), "tol": (_positive, 1e-6),
+        "precondition": (_precondition, None)}, (0.0,)),
+    "sweep_mass": _Experiment(_run_sweep_mass, (), {
+        "omega_list": _REQUIRED_FREQUENCIES, "tol": (_positive, 1e-9)}),
+    "convexity1d": _Experiment(_run_convexity1d, (), {
+        "omega_grid": _REQUIRED_FREQUENCIES, "fd_delta": (_positive, 1e-4)}),
+    "contrast_blowup": _Experiment(_run_contrast, _EVOLVING, {"blowup_deadline": (_positive, 5.0)}),
+    "pseudoconformal": _Experiment(_run_pseudoconformal, _EVOLVING, {"refine_dt": (_boolean, True)}),
 }
 
 
@@ -671,7 +674,7 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     asserts = Assertions()
     code = 0
     try:
-        metrics = _RUNNERS[config["experiment"]](config, typed, outputs, asserts)
+        metrics = EXPERIMENTS[config["experiment"]].run(config, typed, outputs, asserts)
         summary["metrics"] = metrics
         summary["error"] = None
     except _FAULTS as exc:
@@ -745,6 +748,8 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         if not aggregate_csv:
             raise ConfigError("sweep requires outputs.csv_path for the aggregate table")
         values = _get_leaf(base, leaf)
+        if not values:
+            raise ConfigError(f"the swept list {'.'.join(leaf)} is empty")
         points = [_sweep_point(base, leaf, value, i) for i, value in enumerate(values)]
         agg_path = _writable(Path(out_dir or ".") / aggregate_csv)
     except _FAULTS as exc:
@@ -805,7 +810,7 @@ def _quick_config(args) -> dict:
             "summary_json_path": f"{args.out}_summary.json",
         },
     }
-    if experiment in ("evolve", "stability", "pseudoconformal", "contrast_blowup"):
+    if "time" in EXPERIMENTS[experiment].sections:
         config["grid"] = {
             "dim": 2,
             "n": args.n if args.n is not None else 256,
@@ -861,17 +866,11 @@ def main(argv=None) -> int:
             config = _quick_config(args)
         else:
             raise ConfigError("sweep requires --config")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "run":
-        code, summary = run_config(config, args.out_dir)
-    else:
-        code, summary = run_sweep(config, args.out_dir)
+    code, summary = (run_config if args.command == "run" else run_sweep)(config, args.out_dir)
     if summary.get("error"):
         print(f"error[{summary['error']['code']}]: {summary['error']['message']}", file=sys.stderr)
     for item in summary.get("assertions", []):

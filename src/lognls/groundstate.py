@@ -30,8 +30,6 @@ from .errors import (
     GridTooSmall,
     IntegratorFailure,
     NonPositiveB,
-    NonPositiveLambda,
-    OmegaOutOfWindow,
     ConservationError,
 )
 from .model import (
@@ -39,12 +37,11 @@ from .model import (
     ModelParams,
     Observables,
     _DENSITY_CLAMP,
-    _bisect_root,
     _density_log,
     amplitude_roots,
-    omega_window,
+    positive_G_zero,
     potential_G,
-    turning_density,
+    stationary_amplitude,
 )
 
 # DP5 tolerances of every shot, and the node count of a returned profile
@@ -153,6 +150,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
+# A scalar copy of model.nonlinear_phase_rate: the array call makes a solve ~5x slower
 def _make_rhs(model: ModelParams, omega: float):
     lam = model.lam
     dim = model.dim
@@ -293,7 +291,7 @@ def shoot(
     """Integrate one trajectory out to ``default_r_max`` and classify it."""
     if b <= 0:
         raise NonPositiveB(f"initial amplitude must be positive, got {b}")
-    omega = _resolve_omega(model, omega)
+    omega = _at_omega(model, omega).omega
     cls, rs, ps, qs = _integrate_radial(model, omega, b, default_r_max(omega), store)
     result = ShotResult(cls, rs[-1], ps[-1], qs[-1])
     if store:
@@ -303,58 +301,9 @@ def shoot(
     return result
 
 
-def _resolve_omega(model: ModelParams, omega: float | None) -> float:
-    if omega is None:
-        omega = model.require_omega()
-    if model.family is Family.PURE_CUBIC_2D:
-        if omega <= 0:
-            raise OmegaOutOfWindow("pure cubic shooting requires omega > 0")
-        return float(omega)
-    if model.lam <= 0:
-        raise NonPositiveLambda("ground-state operations require lam > 0")
-    lo, hi = omega_window(model)
-    if not lo < omega < hi:
-        raise OmegaOutOfWindow(f"omega={omega} outside ({lo}, {hi})")
-    return float(omega)
-
-
-def _positive_G_zero(model: ModelParams, omega: float) -> float:
-    """Smallest z > 0 with G(z) = 0; below it trajectories cannot decay."""
-    lam = model.lam
-    if model.family is Family.PURE_CUBIC_2D:
-        return math.sqrt(2.0 * omega / lam)
-    if model.family is Family.CUBIC_LOG_2D:
-        # z^2 (1/4 - ln z) = omega/lam on (0, e^{-1/4}) where the lhs increases
-        target = omega / lam
-
-        def eq(z):
-            lz = math.log(z)
-            return z * z * (0.25 - lz) - target, 2.0 * z * (0.25 - lz) - z
-
-        return _bisect_root(eq, 1e-12, math.exp(-0.25))
-    return math.sqrt(turning_density(model.with_omega(omega)))
-
-
-def _upper_amplitude(model: ModelParams, omega: float) -> float:
-    """Largest amplitude worth shooting from, just below the stationary point of g.
-
-    The stationary point itself is an exact equilibrium of the radial ODE, so
-    its classification flips on the rounding of the root; every amplitude
-    strictly below it (and above the true profile amplitude) overshoots.
-    """
-    if model.family is Family.CUBIC_LOG_2D:
-        return amplitude_roots(model.with_omega(omega))[1] * (1.0 - 1e-9)
-    if model.family is Family.QUINTIC_LOG_1D:
-        # y^2 ln y = -omega/lam, upper root on (e^{-1/2}, 1); amplitude sqrt(y)
-        target = -omega / model.lam
-
-        def eq(y):
-            ly = math.log(y)
-            return y * y * ly - target, y * (2.0 * ly + 1.0)
-
-        y = _bisect_root(eq, math.exp(-0.5), 1.0)
-        return math.sqrt(y) * (1.0 - 1e-9)
-    return 2.0 * math.sqrt(2.0 * omega / model.lam)
+def _at_omega(model: ModelParams, omega: float | None) -> ModelParams:
+    """``model`` at ``omega`` (default: its own), the window checked by ``ModelParams``."""
+    return model.with_omega(model.require_omega() if omega is None else float(omega))
 
 
 def _classify(model, omega, b, r_max):
@@ -375,11 +324,17 @@ def find_ground_state(
     """
     if not 1e-13 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-13, 1e-2]")
-    omega = _resolve_omega(model, omega)
+    model = _at_omega(model, omega)
+    omega = model.omega
     r_max = default_r_max(omega)
 
-    lo = _positive_G_zero(model, omega)
-    hi = _upper_amplitude(model, omega)
+    lo = positive_G_zero(model)
+    hi = 2.0 * lo
+    if model.family is not Family.PURE_CUBIC_2D:
+        # Just below the stationary point of g: that point is an exact equilibrium
+        # of the radial ODE, so its classification flips on the rounding of the
+        # root; every amplitude strictly below it (and above the profile's) overshoots.
+        hi = stationary_amplitude(model) * (1.0 - 1e-9)
     if model.family is Family.QUINTIC_LOG_1D:
         # in 1D the G-zero is the exact amplitude; start the bracket below it
         lo *= 0.95
@@ -468,7 +423,7 @@ def find_ground_state(
     tail_coeff = float(values[-1] * math.exp(tail_rate * r_nodes[-1]))
 
     profile = RadialProfile(
-        model=model if model.omega == omega else model.with_omega(omega),
+        model=model,
         omega=omega,
         r_nodes=r_nodes,
         values=values,
@@ -618,15 +573,14 @@ def radial_observables(profile: RadialProfile) -> Observables:
 def uniqueness_certificate(
     model: ModelParams, omega: float | None = None, samples: int = 10_000
 ) -> UniquenessCertificate:
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise OmegaOutOfWindow("uniqueness certificate applies to the 2D cubic-log family")
-    omega = _resolve_omega(model, omega)
-    lam = model.lam
+    """The three sign conditions of the uniqueness proof, sampled (2D cubic-log family only)."""
+    model = _at_omega(model, omega)
+    omega, lam = model.omega, model.lam
     wl = omega / lam
     zstar = math.exp(-0.25)
 
-    u1 = _positive_G_zero(model, omega)
-    alpha, sqz = amplitude_roots(model.with_omega(omega))
+    u1 = positive_G_zero(model)
+    alpha, sqz = amplitude_roots(model)
 
     def gtilde(z):
         return z * z * 0.25 - z * z * np.log(z) - wl
@@ -639,8 +593,7 @@ def uniqueness_certificate(
     )
 
     z_mid = u1 + mids * (sqz - u1)
-    m = model.with_omega(omega)
-    g_positive = bool(np.all(potential_G(z_mid, m) > 0.0))
+    g_positive = bool(np.all(potential_G(z_mid, model) > 0.0))
 
     sign_expr = 4.0 * lam * z_mid ** 3 * (
         2.0 * omega * (1.0 + np.log(z_mid)) - lam * z_mid ** 2

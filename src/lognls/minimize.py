@@ -1,6 +1,6 @@
 """Constrained energy minimization on the mass sphere by normalized descent.
 
-The descent step is u <- renormalize(u - tau * P grad E(u)) with optional
+The descent step is u <- renormalize(u - tau * P grad E(u)) with the
 spectral preconditioner P = (1 + |k|^2)^{-1} and backtracking on energy
 increase; convergence is declared on the eigen-residual
 ||grad E(u) + omega u|| / ||u||, which certifies the stationary equation
@@ -93,7 +93,6 @@ def minimize_energy(
     grid: _grid.Grid,
     model: ModelParams,
     tol: float = 1e-8,
-    precondition: bool | None = None,
 ) -> MinimizerResult:
     """Gradient flow on the sphere M(u) = rho from a Gaussian, stopping on the eigen-residual."""
     if rho <= 0:
@@ -102,8 +101,6 @@ def minimize_energy(
         raise ValueError("minimization requires lam > 0")
     if model.family is Family.PURE_CUBIC_2D:
         raise UnsupportedFamily("the pure cubic energy is not bounded below at fixed mass")
-    if precondition is None:
-        precondition = grid.n >= 512
 
     g = grid
     xs = _grid.coordinates(g)
@@ -112,11 +109,8 @@ def minimize_energy(
     values = np.exp(-r2 / (2.0 * width ** 2))
     values = values * math.sqrt(rho / _grid.integrate(g, values * values))
 
-    kmax2 = float(np.max(g.k2))
-    tau0 = 0.1 / (1.0 + 0.5 * kmax2)
-    tau = 1.0 if precondition else tau0
-    tau_cap = 4.0 if precondition else 10.0 * tau0
-    pinv = 1.0 / (1.0 + _half_k2(g)) if precondition else 1.0
+    tau = 1.0
+    pinv = 1.0 / (1.0 + _half_k2(g))
 
     coeffs = rfftn(values)
     e_cur = _energy(values, coeffs, g, model)
@@ -144,7 +138,7 @@ def minimize_energy(
             if e_new <= e_cur:
                 values, coeffs = cand, cand_coeffs
                 e_cur = e_new
-                tau = min(tau * 1.3, tau_cap)
+                tau = min(tau * 1.3, 4.0)
                 accepted = True
                 break
             tau *= 0.5

@@ -50,10 +50,11 @@ class ModelParams:
     omega: float | None = None
 
     def __post_init__(self):
+        """The one check of the frequency window: lam = 0 admits no frequency."""
         if self.lam < 0:
             raise NonPositiveLambda(f"coupling must be >= 0, got {self.lam}")
         if self.omega is not None:
-            lo, hi = omega_window_unchecked(self.family, self.lam)
+            lo, hi = omega_window(self) if self.lam > 0 else (0.0, 0.0)
             if not lo < self.omega < hi:
                 raise OmegaOutOfWindow(
                     f"omega={self.omega} outside ({lo}, {hi}) for {self.family.value}"
@@ -74,19 +75,15 @@ class ModelParams:
         return ModelParams(self.family, self.lam, omega)
 
 
-def omega_window_unchecked(family: Family, lam: float) -> tuple[float, float]:
-    if family is Family.CUBIC_LOG_2D:
-        return 0.0, lam / (2.0 * math.sqrt(math.e))
-    if family is Family.QUINTIC_LOG_1D:
-        return 0.0, lam / (6.0 * math.e ** (1.0 / 3.0))
-    return 0.0, math.inf
-
-
 def omega_window(model: ModelParams) -> tuple[float, float]:
     """Open interval of frequencies admitting nontrivial solitary waves."""
     if model.lam <= 0:
         raise NonPositiveLambda("frequency window requires lam > 0")
-    return omega_window_unchecked(model.family, model.lam)
+    if model.family is Family.CUBIC_LOG_2D:
+        return 0.0, model.lam / (2.0 * math.sqrt(math.e))
+    if model.family is Family.QUINTIC_LOG_1D:
+        return 0.0, model.lam / (6.0 * math.e ** (1.0 / 3.0))
+    return 0.0, math.inf
 
 
 def _bisect_root(f, lo: float, hi: float):
@@ -131,24 +128,34 @@ def amplitude_roots(model: ModelParams) -> tuple[float, float]:
     """
     if model.family is not Family.CUBIC_LOG_2D:
         raise OmegaOutOfWindow("amplitude roots are defined for the 2D cubic-log family")
-    if model.lam <= 0:
-        raise NonPositiveLambda("amplitude roots require lam > 0")
-    omega = model.require_omega()
-    lo, hi = omega_window(model)
-    if not lo < omega < hi:
-        raise OmegaOutOfWindow(f"omega={omega} outside ({lo}, {hi})")
-    target = -omega / model.lam
-    inv_e = 1.0 / math.e
-    if target <= -inv_e:
-        raise OmegaOutOfWindow("roots of y ln y merge at -1/e")
+    target = -model.require_omega() / model.lam
 
     def eq(y):
         ly = math.log(y)
         return y * ly - target, ly + 1.0
 
-    lower = _bisect_root(eq, 1e-300, inv_e)
-    upper = _bisect_root(eq, inv_e, 1.0)
+    lower = _bisect_root(eq, 1e-300, 1.0 / math.e)
+    upper = _bisect_root(eq, 1.0 / math.e, 1.0)
     return math.sqrt(lower), math.sqrt(upper)
+
+
+def stationary_amplitude(model: ModelParams) -> float:
+    """sqrt(z_omega): the upper root of rate(phi^2) = -omega, the stationary point of g.
+
+    2D cubic-log: the upper root of ``amplitude_roots``; 1D quintic-log:
+    y^2 ln y = -omega/lam on (e^{-1/2}, 1), with phi = sqrt(y).
+    """
+    if model.family is Family.CUBIC_LOG_2D:
+        return amplitude_roots(model)[1]
+    if model.family is not Family.QUINTIC_LOG_1D:
+        raise OmegaOutOfWindow("the stationary amplitude is defined for the log families")
+    target = -model.require_omega() / model.lam
+
+    def eq(y):
+        ly = math.log(y)
+        return y * y * ly - target, y * (2.0 * ly + 1.0)
+
+    return math.sqrt(_bisect_root(eq, math.exp(-0.5), 1.0))
 
 
 def turning_density(model: ModelParams) -> float:
@@ -166,6 +173,26 @@ def turning_density(model: ModelParams) -> float:
         return s * s * (1.0 / 3.0 - ls) - target, s * (-1.0 / 3.0 - 2.0 * ls)
 
     return _bisect_root(eq, 1e-12, math.exp(-1.0 / 6.0))
+
+
+def positive_G_zero(model: ModelParams) -> float:
+    """Smallest z > 0 with G(z) = 0; below it shooting trajectories cannot decay.
+
+    2D cubic-log: z^2 (1/4 - ln z) = omega/lam on (0, e^{-1/4}), where the
+    left side increases; 1D quintic-log: the square root of ``turning_density``.
+    """
+    omega = model.require_omega()
+    if model.family is Family.PURE_CUBIC_2D:
+        return math.sqrt(2.0 * omega / model.lam)
+    if model.family is Family.QUINTIC_LOG_1D:
+        return math.sqrt(turning_density(model))
+    target = omega / model.lam
+
+    def eq(z):
+        lz = math.log(z)
+        return z * z * (0.25 - lz) - target, 2.0 * z * (0.25 - lz) - z
+
+    return _bisect_root(eq, 1e-12, math.exp(-0.25))
 
 
 def _density_log(rho: np.ndarray | float) -> np.ndarray | float:
@@ -201,21 +228,6 @@ def potential_density(rho, model: ModelParams):
     return (model.lam / 3.0) * rho ** 3 * (lr - 1.0 / 3.0)
 
 
-def nonlinear_term(z, model: ModelParams):
-    """Right-hand side amplitude function evaluated at |u| = z (z >= 0).
-
-    Continuous at z = 0 (the z^3 ln z^2 limit is taken, never an
-    indeterminate form).
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise NegativeAmplitude("amplitude must be nonnegative")
-    out = z * nonlinear_phase_rate(z * z, model)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def potential_G(z, model: ModelParams):
     """Antiderivative G(z) = int_0^z g, with g = -2 omega z - 2 z * phase_rate(z^2).
 
@@ -246,22 +258,6 @@ class Observables:
     potential: float
     quartic: float
     action: float | None = None
-
-    @property
-    def lagrangian_T(self) -> float:
-        """T of the stationary Lagrangian S = T/2 - V: the gradient norm squared.
-
-        S = E + omega M rearranges to (1/2)||grad u||^2 - int G(u), so
-        T = 2 * kinetic; V below vanishes exactly on stationary states.
-        """
-        return 2.0 * self.kinetic
-
-    @property
-    def lagrangian_V(self) -> float:
-        """V = int G(u) of the stationary Lagrangian, from V = kinetic - action."""
-        if self.action is None:
-            raise MissingOmega("action requires omega")
-        return self.kinetic - self.action
 
 
 def observables(field, model: ModelParams) -> Observables:
@@ -298,6 +294,4 @@ def observables(field, model: ModelParams) -> Observables:
 
 def h1_apriori_bound(initial: Observables, model: ModelParams) -> float:
     """B with (1/2)||grad u(t)||^2 <= B along any solution of the log models."""
-    if model.lam < 0:
-        raise NonPositiveLambda("bound requires lam >= 0")
     return initial.energy + 0.5 * model.lam * math.sqrt(math.e) * initial.mass

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from scipy.fft import ifftn
 
 from lognls.grid import ComplexField, Grid
+from lognls.model import Family, ModelParams, omega_window
+
+LOG_FAMILIES = (Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D)
 
 # Property tests are derandomized and keep no example database, so every run
 # checks the same examples.
@@ -38,3 +41,12 @@ def real_fields(draw, dims=(1, 2)):
     g = field.grid
     checker = (-1.0) ** np.indices(g.shape).sum(axis=0)
     return g, field.values.real + draw(st.floats(min_value=0.0, max_value=0.5)) * checker
+
+
+@st.composite
+def models_in_window(draw, families=LOG_FAMILIES):
+    """A model at lam in [0.5, 2] and omega in [0.01, 0.99] of its window's edge (1 if unbounded)."""
+    family = draw(st.sampled_from(families))
+    lam = draw(st.floats(min_value=0.5, max_value=2.0))
+    edge = min(omega_window(ModelParams(family, lam))[1], 1.0)
+    return ModelParams(family, lam, draw(st.floats(min_value=0.01, max_value=0.99)) * edge)

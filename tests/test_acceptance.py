@@ -286,13 +286,13 @@ def test_criterion_09_minimizer_vs_shooter(profiles):
     profile = profiles[0.1][0]
     rho = radial_observables(profile).mass
     g = Grid(2, 384, 30.0)
-    res = minimize_energy(rho, g, MODEL, tol=1e-6, precondition=True)
+    res = minimize_energy(rho, g, MODEL, tol=1e-6)
     dist, _, _ = orbit_distance(res.field, profile)
     assert dist <= 1e-4
     assert abs(res.lagrange_omega - 0.1) <= 1e-3
     energies = {}
     for rho_k in (0.1, 1.0, 5.0):
-        small = minimize_energy(rho_k, Grid(2, 128, 15.0), MODEL, tol=1e-5, precondition=True)
+        small = minimize_energy(rho_k, Grid(2, 128, 15.0), MODEL, tol=1e-5)
         energies[rho_k] = small.energy
         assert small.energy < 0.0
     report(

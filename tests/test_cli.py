@@ -2,12 +2,13 @@ import copy
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from properties import PROPERTY_SETTINGS
+from properties import PROPERTY_SETTINGS, models_in_window
 
 import lognls.cli
 from lognls.cli import main, run_config, run_sweep, validate_config
@@ -60,6 +61,45 @@ class TestSnapshotFormat:
         write_snapshot(tmp_path / "g.nlsf", ComplexField(g, np.zeros(8)), ModelParams(Family.CUBIC_LOG_2D, 0.0))
         _, meta = read_snapshot(tmp_path / "g.nlsf")
         assert meta["omega"] is None and meta["lam"] == 0.0
+
+
+@st.composite
+def _random_fields(draw):
+    """A field of seeded complex normal samples on a drawn 1D or 2D grid."""
+    g = Grid(draw(st.sampled_from([1, 2])), draw(st.sampled_from([2, 4, 16, 32])),
+             draw(st.floats(min_value=1e-3, max_value=1e3)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@PROPERTY_SETTINGS
+@given(field=_random_fields(), model=models_in_window(tuple(Family)), keep_omega=st.booleans(),
+       t=st.floats(allow_nan=False))
+def test_snapshot_round_trip_is_exact(field, model, keep_omega, t):
+    if not keep_omega:
+        model = ModelParams(model.family, model.lam)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(Path(tmp) / "f.nlsf", field, model, t)
+        back, meta = read_snapshot(Path(tmp) / "f.nlsf")
+    assert back.grid == field.grid
+    assert np.array_equal(_bits(back.values.view(float)), _bits(field.values.view(float)))
+    assert meta["omega"] == model.omega
+    assert np.array_equal(_bits([meta["lam"], meta["t"]]), _bits([model.lam, t]))
+
+
+@PROPERTY_SETTINGS
+@given(rows=st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+                     min_size=1, max_size=8))
+def test_csv_round_trip_is_bit_exact(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "t.csv", ["round trip"], ["a", "b", "c"], rows)
+        comments, cols = read_csv(Path(tmp) / "t.csv")
+    assert comments == ["round trip"]
+    assert np.array_equal(_bits(np.column_stack([cols[k] for k in "abc"])), _bits(rows))
 
 
 def _snapshot_start_config(path):
@@ -241,6 +281,17 @@ class TestSweep:
     def test_no_list_valued_parameter_rejected(self, tmp_path):
         code, agg = run_sweep(_ground_config(), out_dir=str(tmp_path))
         assert code == 2
+
+    def test_empty_swept_list_rejected(self, tmp_path, capsys):
+        cfg = _with(_tiny_minimize(), ("rho",), [])
+        cfg["outputs"]["csv_path"] = "points.csv"
+        code, agg = run_sweep(cfg, out_dir=str(tmp_path / "api"))
+        _assert_config_error(code, agg)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "cli")]) == 2
+        assert "error[ConfigError]" in capsys.readouterr().err
+        assert not (tmp_path / "api").exists() and not (tmp_path / "cli").exists()
 
     def test_two_list_valued_parameters_rejected(self, tmp_path):
         cfg = _ground_config()
@@ -549,6 +600,7 @@ _OUT_OF_RANGE_CASES = {
     "gaussian_width_negative": (_with(_tiny_evolve(), ("initial", "width"), -1.0), "ConfigError"),
     "grid_dim_of_another_family": (_with(_tiny_evolve(), ("grid", "dim"), 1), "ConfigError"),
     "grid_too_small": (_with(_tiny_stability(), ("grid", "half_width"), 1.0), "GridTooSmall"),
+    "precondition_false": (_with(_tiny_minimize(), ("precondition",), False), "ConfigError"),
 }
 
 

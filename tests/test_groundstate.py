@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lognls.errors import GridTooSmall, NonPositiveB, OmegaOutOfWindow
@@ -9,6 +11,7 @@ from lognls.grid import Grid, integrate
 from lognls.groundstate import (
     RadialProfile,
     ShotClass,
+    _make_rhs,
     embed_radial,
     find_ground_state,
     pohozaev_residuals,
@@ -17,7 +20,16 @@ from lognls.groundstate import (
     townes_mass,
     uniqueness_certificate,
 )
-from lognls.model import Family, ModelParams, amplitude_roots, observables
+from lognls.model import (
+    _DENSITY_CLAMP,
+    Family,
+    ModelParams,
+    amplitude_roots,
+    nonlinear_phase_rate,
+    observables,
+)
+
+from properties import PROPERTY_SETTINGS, models_in_window
 
 
 def _g_zero_oracle(omega, lam=1.0):
@@ -28,6 +40,23 @@ def _g_zero_oracle(omega, lam=1.0):
         math.exp(-0.25),
         xtol=1e-15,
     )
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=models_in_window(tuple(Family)),
+    p=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    tiny=st.floats(min_value=0.0, max_value=1e-150, exclude_min=True),
+)
+def test_shooting_force_is_the_model_rate(model, p, tiny):
+    """The DP5 loop's scalar force is 2 (omega p + p rate(p^2)), exactly 2 omega p below the clamp."""
+    rhs = _make_rhs(model, model.omega)
+    force = rhs(1.0, p, 0.0)[1]
+    rate_term = p * float(nonlinear_phase_rate(p * p, model))
+    expected = 2.0 * (model.omega * p + rate_term)
+    assert abs(force - expected) <= 1e-14 * 2.0 * (model.omega * p + abs(rate_term))
+    assert tiny * tiny <= _DENSITY_CLAMP
+    assert rhs(1.0, tiny, 0.0)[1] == 2.0 * model.omega * tiny
 
 
 class TestShoot:

@@ -133,7 +133,7 @@ class TestHalfSpectrum:
 
         for name in calls:
             monkeypatch.setattr(lognls.minimize, name, counted(name))
-        res = minimize_energy(20.0, Grid(2, 32, 8.0), model2d, tol=1e-5, precondition=True)
+        res = minimize_energy(20.0, Grid(2, 32, 8.0), model2d, tol=1e-5)
         trials = calls["_energy"] - 1
         assert trials > res.iterations  # some trial was rejected
         # the start's transform, then one gradient per pass of the loop (the
@@ -147,7 +147,7 @@ class TestMinimize:
     def test_matches_shooting_branch(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
         g = Grid(2, 384, 30.0)
-        res = minimize_energy(rho, g, model2d, tol=1e-6, precondition=True)
+        res = minimize_energy(rho, g, model2d, tol=1e-6)
         assert res.residual <= 1e-6
         dist, _, _ = orbit_distance(res.field, profile_01)
         assert dist <= 1e-4
@@ -157,14 +157,14 @@ class TestMinimize:
 
     def test_energy_negative_and_window_multiplier(self, model2d):
         g = Grid(2, 128, 15.0)
-        res = minimize_energy(1.0, g, model2d, tol=1e-5, precondition=True)
+        res = minimize_energy(1.0, g, model2d, tol=1e-5)
         assert res.energy < 0.0
         assert 0.0 < res.lagrange_omega < 1.0 / (2.0 * math.sqrt(math.e))
 
     def test_beats_trial_states_of_same_mass(self, model2d):
         g = Grid(2, 128, 15.0)
         rho = 2.0
-        res = minimize_energy(rho, g, model2d, tol=1e-5, precondition=True)
+        res = minimize_energy(rho, g, model2d, tol=1e-5)
         xs = coordinates(g)
         r2 = sum(x * x for x in xs)
         for width in (0.5, 1.0, 3.0):
@@ -175,7 +175,7 @@ class TestMinimize:
     def test_radially_nonincreasing_modulus(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
         g = Grid(2, 256, 20.0)
-        res = minimize_energy(rho, g, model2d, tol=1e-6, precondition=True)
+        res = minimize_energy(rho, g, model2d, tol=1e-6)
         mod = np.abs(res.field.values)
         peak = np.unravel_index(np.argmax(mod), mod.shape)
         ray = mod[peak[0], peak[1]:]
@@ -230,7 +230,7 @@ class TestSmallMass:
     def test_tiny_rho_multiplier_in_window(self, model2d):
         # at rho = 1e-3 the box minimizer is a spread state; the multiplier
         # must still land inside the admissible window
-        res = minimize_energy(1e-3, Grid(2, 96, 10.0), model2d, tol=1e-6, precondition=True)
+        res = minimize_energy(1e-3, Grid(2, 96, 10.0), model2d, tol=1e-6)
         assert res.energy < 0.0
         assert 0.0 < res.lagrange_omega < 1.0 / (2.0 * math.sqrt(math.e))
 
@@ -251,7 +251,7 @@ class TestMinimizerPohozaev:
 
         rho = radial_observables(profile_01).mass
         g = Grid(2, 256, 20.0)
-        res = minimize_energy(rho, g, model2d, tol=1e-7, precondition=True)
+        res = minimize_energy(rho, g, model2d, tol=1e-7)
         obs = observables(res.field, model2d)
         w = res.lagrange_omega
         rho_sq = np.abs(res.field.values) ** 2

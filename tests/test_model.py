@@ -18,13 +18,15 @@ from lognls.model import (
     ModelParams,
     amplitude_roots,
     h1_apriori_bound,
-    nonlinear_term,
+    nonlinear_phase_rate,
     observables,
     omega_window,
+    positive_G_zero,
     potential_G,
+    stationary_amplitude,
 )
 
-from properties import PROPERTY_SETTINGS, smooth_fields
+from properties import PROPERTY_SETTINGS, models_in_window, smooth_fields
 
 
 def test_omega_window_values():
@@ -85,35 +87,56 @@ def test_amplitude_roots_errors():
         amplitude_roots(ModelParams(Family.CUBIC_LOG_2D, 1.0))
 
 
+@PROPERTY_SETTINGS
+@given(model=models_in_window())
+def test_positive_G_zero_solves_G_below_the_stationary_amplitude(model):
+    z = positive_G_zero(model)
+    assert abs(potential_G(z, model)) <= 1e-12 * model.omega * z * z
+    assert z < stationary_amplitude(model)
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window())
+def test_stationary_amplitude_solves_the_rate_equation(model):
+    phi = stationary_amplitude(model)
+    assert abs(float(nonlinear_phase_rate(phi * phi, model)) + model.omega) <= 1e-12 * model.omega
+
+
+def _nonlinear_term(z, m):
+    """The right-hand side amplitude function z * rate(z^2) at |u| = z."""
+    z = np.asarray(z, dtype=float)
+    return z * nonlinear_phase_rate(z * z, m)
+
+
 def test_nonlinear_term_special_points():
     m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
-    assert nonlinear_term(0.0, m) == 0.0
-    assert nonlinear_term(1.0, m) == 0.0
+    assert _nonlinear_term(0.0, m) == 0.0
+    assert _nonlinear_term(1.0, m) == 0.0
     z = math.exp(-0.5)
-    assert nonlinear_term(z, m) == pytest.approx(-math.exp(-1.5), rel=1e-14)
+    assert _nonlinear_term(z, m) == pytest.approx(-math.exp(-1.5), rel=1e-14)
     with pytest.raises(NegativeAmplitude):
-        nonlinear_term(-0.1, m)
+        potential_G(-0.1, m.with_omega(0.1))
 
 
 def test_nonlinear_term_signs_by_dense_sampling():
     m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
     zs = np.linspace(1e-6, 1.0 - 1e-9, 2000)
-    assert np.all(nonlinear_term(zs, m) < 0)
+    assert np.all(_nonlinear_term(zs, m) < 0)
     zs = np.linspace(1.0 + 1e-9, 5.0, 2000)
-    assert np.all(nonlinear_term(zs, m) > 0)
+    assert np.all(_nonlinear_term(zs, m) > 0)
 
 
 def test_nonlinear_term_families():
     m1 = ModelParams(Family.QUINTIC_LOG_1D, 2.0)
     z = 0.7
-    assert nonlinear_term(z, m1) == pytest.approx(2.0 * z**5 * math.log(z**2), rel=1e-14)
+    assert _nonlinear_term(z, m1) == pytest.approx(2.0 * z**5 * math.log(z**2), rel=1e-14)
     mc = ModelParams(Family.PURE_CUBIC_2D, 1.5)
-    assert nonlinear_term(z, mc) == pytest.approx(-1.5 * z**3, rel=1e-14)
+    assert _nonlinear_term(z, mc) == pytest.approx(-1.5 * z**3, rel=1e-14)
 
 
 def test_amplitude_clamp_is_exact_zero():
     m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
-    assert nonlinear_term(1e-200, m) == 0.0
+    assert _nonlinear_term(1e-200, m) == 0.0
 
 
 def test_potential_G_closed_forms():
@@ -229,9 +252,11 @@ def test_lagrangian_accessors_on_stationary_profile(profile_01):
     from lognls.groundstate import radial_observables
 
     obs = radial_observables(profile_01)
-    # S = T/2 - V exactly, and V vanishes on stationary states
-    assert obs.action == pytest.approx(0.5 * obs.lagrangian_T - obs.lagrangian_V, rel=1e-12)
-    assert abs(obs.lagrangian_V) <= 1e-7 * max(obs.lagrangian_T, 1.0)
+    # S = T/2 - V exactly with T = 2 kinetic and V = kinetic - action, and V
+    # vanishes on stationary states
+    lagrangian_T, lagrangian_V = 2 * obs.kinetic, obs.kinetic - obs.action
+    assert obs.action == pytest.approx(0.5 * lagrangian_T - lagrangian_V, rel=1e-12)
+    assert abs(lagrangian_V) <= 1e-7 * max(lagrangian_T, 1.0)
 
 
 # ---------------------------------------------------------------------------
