@@ -23,6 +23,8 @@ from . import grid as _grid
 from .convexity1d import action_convexity_scan, curvature_model
 from .errors import BlowUpDetected, ConfigError, LogNLSError
 from .evolution import (
+    H1_BOUND_SLACK,
+    MASS_DRIFT_TOL,
     EvolutionConfig,
     GaussianInit,
     GroundStateInit,
@@ -255,12 +257,23 @@ def _parse(config: dict) -> dict:
             raise ConfigError(f"grid.dim {typed['grid'].dim} differs from the "
                               f"{model.family.value} dimension {model.dim}")
     if "time" in spec.sections:
-        typed["evolution"] = _evolution_config(config, model, typed["grid"])
-        if isinstance(typed["evolution"].initial, GroundStateInit):
-            model.with_omega(typed["evolution"].initial.omega)  # checks the window
+        evolution = typed["evolution"] = _evolution_config(config, model, typed["grid"])
+        if isinstance(evolution.initial, GroundStateInit):
+            model.with_omega(evolution.initial.omega)  # checks the window
+        _check_axes(evolution, typed["grid"].dim)
     for key in _LIST_FAMILY.keys() & typed.keys():
         _check_frequencies(config["experiment"], key, typed)
     return typed
+
+
+def _check_axes(evolution: EvolutionConfig, dim: int):
+    """Each tuple field of the initial data and the perturbation has one entry per axis."""
+    for name in ("initial", "perturbation"):
+        section = getattr(evolution, name)
+        for f in dataclasses.fields(section) if section is not None else ():
+            value = getattr(section, f.name)
+            if isinstance(value, tuple) and len(value) != dim:
+                raise ConfigError(f"{name}.{f.name} has {len(value)} entries, not grid.dim {dim}")
 
 
 # the one family each frequency-list experiment computes on
@@ -283,7 +296,7 @@ def _check_frequencies(experiment: str, key: str, typed: dict):
         if key == "omega_list":
             model.with_omega(omega)  # checks the window
             continue
-        curvature_model(model.lam, omega)  # the window and its 5% edge margin
+        curvature_model(model.with_omega(omega))  # the window and its 5% edge margin
         if len(omegas) > 1:  # the finite-difference neighbours
             model.with_omega(omega - typed["fd_delta"])
             model.with_omega(omega + typed["fd_delta"])
@@ -441,7 +454,7 @@ def _run_ground(config, typed, outputs, asserts: Assertions):
 def _run_evolve(config, typed, outputs, asserts: Assertions):
     model, g = typed["model"], typed["grid"]
     traj = evolve(typed["evolution"])
-    asserts.check("mass_drift", traj.mass_drift, 1e-11)
+    asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
     asserts.check("energy_drift", traj.energy_drift, 1e-6)
     asserts.check("momentum_drift", traj.momentum_drift, 1e-9)
     _write_traj(config, outputs, traj, g, model)
@@ -471,11 +484,11 @@ def _run_stability(config, typed, outputs, asserts: Assertions):
         raise ConfigError("stability experiment requires ground_state initial data")
     if cfg.perturbation is None:
         raise ConfigError("stability experiment requires a perturbation")
-    reference = find_ground_state(model, cfg.initial.omega)
+    reference = find_ground_state(model.with_omega(cfg.initial.omega))
     traj = evolve(dataclasses.replace(cfg, reference=reference, track_orbit=True))
     sup_dist = max(traj.orbit_distances)
     asserts.check("sup_orbit_distance", sup_dist, 10.0 * cfg.perturbation.delta)
-    asserts.check("mass_drift", traj.mass_drift, 1e-11)
+    asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
     _write_traj(config, outputs, traj, g, model)
     return {
         "sup_orbit_distance": sup_dist,
@@ -535,7 +548,7 @@ def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
 
 
 def _run_convexity1d(config, typed, outputs, asserts: Assertions):
-    rows = action_convexity_scan(typed["model"].lam, typed["omega_grid"], delta=typed["fd_delta"])
+    rows = action_convexity_scan(typed["model"], typed["omega_grid"], delta=typed["fd_delta"])
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
         abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows if r.dpp_fd is not None
@@ -582,7 +595,7 @@ def _run_contrast(config, typed, outputs, asserts: Assertions):
 
     traj_log = evolve(cfg)
     sup_kin = max(s.kinetic for s in traj_log.samples)
-    asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + 1e-6)
+    asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + H1_BOUND_SLACK)
     _write_traj(config, outputs, traj_log, g, model)
     _write_traj(config, outputs, traj_cubic, g, cubic, suffix="_purecubic")
     blew_up = math.isfinite(blowup_time)

@@ -48,8 +48,6 @@ _MASS_ACTION_REL_TOL = 1e-11
 class TurningPoint:
     a: float
     W_prime_at_a: float
-    omega: float
-    lam: float
 
 
 @dataclass
@@ -58,18 +56,15 @@ class Profile1D:
     values: np.ndarray
     derivs: np.ndarray
     phi_max: float
-    omega: float
-    lam: float
 
 
-def find_turning_point(lam: float, omega: float) -> TurningPoint:
+def find_turning_point(model: ModelParams) -> TurningPoint:
     """Smallest positive zero a of W (``model.turning_density``), and W'(a) < 0 there."""
-    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
     a = turning_density(model)
-    w_prime = omega + float(nonlinear_phase_rate(a, model))
+    w_prime = model.require_omega() + float(nonlinear_phase_rate(a, model))
     if w_prime >= 0.0:
         raise OmegaOutOfWindow("double root: W'(a) >= 0 at the window edge")
-    return TurningPoint(a=a, W_prime_at_a=w_prime, omega=omega, lam=lam)
+    return TurningPoint(a=a, W_prime_at_a=w_prime)
 
 
 def _gauss_segments(fn, edges: np.ndarray) -> np.ndarray:
@@ -92,25 +87,25 @@ def _adaptive_gauss(fn, lo: float, hi: float, rel_tol: float):
     raise QuadratureFailure("composite Gauss quadrature failed to settle")
 
 
-def curvature_model(lam: float, omega: float) -> ModelParams:
-    """The quintic model at ``omega``, refused within 5% of the window edge."""
-    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
-    if omega > 0.95 * omega_window(model)[1]:
+def curvature_model(model: ModelParams) -> ModelParams:
+    """``model``, a quintic model refused within 5% of its window edge."""
+    if model.family is not Family.QUINTIC_LOG_1D:
+        raise OmegaOutOfWindow("the curvature integral is defined for the 1D quintic-log family")
+    if model.require_omega() > 0.95 * omega_window(model)[1]:
         raise OmegaTooCloseToEdge(
             "W'(a) -> 0 within 5% of the window edge; curvature integral is singular"
         )
     return model
 
 
-def dpp_forms(lam: float, omega: float) -> tuple[float, float]:
-    """(general, simplified) evaluations of the curvature integral d''(omega).
+def dpp_forms(model: ModelParams) -> tuple[float, float]:
+    """(general, simplified) evaluations of the curvature integral d''(omega) at ``model.omega``.
 
     Both integrands carry the (s/W)^{1/2} endpoint singularity at s = a,
     absorbed by the substitution s = a - t^2.
     """
-    model = curvature_model(lam, omega)
-    tp = find_turning_point(lam, omega)
-    a = tp.a
+    tp = find_turning_point(curvature_model(model))
+    lam, omega, a = model.lam, model.require_omega(), tp.a
     fa = float(nonlinear_phase_rate(a, model))
     ga = potential_density(a, model)
 
@@ -157,10 +152,9 @@ def dpp_forms(lam: float, omega: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def mass_action_1d(lam: float, omega: float):
-    """(mass, action, energy) of the 1D ground state by amplitude quadrature."""
-    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
-    a = find_turning_point(lam, omega).a
+def mass_action_1d(model: ModelParams):
+    """(mass, action, energy) of the 1D ground state at ``model.omega`` by amplitude quadrature."""
+    a = find_turning_point(model).a
     phimax = math.sqrt(a)
     tmax = math.sqrt(phimax)
 
@@ -182,24 +176,21 @@ def mass_action_1d(lam: float, omega: float):
     mass = _adaptive_gauss(mass_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
     grad2 = _adaptive_gauss(grad_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
     log_sextic = _adaptive_gauss(sextic_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
-    energy = 0.5 * grad2 + (lam / 3.0) * log_sextic
-    action = energy + omega * mass
+    energy = 0.5 * grad2 + (model.lam / 3.0) * log_sextic
+    action = energy + model.require_omega() * mass
     return mass, action, energy
 
 
-def ground_state_1d_quadrature(
-    lam: float, omega: float, n_nodes: int = 4001
-) -> Profile1D:
-    """Even positive profile by inverting x(phi) = int d phi / sqrt(-2G).
+def ground_state_1d_quadrature(model: ModelParams, n_nodes: int = 4001) -> Profile1D:
+    """Even positive profile at ``model.omega`` by inverting x(phi) = int d phi / sqrt(-2G).
 
     The x(phi) table is accumulated with per-segment Gauss rule in two
     charts: t = sqrt(phi_max - phi) near the turning amplitude (square-root
     tangency) and u = ln(phi) down the exponential tail.
     """
-    model = ModelParams(Family.QUINTIC_LOG_1D, lam, omega)
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("n_nodes must be an odd integer >= 3")
-    a = find_turning_point(lam, omega).a
+    a = find_turning_point(model).a
     phimax = math.sqrt(a)
 
     # chart A: phi in [phimax/2, phimax], t = sqrt(phimax - phi)
@@ -240,14 +231,7 @@ def ground_state_1d_quadrature(
     x_nodes = np.concatenate([-x_half[:0:-1], x_half])
     values = np.concatenate([v_half[:0:-1], v_half])
     derivs = np.concatenate([-d_half[:0:-1], d_half])
-    return Profile1D(
-        x_nodes=x_nodes,
-        values=values,
-        derivs=derivs,
-        phi_max=phimax,
-        omega=omega,
-        lam=lam,
-    )
+    return Profile1D(x_nodes=x_nodes, values=values, derivs=derivs, phi_max=phimax)
 
 
 @dataclass
@@ -261,21 +245,23 @@ class ConvexityRow:
 
 
 def action_convexity_scan(
-    lam: float, omega_grid, delta: float = 1e-4
+    model: ModelParams, omega_grid, delta: float = 1e-4
 ) -> list[ConvexityRow]:
-    """Curvature along the branch: quadrature, both printed forms, FD oracle.
+    """Curvature along the branch of ``model`` at each frequency of ``omega_grid``.
 
-    Asserts d''_quad > 0 and strictly increasing mass on the sampled grid.
+    Each row has the quadrature, both printed forms and the FD oracle.  Asserts
+    d''_quad > 0 and strictly increasing mass on the sampled grid.
     """
     omegas = [float(w) for w in omega_grid]
     rows = []
     for omega in omegas:
-        general, simplified = dpp_forms(lam, omega)
-        mass, action, _ = mass_action_1d(lam, omega)
+        at = model.with_omega(omega)
+        general, simplified = dpp_forms(at)
+        mass, action, _ = mass_action_1d(at)
         fd = None
         if len(omegas) > 1:
-            sp = mass_action_1d(lam, omega + delta)[1]
-            sm = mass_action_1d(lam, omega - delta)[1]
+            sp = mass_action_1d(model.with_omega(omega + delta))[1]
+            sm = mass_action_1d(model.with_omega(omega - delta))[1]
             fd = (sp - 2.0 * action + sm) / delta ** 2
         rows.append(
             ConvexityRow(

@@ -100,6 +100,9 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"perturbation kind {self.kind!r} is not one of {PERTURBATION_KINDS}")
+        for name, value in (("delta", self.delta), ("width", self.width)):
+            if not value > 0:
+                raise ValueError(f"perturbation {name} must be positive, got {value}")
 
 
 @dataclass
@@ -242,9 +245,10 @@ def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
     if isinstance(init, _grid.ComplexField):
         fld = init.copy()
     elif isinstance(init, GroundStateInit):
+        model = config.model.with_omega(init.omega)
         profile = config.reference
-        if profile is None or abs(profile.omega - init.omega) > 0:
-            profile = find_ground_state(config.model, init.omega)
+        if profile is None or profile.model != model:
+            profile = find_ground_state(model)
         center = init.center or (0.0,) * g.dim
         fld = embed_radial(profile, g, center=center, phase=init.phase)
     elif isinstance(init, GaussianInit):
@@ -461,9 +465,8 @@ def pseudoconformal_residual(traj: Trajectory, model: ModelParams) -> float:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise InsufficientSamples("pc samples must be uniformly spaced")
     h = float(steps[0])
-    quartic = np.asarray([s.quartic for s in traj.samples])
     lhs = (pc[2:] - pc[:-2]) / (2.0 * h)
-    rhs = -model.lam * t[1:-1] * quartic[1:-1]
+    rhs = pc_identity_rhs(traj, model)[1:-1]
     scale = max(float(np.max(np.abs(pc))), 1.0)
     return float(np.max(np.abs(lhs - rhs))) / scale
 

@@ -69,7 +69,6 @@ class ShotResult:
 @dataclass
 class RadialProfile:
     model: ModelParams
-    omega: float
     r_nodes: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
@@ -150,9 +149,11 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-# A scalar copy of model.nonlinear_phase_rate: the array call makes a solve ~5x slower
-def _make_rhs(model: ModelParams, omega: float):
-    lam = model.lam
+# A scalar copy of model.nonlinear_phase_rate: the array call makes a solve ~5x slower.
+# Every scalar is a Python float: numpy scalars would slow the DP5 loop.
+def _make_rhs(model: ModelParams):
+    omega = model.require_omega()
+    lam = float(model.lam)
     dim = model.dim
     dm1 = dim - 1
     fam = model.family
@@ -188,13 +189,15 @@ def _make_rhs(model: ModelParams, omega: float):
     return rhs
 
 
-def _integrate_radial(model, omega, b, r_max, store):
-    """March the radial ODE from r=0 and classify the trajectory.
+def _integrate_radial(model, b, store):
+    """March the radial ODE from r=0 out to ``default_r_max`` and classify the trajectory.
 
     Returns (classification, rs, ps, qs); the lists are populated only when
     ``store`` is true (plus always the final point).
     """
-    rhs = _make_rhs(model, omega)
+    rhs = _make_rhs(model)
+    omega = model.require_omega()
+    r_max = default_r_max(omega)
     rtol, atol = _RTOL, _ATOL  # locals: the step loop is hot
     r, p, q = 0.0, float(b), 0.0
     k1p, k1q = rhs(r, p, q)
@@ -282,17 +285,11 @@ def default_r_max(omega: float) -> float:
     return 40.0 / math.sqrt(2.0 * omega)
 
 
-def shoot(
-    model: ModelParams,
-    omega: float | None = None,
-    b: float = 1.0,
-    store: bool = False,
-) -> ShotResult:
-    """Integrate one trajectory out to ``default_r_max`` and classify it."""
+def shoot(model: ModelParams, b: float = 1.0, store: bool = False) -> ShotResult:
+    """Integrate one trajectory at ``model.omega`` out to ``default_r_max`` and classify it."""
     if b <= 0:
         raise NonPositiveB(f"initial amplitude must be positive, got {b}")
-    omega = _at_omega(model, omega).omega
-    cls, rs, ps, qs = _integrate_radial(model, omega, b, default_r_max(omega), store)
+    cls, rs, ps, qs = _integrate_radial(model, b, store)
     result = ShotResult(cls, rs[-1], ps[-1], qs[-1])
     if store:
         result.r = np.asarray(rs)
@@ -301,21 +298,12 @@ def shoot(
     return result
 
 
-def _at_omega(model: ModelParams, omega: float | None) -> ModelParams:
-    """``model`` at ``omega`` (default: its own), the window checked by ``ModelParams``."""
-    return model.with_omega(model.require_omega() if omega is None else float(omega))
+def _classify(model, b):
+    return _integrate_radial(model, b, False)[0]
 
 
-def _classify(model, omega, b, r_max):
-    return _integrate_radial(model, omega, b, r_max, False)[0]
-
-
-def find_ground_state(
-    model: ModelParams,
-    omega: float | None = None,
-    tol: float = 1e-7,
-) -> RadialProfile:
-    """Bisect the shooting amplitude and return the certified profile.
+def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
+    """Bisect the shooting amplitude and return the certified profile at ``model.omega``.
 
     ``tol`` is the relative bracket width target; the returned profile passes
     the Pohozaev certification at 10*tol (self-checked).  Bisection always
@@ -324,10 +312,7 @@ def find_ground_state(
     """
     if not 1e-13 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-13, 1e-2]")
-    model = _at_omega(model, omega)
-    omega = model.omega
-    r_max = default_r_max(omega)
-
+    omega = model.require_omega()
     lo = positive_G_zero(model)
     hi = 2.0 * lo
     if model.family is not Family.PURE_CUBIC_2D:
@@ -340,7 +325,7 @@ def find_ground_state(
         lo *= 0.95
 
     for _ in range(120):
-        if _classify(model, omega, lo, r_max) is ShotClass.UNDERSHOOT:
+        if _classify(model, lo) is ShotClass.UNDERSHOOT:
             break
         warnings.warn(
             f"lower bracket endpoint {lo} did not undershoot; expanding down",
@@ -354,7 +339,7 @@ def find_ground_state(
 
     hi_cap = hi * 8.0
     for _ in range(120):
-        if _classify(model, omega, hi, r_max) is ShotClass.OVERSHOOT:
+        if _classify(model, hi) is ShotClass.OVERSHOOT:
             break
         warnings.warn(
             f"upper bracket endpoint {hi} did not overshoot; expanding up",
@@ -372,7 +357,7 @@ def find_ground_state(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        cls = _classify(model, omega, mid, r_max)
+        cls = _classify(model, mid)
         if cls is ShotClass.OVERSHOOT:
             hi = mid
         elif cls is ShotClass.UNDERSHOOT:
@@ -382,7 +367,7 @@ def find_ground_state(
             break
 
     b = 0.5 * (lo + hi)
-    _, rs, ps, qs = _integrate_radial(model, omega, b, r_max, True)
+    _, rs, ps, qs = _integrate_radial(model, b, True)
     rs = np.asarray(rs)
     ps = np.asarray(ps)
     qs = np.asarray(qs)
@@ -424,7 +409,6 @@ def find_ground_state(
 
     profile = RadialProfile(
         model=model,
-        omega=omega,
         r_nodes=r_nodes,
         values=values,
         derivs=derivs,
@@ -527,7 +511,7 @@ def pohozaev_residuals(profile: RadialProfile) -> tuple[float, float, float]:
     has no dilation identity; r2 and rV are both the first-integral identity
     (1/2) int phi'^2 + int G = 0 there.
     """
-    model, omega = profile.model, profile.omega
+    model, omega = profile.model, profile.model.omega
     if profile.values.size == 0 or not np.any(profile.values):
         return (0.0, 0.0, 0.0)
     ints = _radial_integrals(profile)
@@ -561,7 +545,7 @@ def radial_observables(profile: RadialProfile) -> Observables:
         kinetic=kinetic,
         potential=ints["pd"],
         quartic=ints["quartic"],
-        action=energy + profile.omega * ints["mass"],
+        action=energy + profile.model.omega * ints["mass"],
     )
 
 
@@ -570,12 +554,12 @@ def radial_observables(profile: RadialProfile) -> Observables:
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_certificate(
-    model: ModelParams, omega: float | None = None, samples: int = 10_000
-) -> UniquenessCertificate:
-    """The three sign conditions of the uniqueness proof, sampled (2D cubic-log family only)."""
-    model = _at_omega(model, omega)
-    omega, lam = model.omega, model.lam
+def uniqueness_certificate(model: ModelParams, samples: int = 10_000) -> UniquenessCertificate:
+    """The three sign conditions of the uniqueness proof at ``model.omega``, sampled.
+
+    2D cubic-log family only.
+    """
+    omega, lam = model.require_omega(), model.lam
     wl = omega / lam
     zstar = math.exp(-0.25)
 
@@ -639,7 +623,7 @@ def mass_asymptotics_sweep(
     mass_Q = townes_mass(lam, tol=tol)
     rows = []
     for omega in omega_list:
-        profile = find_ground_state(ModelParams(Family.CUBIC_LOG_2D, lam), omega, tol=tol)
+        profile = find_ground_state(ModelParams(Family.CUBIC_LOG_2D, lam, omega), tol=tol)
         mass = radial_observables(profile).mass
         L = math.log(1.0 / omega)
         rows.append(

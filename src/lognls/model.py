@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     MissingOmega,
     NegativeAmplitude,
-    NonFiniteField,
     NonPositiveLambda,
     OmegaOutOfWindow,
 )
@@ -66,8 +65,6 @@ class ModelParams:
 
     def require_omega(self) -> float:
         if self.omega is None:
-            if self.family is Family.PURE_CUBIC_2D:
-                return 1.0  # Q-normalization
             raise MissingOmega("operation requires a frequency omega")
         return float(self.omega)
 
@@ -264,9 +261,8 @@ def observables(field, model: ModelParams) -> Observables:
     """Mass, energy, momentum and friends by spectral gradient + cell quadrature."""
     from . import grid as _grid
 
+    field.check_finite()
     vals = field.values
-    if not np.all(np.isfinite(vals.view(float))):
-        raise NonFiniteField("field contains non-finite samples")
     g = field.grid
     rho = np.abs(vals) ** 2
     mass = _grid.integrate(g, rho)

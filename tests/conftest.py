@@ -12,9 +12,9 @@ def model2d():
 @pytest.fixture(scope="session")
 def profile_01(model2d):
     """Shooting ground state at omega = 0.1, shared by many tests."""
-    return find_ground_state(model2d, 0.1)
+    return find_ground_state(model2d.with_omega(0.1))
 
 
 @pytest.fixture(scope="session")
 def profile_029(model2d):
-    return find_ground_state(model2d, 0.29)
+    return find_ground_state(model2d.with_omega(0.29))

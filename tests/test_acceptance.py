@@ -60,7 +60,7 @@ def profiles():
     out = {}
     for omega in OMEGAS:
         t0 = time.perf_counter()
-        profile = find_ground_state(MODEL, omega)
+        profile = find_ground_state(MODEL.with_omega(omega))
         out[omega] = (profile, time.perf_counter() - t0)
     return out
 
@@ -124,7 +124,7 @@ def pc_runs():
     # boundary terms, so the box must hold the full support: omega = 0.2 on
     # L = 32 leaves a clean dt^2 signal (on L = 20 the dt-independent wrap
     # floor is ~5e-8 and masks the halving law)
-    profile = find_ground_state(MODEL, 0.2)
+    profile = find_ground_state(MODEL.with_omega(0.2))
     g = Grid(2, 416, 32.0)
 
     def one(dt, sample_every):
@@ -304,15 +304,17 @@ def test_criterion_09_minimizer_vs_shooter(profiles):
 
 
 def test_criterion_10_appendix_convexity():
-    rows = action_convexity_scan(1.0, np.linspace(0.005, 0.11, 10))
+    quintic = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
+    rows = action_convexity_scan(quintic, np.linspace(0.005, 0.11, 10))
     assert all(r.dpp_quad > 0.0 for r in rows)
     worst_fd = max(abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows)
     assert worst_fd <= 1e-2
 
-    profile = ground_state_1d_quadrature(1.0, 0.05)
-    tp = find_turning_point(1.0, 0.05)
+    at = quintic.with_omega(0.05)
+    profile = ground_state_1d_quadrature(at)
+    tp = find_turning_point(at)
     assert abs(profile.phi_max**2 - tp.a) <= 1e-10
-    shot = find_ground_state(ModelParams(Family.QUINTIC_LOG_1D, 1.0), 0.05)
+    shot = find_ground_state(at)
     spline = CubicHermiteSpline(shot.r_nodes, shot.values, shot.derivs)
     sel = (profile.x_nodes >= 0.0) & (profile.x_nodes <= shot.r_cut)
     agreement = float(np.max(np.abs(profile.values[sel] - spline(profile.x_nodes[sel]))))
@@ -329,7 +331,7 @@ def test_criterion_11_uniqueness_certificates():
     edge = 1.0 / (2.0 * math.sqrt(math.e))
     for k in range(1, 21):
         omega = edge * k / 21.0
-        cert = uniqueness_certificate(MODEL, omega)
+        cert = uniqueness_certificate(MODEL.with_omega(omega))
         assert cert.all_ok, f"certificate failed at omega={omega}"
         assert cert.alpha < cert.u1 < cert.sqrt_z_omega
     report("criterion-11 uniqueness", True, "20 omegas across the window, all booleans true")

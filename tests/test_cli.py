@@ -508,6 +508,11 @@ def _tiny_stability():
     }
 
 
+def _tiny_bump():
+    return _with(_tiny_stability(), ("perturbation",),
+                 {"kind": "gaussian_bump", "delta": 1e-2, "width": 2.0, "center": [0.0, 0.0]})
+
+
 def _tiny_minimize():
     return {
         "experiment": "minimize",
@@ -599,6 +604,20 @@ _OUT_OF_RANGE_CASES = {
     "gaussian_width_zero": (_with(_tiny_evolve(), ("initial", "width"), 0.0), "ConfigError"),
     "gaussian_width_negative": (_with(_tiny_evolve(), ("initial", "width"), -1.0), "ConfigError"),
     "grid_dim_of_another_family": (_with(_tiny_evolve(), ("grid", "dim"), 1), "ConfigError"),
+    "initial_center_short": (_with(_tiny_evolve(), ("initial", "center"), [1.0]), "ConfigError"),
+    "initial_boost_long": (_with(_tiny_stability(), ("initial", "boost"), [0.1, 0.0, 0.0]),
+                           "ConfigError"),
+    "perturbation_center_short": (_with(_tiny_bump(), ("perturbation", "center"), [0.0]),
+                                  "ConfigError"),
+    "perturbation_mode_long": (_with(_tiny_stability(), ("perturbation", "mode"), [1, 1, 1]),
+                               "ConfigError"),
+    "perturbation_width_zero": (_with(_tiny_bump(), ("perturbation", "width"), 0.0), "ConfigError"),
+    "perturbation_width_negative": (_with(_tiny_bump(), ("perturbation", "width"), -2.0),
+                                    "ConfigError"),
+    "perturbation_delta_zero": (_with(_tiny_stability(), ("perturbation", "delta"), 0.0),
+                                "ConfigError"),
+    "perturbation_delta_negative": (_with(_tiny_bump(), ("perturbation", "delta"), -1e-2),
+                                    "ConfigError"),
     "grid_too_small": (_with(_tiny_stability(), ("grid", "half_width"), 1.0), "GridTooSmall"),
     "precondition_false": (_with(_tiny_minimize(), ("precondition",), False), "ConfigError"),
 }

@@ -59,7 +59,7 @@ class TestStrangStep:
     def test_ground_state_modulus_stationary(self, model2d):
         # box must hold the wrapped tail below the target; on L = 20 the
         # edge amplitude alone is ~3e-6 for omega = 0.2
-        profile = find_ground_state(model2d, 0.2)
+        profile = find_ground_state(model2d.with_omega(0.2))
         g = Grid(2, 416, 32.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=0.002, t_final=3.0, sample_every=500,
@@ -217,6 +217,18 @@ class TestPseudoconformal:
             pseudoconformal_residual(traj, model2d)
 
 
+class TestBuildInitial:
+    def test_reference_of_another_model_is_not_embedded(self, profile_01):
+        """A reference at the initial frequency but another coupling is solved again."""
+        g = Grid(2, 128, 20.0)
+        m2 = ModelParams(Family.CUBIC_LOG_2D, 2.0)
+        cfg = EvolutionConfig(model=m2, grid=g, dt=1e-2, t_final=1e-2,
+                              initial=GroundStateInit(omega=0.1), reference=profile_01)
+        peak = float(np.max(np.abs(evolution.build_initial(cfg).values)))
+        assert peak == find_ground_state(m2.with_omega(0.1)).center_value
+        assert peak != profile_01.center_value
+
+
 class TestConfigGuards:
     def test_dt_accuracy_cap_enforced(self, model2d):
         g = Grid(2, 64, 10.0)
@@ -226,7 +238,7 @@ class TestConfigGuards:
 
     def test_quintic_1d_run_conserves_and_respects_bound(self):
         m = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
-        p = find_ground_state(m, 0.05)
+        p = find_ground_state(m.with_omega(0.05))
         g = Grid(1, 2048, 40.0)
         cfg = EvolutionConfig(model=m, grid=g, dt=5e-3, t_final=5.0, sample_every=100,
                               initial=GroundStateInit(omega=0.05), reference=p)

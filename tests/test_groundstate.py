@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from lognls.errors import GridTooSmall, NonPositiveB, OmegaOutOfWindow
+from lognls.errors import GridTooSmall, MissingOmega, NonPositiveB, OmegaOutOfWindow
 from lognls.grid import Grid, integrate
 from lognls.groundstate import (
     RadialProfile,
@@ -50,7 +50,7 @@ def _g_zero_oracle(omega, lam=1.0):
 )
 def test_shooting_force_is_the_model_rate(model, p, tiny):
     """The DP5 loop's scalar force is 2 (omega p + p rate(p^2)), exactly 2 omega p below the clamp."""
-    rhs = _make_rhs(model, model.omega)
+    rhs = _make_rhs(model)
     force = rhs(1.0, p, 0.0)[1]
     rate_term = p * float(nonlinear_phase_rate(p * p, model))
     expected = 2.0 * (model.omega * p + rate_term)
@@ -62,27 +62,38 @@ def test_shooting_force_is_the_model_rate(model, p, tiny):
 class TestShoot:
     def test_amplitude_at_the_linfty_bound_overshoots(self, model2d):
         _, sqz = amplitude_roots(model2d.with_omega(0.1))
-        res = shoot(model2d, 0.1, b=sqz * (1.0 - 1e-9))
+        res = shoot(model2d.with_omega(0.1), b=sqz * (1.0 - 1e-9))
         assert res.classification is ShotClass.OVERSHOOT
         # the spec's own printed value sits below the root and must overshoot
-        assert shoot(model2d, 0.1, b=0.9452).classification is ShotClass.OVERSHOOT
+        assert shoot(model2d.with_omega(0.1), b=0.9452).classification is ShotClass.OVERSHOOT
 
     def test_just_above_G_zero_undershoots(self, model2d):
-        res = shoot(model2d, 0.1, b=_g_zero_oracle(0.1) + 1e-6)
+        res = shoot(model2d.with_omega(0.1), b=_g_zero_oracle(0.1) + 1e-6)
         assert res.classification is ShotClass.UNDERSHOOT
 
     def test_nonpositive_amplitude_rejected(self, model2d):
         with pytest.raises(NonPositiveB):
-            shoot(model2d, 0.1, b=0.0)
+            shoot(model2d.with_omega(0.1), b=0.0)
 
     def test_omega_outside_window_rejected(self, model2d):
         with pytest.raises(OmegaOutOfWindow):
-            shoot(model2d, 0.31, b=0.5)
+            shoot(model2d.with_omega(0.31), b=0.5)
 
     def test_store_returns_trajectory(self, model2d):
-        res = shoot(model2d, 0.1, b=0.5, store=True)
+        res = shoot(model2d.with_omega(0.1), b=0.5, store=True)
         assert res.r is not None and res.r.size > 50
         assert np.all(np.diff(res.r) > 0)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize(
+    "solve", [lambda m: shoot(m, b=0.5), find_ground_state, uniqueness_certificate],
+    ids=["shoot", "find_ground_state", "uniqueness_certificate"],
+)
+def test_solvers_read_omega_from_the_model(solve, family):
+    """A model without omega has no ground state, the pure cubic included."""
+    with pytest.raises(MissingOmega):
+        solve(ModelParams(family, 1.0))
 
 
 class TestFindGroundState:
@@ -111,7 +122,7 @@ class TestFindGroundState:
         assert max(abs(r) for r in profile_029.residuals) <= 1e-6
 
     def test_bitwise_determinism(self, model2d, profile_01):
-        again = find_ground_state(model2d, 0.1)
+        again = find_ground_state(model2d.with_omega(0.1))
         assert np.array_equal(again.values, profile_01.values)
         assert np.array_equal(again.derivs, profile_01.derivs)
         assert again.tail_rate == profile_01.tail_rate
@@ -119,14 +130,13 @@ class TestFindGroundState:
 
     def test_bad_tolerance_rejected(self, model2d):
         with pytest.raises(ValueError):
-            find_ground_state(model2d, 0.1, tol=1e-14)
+            find_ground_state(model2d.with_omega(0.1), tol=1e-14)
 
 
 class TestPohozaev:
     def test_zero_profile(self, model2d):
         p = RadialProfile(
             model=model2d.with_omega(0.1),
-            omega=0.1,
             r_nodes=np.linspace(0, 10, 101),
             values=np.zeros(101),
             derivs=np.zeros(101),
@@ -139,7 +149,6 @@ class TestPohozaev:
     def test_perturbed_profile_detected(self, profile_01):
         bad = RadialProfile(
             model=profile_01.model,
-            omega=profile_01.omega,
             r_nodes=profile_01.r_nodes,
             values=profile_01.values * 1.01,
             derivs=profile_01.derivs * 1.01,
@@ -164,7 +173,7 @@ class TestTownes:
 
 class TestUniqueness:
     def test_certificate_values_and_ordering(self, model2d):
-        cert = uniqueness_certificate(model2d, 0.1)
+        cert = uniqueness_certificate(model2d.with_omega(0.1))
         u1_oracle = brentq(
             lambda z: z * z * (0.25 - math.log(z)) - 0.1, 1e-9, math.exp(-0.25), xtol=1e-15
         )
@@ -178,19 +187,19 @@ class TestUniqueness:
 
     def test_certificate_near_window_edge(self, model2d):
         edge = 1.0 / (2.0 * math.sqrt(math.e))
-        cert = uniqueness_certificate(model2d, 0.99 * edge)
+        cert = uniqueness_certificate(model2d.with_omega(0.99 * edge))
         assert cert.all_ok
         assert cert.alpha < cert.u1 < cert.sqrt_z_omega
 
     def test_wrong_family_rejected(self):
         with pytest.raises(OmegaOutOfWindow):
-            uniqueness_certificate(ModelParams(Family.QUINTIC_LOG_1D, 1.0), 0.05)
+            uniqueness_certificate(ModelParams(Family.QUINTIC_LOG_1D, 1.0, 0.05))
 
 
 class TestEmbed:
     def test_mass_agreement_cross_quadrature(self, model2d, profile_029):
         # boxes holding the full support meet the 1e-8 cross-quadrature contract
-        p02 = find_ground_state(model2d, 0.2)
+        p02 = find_ground_state(model2d.with_omega(0.2))
         g = Grid(2, 256, 20.0)
         grid_mass = integrate(g, np.abs(embed_radial(p02, g).values) ** 2)
         radial_mass = radial_observables(p02).mass
@@ -222,7 +231,7 @@ class TestEmbed:
             embed_radial(profile_01, Grid(2, 64, 6.0))
 
     def test_off_center_embedding_keeps_mass(self, model2d):
-        p02 = find_ground_state(model2d, 0.2)
+        p02 = find_ground_state(model2d.with_omega(0.2))
         g = Grid(2, 288, 24.0)
         centered = integrate(g, np.abs(embed_radial(p02, g).values) ** 2)
         moved = integrate(
@@ -234,7 +243,7 @@ class TestEmbed:
 class TestQuinticShooting:
     def test_1d_profile_certifies(self):
         m = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
-        p = find_ground_state(m, 0.05)
+        p = find_ground_state(m.with_omega(0.05))
         assert max(abs(r) for r in p.residuals) <= 1e-6
         assert abs(p.tail_rate / math.sqrt(0.1) - 1.0) <= 0.05
         # amplitude equals the positive zero of G: phi(0)^2 = a

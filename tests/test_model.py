@@ -154,6 +154,8 @@ def test_potential_G_closed_forms():
 def test_potential_G_missing_omega():
     with pytest.raises(MissingOmega):
         potential_G(0.5, ModelParams(Family.CUBIC_LOG_2D, 1.0))
+    with pytest.raises(MissingOmega):
+        potential_G(0.5, ModelParams(Family.PURE_CUBIC_2D, 1.0))
 
 
 def test_potential_G_quintic_zero_matches_turning_point():
