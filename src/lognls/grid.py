@@ -93,16 +93,17 @@ class ComplexField:
 
 
 def gradient(field: ComplexField) -> tuple[ComplexField, ...]:
-    g = field.grid
-    coeffs = fftn(field.values)
-    if g.dim == 1:
-        return (ComplexField(g, ifftn(1j * g.k_deriv * coeffs, overwrite_x=True)),)
-    kx = g.k_deriv[:, None]
-    ky = g.k_deriv[None, :]
-    return (
-        ComplexField(g, ifftn(1j * kx * coeffs, overwrite_x=True)),
-        ComplexField(g, ifftn(1j * ky * coeffs, overwrite_x=True)),
-    )
+    return spectral_gradient(field.grid, fftn(field.values))
+
+
+def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> tuple[ComplexField, ...]:
+    """Gradient components of the field whose forward transform is ``coeffs``.
+
+    An odd derivative, so it multiplies by k_deriv: a real field keeps a real
+    gradient.  One inverse transform per axis; ``coeffs`` is left untouched.
+    """
+    ks = (grid.k_deriv,) if grid.dim == 1 else (grid.k_deriv[:, None], grid.k_deriv[None, :])
+    return tuple(ComplexField(grid, ifftn(1j * k * coeffs, overwrite_x=True)) for k in ks)
 
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:
@@ -113,21 +114,36 @@ def integrate(grid: Grid, samples: np.ndarray) -> float:
     return float(np.real(np.sum(samples))) * grid.dx ** grid.dim
 
 
-def spectral_h1_norm(grid: Grid, coeffs: np.ndarray) -> float:
-    """H1 norm of the field whose forward transform is ``coeffs``, by Parseval.
+def spectral_power(coeffs: np.ndarray) -> np.ndarray:
+    """|coeffs|^2 elementwise, without the square root and square of np.abs."""
+    power = coeffs.real ** 2
+    power += coeffs.imag ** 2
+    return power
 
-    The gradient weights are k_deriv (Nyquist zeroed), as in ``gradient``, so
-    the value equals the gradient-based norm up to rounding.  Each axis'
-    weights contract the marginal of |coeffs|^2 over the other axis, which
+
+def _k2_contraction(grid: Grid, power: np.ndarray) -> float:
+    """Sum of |k|^2 * power over the spectrum: the one quadratic form of the gradient.
+
+    Its symbol |k|^2 is the one the split-step propagator exponentiates.  Each
+    axis' k^2 contracts the marginal of ``power`` over the other axis, which
     needs no n^dim weight mesh.  The contractions are elementwise sums, not
     BLAS dot products: a threaded BLAS pool keeps spinning after each call and
     costs CPU time beside the transforms.
     """
-    power = coeffs.real ** 2
-    power += coeffs.imag ** 2
     marginals = (power,) if grid.dim == 1 else (power.sum(axis=1), power.sum(axis=0))
-    k2 = grid.k_deriv ** 2
-    s = float(np.sum(power)) + sum(float(np.sum(k2 * m)) for m in marginals)
+    k2 = grid.k ** 2
+    return sum(float(np.sum(k2 * m)) for m in marginals)
+
+
+def spectral_gradient_norm_sq(grid: Grid, coeffs: np.ndarray) -> float:
+    """||grad u||^2 of the field whose forward transform is ``coeffs``, by Parseval."""
+    return _k2_contraction(grid, spectral_power(coeffs)) * grid.dx ** grid.dim / coeffs.size
+
+
+def spectral_h1_norm(grid: Grid, coeffs: np.ndarray) -> float:
+    """H1 norm of the field whose forward transform is ``coeffs``, by Parseval."""
+    power = spectral_power(coeffs)
+    s = float(np.sum(power)) + _k2_contraction(grid, power)
     return float(np.sqrt(max(s * grid.dx ** grid.dim / power.size, 0.0)))
 
 

@@ -16,7 +16,6 @@ frequency sweeps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -324,32 +323,11 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
         # in 1D the G-zero is the exact amplitude; start the bracket below it
         lo *= 0.95
 
-    for _ in range(120):
-        if _classify(model, lo) is ShotClass.UNDERSHOOT:
-            break
-        warnings.warn(
-            f"lower bracket endpoint {lo} did not undershoot; expanding down",
-            RuntimeWarning,
-        )
-        lo *= 0.95
-        if lo < 1e-12:
-            raise BracketFailure("no undershooting amplitude found")
-    else:
-        raise BracketFailure("no undershooting amplitude found")
-
-    hi_cap = hi * 8.0
-    for _ in range(120):
-        if _classify(model, hi) is ShotClass.OVERSHOOT:
-            break
-        warnings.warn(
-            f"upper bracket endpoint {hi} did not overshoot; expanding up",
-            RuntimeWarning,
-        )
-        hi *= 1.05
-        if hi > hi_cap:
-            raise BracketFailure("no overshooting amplitude found")
-    else:
-        raise BracketFailure("no overshooting amplitude found")
+    # One classification per endpoint: a misclassified one fails, no search.
+    if _classify(model, lo) is not ShotClass.UNDERSHOOT:
+        raise BracketFailure(f"no undershooting amplitude found: {lo} does not undershoot")
+    if _classify(model, hi) is not ShotClass.OVERSHOOT:
+        raise BracketFailure(f"no overshooting amplitude found: {hi} does not overshoot")
 
     # Refine to float exhaustion: every extra bit of b pushes the radius where
     # the unstable mode takes over further out, buying clean tail decades.

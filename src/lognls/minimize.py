@@ -60,10 +60,6 @@ def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
     return total * g.dx ** g.dim / g.n ** g.dim
 
 
-def _power(coeffs: np.ndarray) -> np.ndarray:
-    return coeffs.real ** 2 + coeffs.imag ** 2
-
-
 def gradient_E(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> np.ndarray:
     """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u)."""
     return 0.5 * _half_k2(g) * coeffs + rfftn(nonlinear_phase_rate(values * values, model) * values)
@@ -71,7 +67,7 @@ def gradient_E(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: Mod
 
 def _energy(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> float:
     """Energy of the real samples ``values``, given ``coeffs`` = rfftn(values)."""
-    kinetic = 0.5 * _parseval(g, _half_k2(g) * _power(coeffs))
+    kinetic = 0.5 * _parseval(g, _half_k2(g) * _grid.spectral_power(coeffs))
     return kinetic + _grid.integrate(g, potential_density(values * values, model))
 
 
@@ -85,7 +81,7 @@ def _eigen_residual(
     """
     omega_hat = -_parseval(g, grad.real * coeffs.real + grad.imag * coeffs.imag) / rho
     resid = grad + omega_hat * coeffs
-    return omega_hat, resid, math.sqrt(_parseval(g, _power(resid)) / rho)
+    return omega_hat, resid, math.sqrt(_parseval(g, _grid.spectral_power(resid)) / rho)
 
 
 def minimize_energy(

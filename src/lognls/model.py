@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.fft import fftn
 
+from . import grid as _grid
 from .errors import (
     MissingOmega,
     NegativeAmplitude,
@@ -258,16 +260,19 @@ class Observables:
 
 
 def observables(field, model: ModelParams) -> Observables:
-    """Mass, energy, momentum and friends by spectral gradient + cell quadrature."""
-    from . import grid as _grid
+    """Mass, energy, momentum and friends from one forward transform + cell quadrature.
 
+    Kinetic energy by Parseval on |k|^2; momentum on the gradient of the same spectrum.
+    """
     field.check_finite()
     vals = field.values
     g = field.grid
     rho = np.abs(vals) ** 2
     mass = _grid.integrate(g, rho)
-    grads = _grid.gradient(field)
-    kinetic = 0.5 * sum(_grid.integrate(g, np.abs(gr.values) ** 2) for gr in grads)
+    coeffs = fftn(vals)
+    kinetic = 0.5 * _grid.spectral_gradient_norm_sq(g, coeffs)
+    grads = _grid.spectral_gradient(g, coeffs)
+    del coeffs  # not held while the momentum and potential are summed
     potential = _grid.integrate(g, potential_density(rho, model))
     momentum = tuple(
         _grid.integrate(g, np.imag(np.conj(vals) * gr.values)) for gr in grads

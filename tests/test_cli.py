@@ -580,6 +580,14 @@ def _tiny_sweep_mass():
     }
 
 
+@pytest.mark.parametrize("config", [_with(_tiny_sweep_mass(), ("omega_list",), [0.05, 0.1]),
+                                    _with(_tiny_convexity1d(), ("omega_grid",), [0.07, 0.04])],
+                         ids=["sweep_mass", "convexity1d"])
+def test_mass_monotonicity_is_read_in_omega_order(tmp_path, config):
+    code, summary = run_config(config, out_dir=str(tmp_path))
+    assert code == 0 and summary["pass"]
+
+
 # frequency lists outside the window their experiment solves in (quintic edge 0.119)
 _FREQUENCY_LIST_CASES = {
     "omega_grid_past_edge": (_with(_tiny_convexity1d(), ("omega_grid",), [0.2]), "OmegaOutOfWindow"),

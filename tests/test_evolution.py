@@ -176,13 +176,15 @@ class TestOrbitDistance:
     def test_perturbation_sizes_are_exact(self, profile_01):
         g = Grid(2, 256, 20.0)
         ref = embed_radial(profile_01, g)
+        # modes at the Nyquist index +-n/2 too: the closed-form size and h1_norm share |k|^2
         for pert in (
             Perturbation(kind="gaussian_bump", delta=1e-2, width=2.0),
-            Perturbation(kind="fourier_mode", delta=1e-2, mode=(2, 0)),
+            *(Perturbation(kind="fourier_mode", delta=1e-2, mode=m)
+              for m in [(2, 0), (128, 0), (128, 128), (-128, 5)]),
         ):
             u = apply_perturbation(ref, pert)
             diff = ComplexField(g, u.values - ref.values)
-            assert h1_norm(diff) == pytest.approx(1e-2, rel=1e-10)
+            assert h1_norm(diff) == pytest.approx(1e-2, rel=1e-12)
 
 
 class TestPseudoconformal:

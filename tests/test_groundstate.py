@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from lognls.errors import GridTooSmall, MissingOmega, NonPositiveB, OmegaOutOfWindow
+from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, NonPositiveB, OmegaOutOfWindow
 from lognls.grid import Grid, integrate
 from lognls.groundstate import (
     RadialProfile,
@@ -27,6 +28,7 @@ from lognls.model import (
     amplitude_roots,
     nonlinear_phase_rate,
     observables,
+    omega_window,
 )
 
 from properties import PROPERTY_SETTINGS, models_in_window
@@ -127,6 +129,14 @@ class TestFindGroundState:
         assert np.array_equal(again.derivs, profile_01.derivs)
         assert again.tail_rate == profile_01.tail_rate
         assert again.center_value == profile_01.center_value
+
+    def test_misclassified_endpoint_fails_without_a_search(self, model2d):
+        # at 0.98 of the window edge the upper endpoint undershoots; no warnings, one failure
+        edge = omega_window(model2d)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketFailure):
+                find_ground_state(model2d.with_omega(0.98 * edge))
 
     def test_bad_tolerance_rejected(self, model2d):
         with pytest.raises(ValueError):

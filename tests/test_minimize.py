@@ -17,7 +17,13 @@ from lognls.minimize import (
     minimize_energy,
     negative_energy_witness,
 )
-from lognls.model import Family, ModelParams, nonlinear_phase_rate, potential_density
+from lognls.model import (
+    Family,
+    ModelParams,
+    nonlinear_phase_rate,
+    observables,
+    potential_density,
+)
 from properties import PROPERTY_SETTINGS, real_fields
 
 
@@ -94,6 +100,9 @@ class TestHalfSpectrum:
         potential = integrate(g, potential_density(u * u, m))
         e = _energy(u, rfftn(u), g, m)
         assert abs(e - (kinetic + potential)) <= 1e-12 * (abs(kinetic) + abs(potential))
+        # one kinetic energy: the record path's equals the minimizer's, Nyquist mode included
+        obs = observables(ComplexField(g, u), m)
+        assert abs(e - obs.energy) <= 1e-12 * abs(obs.energy)
 
     @PROPERTY_SETTINGS
     @given(real_fields())
