@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (
     ConservationError,
@@ -27,6 +26,7 @@ from .errors import (
     OmegaTooCloseToEdge,
     QuadratureFailure,
 )
+from .grid import hermite_cubic
 from .model import (
     Family,
     ModelParams,
@@ -220,11 +220,9 @@ def ground_state_1d_quadrature(model: ModelParams, n_nodes: int = 4001) -> Profi
     dphi_table = -np.sqrt(-2.0 * potential_G(phi_table, model))
     dphi_table[0] = 0.0
 
-    spline = CubicHermiteSpline(x_table, phi_table, dphi_table)
     half = (n_nodes + 1) // 2
     x_half = np.linspace(0.0, float(x_table[-1]), half)
-    v_half = spline(x_half)
-    d_half = spline.derivative()(x_half)
+    v_half, d_half = hermite_cubic(x_table, phi_table, dphi_table, x_half)
     v_half[0] = phimax
     d_half[0] = 0.0
 

@@ -8,17 +8,18 @@ loop fuses adjacent half substeps; sampling synchronizes on a copy, so
 recorded states are genuine full-step states.
 
 The kernel builds the half and full propagators once per run and transforms
-in place with ``scipy.fft`` (``overwrite_x``).  The nonlinear rotation writes
-cos and sin of the phase into the real and imaginary parts of one
-preallocated complex buffer (bitwise equal to ``exp(-i dt rate)``), and a
-synchronized record state is formed in that same buffer, so a run holds the
-state, one buffer and the two propagators between steps.
+the state in place with ``numpy.fft`` (``out=`` the state itself).  The
+nonlinear rotation writes cos and sin of the phase into the real and
+imaginary parts of one preallocated complex buffer (bitwise equal to
+``exp(-i dt rate)``), and a synchronized record state is formed in that same
+buffer, so a run holds the state, one buffer and the two propagators between
+steps.  A record's forward transform goes into one more array the run owns.
 
-The transforms run on scipy's default single worker, and there is no knob
-for it.  Measured on a shared 2-vCPU host (n = 256, 400 steps, numpy 2.4,
-scipy 1.17), two workers cost more than one in both wall and CPU time:
-5.9-8.8 ms against 3.6-4.1 ms of wall time per step, and 4.5-4.8 ms against
-3.6-4.0 ms of CPU time per step.
+The transforms run on the calling thread: ``numpy.fft`` has no worker pool,
+so there is no knob for one.  None is missed: with a pooled pocketfft
+backend on a shared 2-vCPU host (n = 256, 400 steps), two workers cost more
+than one in both wall and CPU time: 5.9-8.8 ms against 3.6-4.1 ms of wall
+time per step, and 4.5-4.8 ms against 3.6-4.0 ms of CPU time per step.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from numpy.fft import fftn, ifftn
 
 from . import grid as _grid
 from .errors import (
@@ -104,6 +105,16 @@ class Perturbation:
             if not value > 0:
                 raise ValueError(f"perturbation {name} must be positive, got {value}")
 
+    def check_grid(self, grid: _grid.Grid):
+        """ValueError if the Fourier mode is not resolved on ``grid``.
+
+        A mode component m with |m| > n/2 aliases to m mod n, whose |k| is
+        smaller, so the wave would fall short of its H1 size delta.
+        """
+        if self.kind == "fourier_mode" and any(abs(m) > grid.n // 2 for m in self.mode or ()):
+            raise ValueError(f"perturbation mode {self.mode} aliases on an n = {grid.n} grid: "
+                             f"each component must lie in [-{grid.n // 2}, {grid.n // 2}]")
+
 
 @dataclass
 class EvolutionConfig:
@@ -129,6 +140,8 @@ class EvolutionConfig:
         if self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
         snapshot_steps(self.snapshot_times, self.dt, self.t_final)
+        if self.perturbation is not None:
+            self.perturbation.check_grid(self.grid)
 
 
 @dataclass
@@ -172,10 +185,10 @@ class SplitStep:
         self.buffer = np.empty(grid.shape, dtype=complex)
 
     def _linear(self, v: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-        """Fourier multiplier substep; overwrites v and returns the result."""
-        coeffs = fftn(v, overwrite_x=True)
-        coeffs *= propagator
-        return ifftn(coeffs, overwrite_x=True)
+        """Fourier multiplier substep in place; returns v."""
+        fftn(v, out=v)
+        v *= propagator
+        return ifftn(v, out=v)
 
     def _rotate(self, v: np.ndarray) -> None:
         """Exact nonlinear subflow over dt, in place: v *= exp(-i dt rate(|v|^2))."""
@@ -278,6 +291,7 @@ def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
 
 def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.ComplexField:
     g = field.grid
+    pert.check_grid(g)
     xs = _grid.coordinates(g)
     if pert.kind == "gaussian_bump":
         center = pert.center or (0.0,) * g.dim
@@ -328,9 +342,10 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         if config.reference is None:
             raise ValueError("orbit tracking needs a reference profile")
         traj.orbit_distances = []
-        reference_hat = fftn(embed_radial(config.reference, g).values, overwrite_x=True)
+        reference_hat = _reference_spectrum(config.reference, g)
 
-    obs0 = observables(u, model)
+    spectrum = np.empty(g.shape, dtype=complex)
+    obs0 = observables(u, model, spectrum)
     bound = h1_apriori_bound(obs0, model)
     traj.h1_bound = bound
     check_bound = config.check_invariants and model.family is not Family.PURE_CUBIC_2D
@@ -347,7 +362,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         t = step * dt
         fld = _grid.ComplexField(g, values)
         try:
-            obs = observables(fld, model)
+            obs = observables(fld, model, spectrum)
         except NonFiniteField:
             raise NonFiniteField(f"non-finite field at t={t}") from None
         traj.times.append(t)
@@ -407,12 +422,13 @@ def orbit_distance(
     g = field.grid
     p_hat = reference_hat
     if p_hat is None:
-        p_hat = fftn(embed_radial(profile, g).values, overwrite_x=True)
-    u_hat = fftn(field.values)
+        p_hat = _reference_spectrum(profile, g)
+    u_hat = _grid.forward(field.values)
     weight = 1.0 + g.k2
     # |C(y)| with C(y) = <u, phi(.-y)>_H1 up to a positive factor, for every
     # grid shift y, via one inverse FFT
-    corr_abs = np.abs(ifftn(u_hat * np.conj(p_hat) * weight, overwrite_x=True))
+    corr = u_hat * np.conj(p_hat) * weight
+    corr_abs = np.abs(ifftn(corr, out=corr))
     best = np.unravel_index(int(np.argmax(corr_abs)), corr_abs.shape)
 
     shift_idx = []
@@ -447,6 +463,12 @@ def orbit_distance(
     if d_grid <= d_refined:
         return d_grid, theta_grid, y_grid
     return d_refined, theta_refined, y
+
+
+def _reference_spectrum(profile: RadialProfile, g: _grid.Grid) -> np.ndarray:
+    """The forward transform of ``profile`` embedded on ``g``, made in the embedding's array."""
+    values = embed_radial(profile, g).values
+    return fftn(values, out=values)
 
 
 def _wrap_index(base: tuple, axis: int, value: int, g: _grid.Grid):

@@ -3,6 +3,10 @@
 Domain convention is [-L, L) per axis with N even; wavenumbers are
 k_m = (pi/L) m for m in {-N/2, ..., N/2 - 1}, stored in DFT order.  The
 forward transform is the unnormalized sum; the inverse carries 1/N per axis.
+
+Transforms are numpy's pocketfft.  Without ``out=`` numpy's n-D transforms
+allocate one array per axis, so every transform here writes into an array
+its caller owns or into one allocated for it (``forward``).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fftn, ifftn
+from numpy.fft import fftn, ifftn
 
 from .errors import NonFiniteField, SizeMismatch
 
@@ -92,8 +96,18 @@ class ComplexField:
             raise NonFiniteField("field contains non-finite samples")
 
 
+def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward transform of ``values`` written into ``out`` (a new complex array if None).
+
+    Every axis is transformed in ``out``, which may be ``values`` itself.
+    """
+    if out is None:
+        out = np.empty(values.shape, dtype=complex)
+    return fftn(values, out=out)
+
+
 def gradient(field: ComplexField) -> tuple[ComplexField, ...]:
-    return spectral_gradient(field.grid, fftn(field.values))
+    return spectral_gradient(field.grid, forward(field.values))
 
 
 def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> tuple[ComplexField, ...]:
@@ -103,7 +117,8 @@ def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> tuple[ComplexField, ...
     gradient.  One inverse transform per axis; ``coeffs`` is left untouched.
     """
     ks = (grid.k_deriv,) if grid.dim == 1 else (grid.k_deriv[:, None], grid.k_deriv[None, :])
-    return tuple(ComplexField(grid, ifftn(1j * k * coeffs, overwrite_x=True)) for k in ks)
+    parts = (1j * k * coeffs for k in ks)
+    return tuple(ComplexField(grid, ifftn(part, out=part)) for part in parts)
 
 
 def integrate(grid: Grid, samples: np.ndarray) -> float:
@@ -148,7 +163,38 @@ def spectral_h1_norm(grid: Grid, coeffs: np.ndarray) -> float:
 
 
 def h1_norm(a: ComplexField) -> float:
-    return spectral_h1_norm(a.grid, fftn(a.values))
+    return spectral_h1_norm(a.grid, forward(a.values))
+
+
+def simpson(samples: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule of an odd number (at least 3) of samples spaced ``dx`` apart."""
+    if samples.size < 3 or samples.size % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of samples, got {samples.size}")
+    ends = samples[0] + samples[-1]
+    return float(dx / 3.0 * (ends + 4.0 * np.sum(samples[1:-1:2]) + 2.0 * np.sum(samples[2:-1:2])))
+
+
+def hermite_cubic(
+    nodes: np.ndarray, values: np.ndarray, derivs: np.ndarray, x
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative at ``x`` of the piecewise cubic with ``values`` and slopes ``derivs``.
+
+    ``nodes`` increase strictly.  Each piece is c3 s^3 + c2 s^2 + d_i s + v_i in
+    s = x - nodes[i] on [nodes[i], nodes[i + 1]); a point outside the nodes is
+    extrapolated from the end piece.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.diff(nodes)
+    slope = np.diff(values) / h
+    t = (derivs[:-1] + derivs[1:] - 2.0 * slope) / h
+    c3 = t / h
+    c2 = (slope - derivs[:-1]) / h - t
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    s = x - nodes[i]
+    c3, c2, d = c3[i], c2[i], derivs[i]
+    value = ((c3 * s + c2) * s + d) * s + values[i]
+    deriv = (3.0 * c3 * s + 2.0 * c2) * s + d
+    return value, deriv
 
 
 def galilean_apply(field: ComplexField, t: float) -> tuple[ComplexField, ...]:

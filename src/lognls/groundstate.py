@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.integrate import simpson
 
 from . import grid as _grid
 from .errors import (
@@ -83,10 +81,9 @@ class RadialProfile:
     def __call__(self, r):
         """Evaluate phi at arbitrary radii (spline inside, exponential tail beyond)."""
         r = np.asarray(r, dtype=float)
-        spline = CubicHermiteSpline(self.r_nodes, self.values, self.derivs)
         inside = r <= self.r_cut
         out = np.empty_like(r)
-        out[inside] = spline(r[inside])
+        out[inside] = _grid.hermite_cubic(self.r_nodes, self.values, self.derivs, r[inside])[0]
         out[~inside] = self.tail_coeff * np.exp(-self.tail_rate * r[~inside])
         return out
 
@@ -367,10 +364,8 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
     if ps[i_cut] > 1e-3 * b or ps[i_cut] <= 0.0:
         raise BracketFailure("tail not resolved below 1e-3 of the peak amplitude")
 
-    spline = CubicHermiteSpline(rs[: i_cut + 1], ps[: i_cut + 1], qs[: i_cut + 1])
     r_nodes = np.linspace(0.0, float(rs[i_cut]), _N_NODES)
-    values = spline(r_nodes)
-    derivs = spline.derivative()(r_nodes)
+    values, derivs = _grid.hermite_cubic(rs[: i_cut + 1], ps[: i_cut + 1], qs[: i_cut + 1], r_nodes)
     values[0] = b
     derivs[0] = 0.0
 
@@ -448,8 +443,10 @@ def _radial_integrals(profile: RadialProfile) -> dict:
     lnrho = _density_log(rho)
     lnC2 = math.log(C * C) if C > 0 else 0.0
 
+    dr = profile.r_cut / (r.size - 1)
+
     def I(samples):
-        return float(simpson(samples * w, x=r))
+        return _grid.simpson(samples * w, dr)
 
     mass = I(rho) + tail(2)
     grad2 = I(dphi * dphi) + d * d * tail(2)

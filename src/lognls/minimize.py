@@ -12,7 +12,10 @@ rate(u^2) u and the mass rescale) maps real fields to real fields.  An
 iteration takes two real transforms, the forward one of rate(u^2) u in the
 gradient and the inverse one of the direction; the multiplier and the
 residual come from Parseval on the half spectrum, and each line-search trial
-takes its spectrum from linearity, so a trial takes no transform.
+takes its spectrum from linearity, so a trial takes no transform.  Both
+transforms of an iteration write into arrays the run owns (``out=``), and a
+trial's energy hands rate(u^2) to the next gradient, so the accepted samples'
+logarithm is taken once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
+from numpy.fft import ifft, irfftn, rfftn
 
 from . import grid as _grid
 from .errors import (
@@ -31,7 +34,7 @@ from .errors import (
     NonPositiveRho,
     UnsupportedFamily,
 )
-from .model import Family, ModelParams, nonlinear_phase_rate, potential_density
+from .model import Family, ModelParams, _density_log, nonlinear_phase_rate, potential_density
 
 _MAX_ITER = 20000
 
@@ -49,6 +52,11 @@ def _half_k2(g: _grid.Grid) -> np.ndarray:
     return g.k2[..., : g.n // 2 + 1]
 
 
+def _half_spectrum(g: _grid.Grid) -> np.ndarray:
+    """An uninitialized complex array of the rfftn half spectrum's shape on ``g``."""
+    return np.empty(g.shape[:-1] + (g.n // 2 + 1,), dtype=complex)
+
+
 def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
     """dx^d / N times the full-spectrum sum of a Hermitian-symmetric quantity, given its half.
 
@@ -60,15 +68,38 @@ def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
     return total * g.dx ** g.dim / g.n ** g.dim
 
 
-def gradient_E(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> np.ndarray:
-    """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u)."""
-    return 0.5 * _half_k2(g) * coeffs + rfftn(nonlinear_phase_rate(values * values, model) * values)
+def gradient_E(
+    values: np.ndarray,
+    coeffs: np.ndarray,
+    g: _grid.Grid,
+    model: ModelParams,
+    out: np.ndarray | None = None,
+    rate: np.ndarray | None = None,
+) -> np.ndarray:
+    """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u).
+
+    It is made in ``out`` (a new half-spectrum array if None).  ``rate`` is
+    rate(u^2) when the caller holds it (``_energy`` returns it).
+    """
+    if rate is None:
+        rate = nonlinear_phase_rate(values * values, model)
+    grad = rfftn(rate * values, out=_half_spectrum(g) if out is None else out)
+    grad += 0.5 * _half_k2(g) * coeffs
+    return grad
 
 
-def _energy(values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams) -> float:
-    """Energy of the real samples ``values``, given ``coeffs`` = rfftn(values)."""
+def _energy(
+    values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams
+) -> tuple[float, np.ndarray]:
+    """(energy, rate(u^2)) of the real samples u = ``values``, given ``coeffs`` = rfftn(u).
+
+    The rate, ``gradient_E``'s nonlinear factor, shares the potential's logarithm.
+    """
     kinetic = 0.5 * _parseval(g, _half_k2(g) * _grid.spectral_power(coeffs))
-    return kinetic + _grid.integrate(g, potential_density(values * values, model))
+    rho = values * values
+    log_rho = _density_log(rho)
+    rate = nonlinear_phase_rate(rho, model, log_rho)
+    return kinetic + _grid.integrate(g, potential_density(rho, model, log_rho)), rate
 
 
 def _eigen_residual(
@@ -107,12 +138,14 @@ def minimize_energy(
 
     tau = 1.0
     pinv = 1.0 / (1.0 + _half_k2(g))
+    grad, inverse = _half_spectrum(g), _half_spectrum(g)
+    direction = np.empty(g.shape)
 
-    coeffs = rfftn(values)
-    e_cur = _energy(values, coeffs, g, model)
+    coeffs = rfftn(values, out=_half_spectrum(g))
+    e_cur, rate = _energy(values, coeffs, g, model)
     for iteration in range(1, _MAX_ITER + 1):
         omega_hat, resid, residual = _eigen_residual(
-            gradient_E(values, coeffs, g, model), coeffs, g, rho
+            gradient_E(values, coeffs, g, model, grad, rate), coeffs, g, rho
         )
         if residual <= tol:
             return MinimizerResult(
@@ -123,16 +156,21 @@ def minimize_energy(
                 iterations=iteration - 1,
             )
         dir_coeffs = pinv * resid
-        direction = irfftn(dir_coeffs, s=g.shape)
+        # numpy's irfftn allocates the result of its leading axes: invert them
+        # in place in the run's own array, then the real axis into ``direction``
+        np.copyto(inverse, dir_coeffs)
+        for axis in range(g.dim - 1):
+            ifft(inverse, axis=axis, out=inverse)
+        direction = irfftn(inverse, s=(g.n,), axes=(g.dim - 1,), out=direction)
         accepted = False
         while tau > 1e-18:
             cand = values - tau * direction
             scale = math.sqrt(rho / _grid.integrate(g, cand * cand))
             cand *= scale
             cand_coeffs = (coeffs - tau * dir_coeffs) * scale
-            e_new = _energy(cand, cand_coeffs, g, model)
+            e_new, cand_rate = _energy(cand, cand_coeffs, g, model)
             if e_new <= e_cur:
-                values, coeffs = cand, cand_coeffs
+                values, coeffs, rate = cand, cand_coeffs, cand_rate
                 e_cur = e_new
                 tau = min(tau * 1.3, 4.0)
                 accepted = True
@@ -165,15 +203,15 @@ def negative_energy_witness(
     vals = field.values.real
     if not np.any(vals):
         raise ValueError("witness requires a nonzero field")
-    coeffs = rfftn(vals)
-    e0 = _energy(vals, coeffs, g, model)
+    coeffs = rfftn(vals, out=_half_spectrum(g))
+    e0 = _energy(vals, coeffs, g, model)[0]
     quartic = _grid.integrate(g, vals ** 4)
 
     mu = 1.0
     while mu > 1e-8:
         mu *= 0.5
         rescaled = _rescale_field(coeffs, g, mu)
-        e_grid = _energy(rescaled, rfftn(rescaled), g, model)
+        e_grid = _energy(rescaled, rfftn(rescaled, out=_half_spectrum(g)), g, model)[0]
         closed = mu * mu * e0 - 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2) * quartic
         if abs(e_grid - closed) > 1e-6 * max(abs(closed), abs(e0), 1.0):
             raise ConservationError(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.fft import fftn
 
 from . import grid as _grid
 from .errors import (
@@ -201,26 +200,30 @@ def _density_log(rho: np.ndarray | float) -> np.ndarray | float:
     return np.log(safe)
 
 
-def nonlinear_phase_rate(rho, model: ModelParams):
+def nonlinear_phase_rate(rho, model: ModelParams, log_rho=None):
     """d/d rho of the potential density: the phase rate of the nonlinear subflow.
 
     CubicLog2D: lam rho ln rho; QuinticLog1D: lam rho^2 ln rho; PureCubic2D: -lam rho.
+    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.
     """
     rho = np.asarray(rho, dtype=float)
     if model.family is Family.PURE_CUBIC_2D:
         return -model.lam * rho
-    lr = _density_log(rho)
+    lr = _density_log(rho) if log_rho is None else log_rho
     if model.family is Family.CUBIC_LOG_2D:
         return model.lam * rho * lr
     return model.lam * rho * rho * lr
 
 
-def potential_density(rho, model: ModelParams):
-    """Potential-energy density V(rho):  E = (1/2)||grad u||^2 + int V(|u|^2)."""
+def potential_density(rho, model: ModelParams, log_rho=None):
+    """Potential-energy density V(rho):  E = (1/2)||grad u||^2 + int V(|u|^2).
+
+    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.
+    """
     rho = np.asarray(rho, dtype=float)
     if model.family is Family.PURE_CUBIC_2D:
         return -0.5 * model.lam * rho * rho
-    lr = _density_log(rho)
+    lr = _density_log(rho) if log_rho is None else log_rho
     if model.family is Family.CUBIC_LOG_2D:
         # (lam/2) rho^2 ln(rho / sqrt(e))
         return 0.5 * model.lam * rho * rho * (lr - 0.5)
@@ -259,17 +262,19 @@ class Observables:
     action: float | None = None
 
 
-def observables(field, model: ModelParams) -> Observables:
+def observables(field, model: ModelParams, spectrum: np.ndarray | None = None) -> Observables:
     """Mass, energy, momentum and friends from one forward transform + cell quadrature.
 
     Kinetic energy by Parseval on |k|^2; momentum on the gradient of the same spectrum.
+    The transform is written into ``spectrum``, a complex array of the grid's
+    shape owned by the caller (a new one if None).
     """
     field.check_finite()
     vals = field.values
     g = field.grid
     rho = np.abs(vals) ** 2
     mass = _grid.integrate(g, rho)
-    coeffs = fftn(vals)
+    coeffs = _grid.forward(vals, spectrum)
     kinetic = 0.5 * _grid.spectral_gradient_norm_sq(g, coeffs)
     grads = _grid.spectral_gradient(g, coeffs)
     del coeffs  # not held while the momentum and potential are summed

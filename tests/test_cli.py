@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -619,6 +622,8 @@ _OUT_OF_RANGE_CASES = {
                                   "ConfigError"),
     "perturbation_mode_long": (_with(_tiny_stability(), ("perturbation", "mode"), [1, 1, 1]),
                                "ConfigError"),
+    "perturbation_mode_aliased": (_with(_tiny_stability(), ("perturbation", "mode"), [9, 0]),
+                                  "ConfigError"),
     "perturbation_width_zero": (_with(_tiny_bump(), ("perturbation", "width"), 0.0), "ConfigError"),
     "perturbation_width_negative": (_with(_tiny_bump(), ("perturbation", "width"), -2.0),
                                     "ConfigError"),
@@ -810,3 +815,25 @@ def test_fuzzed_config_never_raises(config):
             code, summary = entry(copy.deepcopy(config), out_dir=out)
         assert code in (0, 1, 2, 3)
         assert isinstance(summary, dict)
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    """Every solver runs on numpy alone: scipy is only the tests' independent oracle."""
+    stability = _with(_tiny_stability(), ("grid",), {"dim": 2, "n": 32, "half_width": 16.0})
+    configs = [_tiny_evolve(), stability, _ground_config(), _tiny_minimize(), _tiny_convexity1d()]
+    script = (
+        "import json, sys\n"
+        "from lognls.cli import run_config\n"
+        "configs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "codes = [run_config(c, out_dir=f'{out}/{i}')[0] for i, c in enumerate(configs)]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    src = str(Path(lognls.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0] * len(configs), "scipy": []}

@@ -186,6 +186,22 @@ class TestOrbitDistance:
             diff = ComplexField(g, u.values - ref.values)
             assert h1_norm(diff) == pytest.approx(1e-2, rel=1e-12)
 
+    def test_aliased_fourier_mode_is_rejected(self, model2d):
+        g = Grid(2, 32, 8.0)
+        xs = coordinates(g)
+        ref = ComplexField(g, np.exp(-(xs[0] ** 2 + xs[1] ** 2)))
+        nyquist = Perturbation(kind="fourier_mode", delta=1e-2, mode=(16, 0))
+        diff = ComplexField(g, apply_perturbation(ref, nyquist).values - ref.values)
+        assert h1_norm(diff) == pytest.approx(1e-2, rel=1e-12)
+        # |m| > n/2 aliases to m mod n: at (20, 0) the wave would be 0.60 delta
+        for mode in [(17, 0), (20, 0), (0, -40)]:
+            pert = Perturbation(kind="fourier_mode", delta=1e-2, mode=mode)
+            with pytest.raises(ValueError, match="aliases"):
+                apply_perturbation(ref, pert)
+            with pytest.raises(ValueError, match="aliases"):
+                EvolutionConfig(model=model2d, grid=g, dt=1e-3, t_final=1e-2,
+                                initial=GaussianInit(), perturbation=pert)
+
 
 class TestPseudoconformal:
     def test_free_flow_pc_constant(self):

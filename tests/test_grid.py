@@ -2,18 +2,28 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.fft import fftn, ifftn
+from scipy.integrate import simpson as scipy_simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from lognls.errors import SizeMismatch
 from lognls.grid import (
     ComplexField,
     Grid,
     coordinates,
+    forward,
     galilean_apply,
     gradient,
     h1_norm,
+    hermite_cubic,
     integrate,
+    simpson,
 )
+
+from properties import PROPERTY_SETTINGS
 
 
 def _laplacian(g, values):
@@ -156,3 +166,72 @@ def test_h1_norm_matches_direct_sum():
     expected = integrate(g, np.abs(fld.values) ** 2)
     expected += sum(integrate(g, np.abs(gr.values) ** 2) for gr in grads)
     assert h1_norm(fld) == pytest.approx(math.sqrt(expected), rel=1e-13)
+
+
+# numpy replacements checked against scipy, which the program no longer imports
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+def test_hermite_cubic_matches_scipy(n, seed):
+    """Value and derivative on a random decreasing table, as a shot's profile table is."""
+    rng = np.random.default_rng(seed)
+    nodes = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5
+    values = np.cumsum(rng.uniform(0.0, 1.0, n))[::-1].copy()
+    derivs = -rng.uniform(0.0, 2.0, n)
+    x = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 64)])
+    spline = CubicHermiteSpline(nodes, values, derivs)
+    value, deriv = hermite_cubic(nodes, values, derivs, x)
+    for ours, theirs in ((value, spline(x)), (deriv, spline.derivative()(x))):
+        scale = np.max(np.abs(theirs))
+        assert np.max(np.abs(ours - theirs)) <= 1e-12 * scale
+    # each node but the last starts its piece (s = 0) and is met exactly
+    assert np.array_equal(value[: n - 1], values[:-1])
+    assert np.array_equal(deriv[: n - 1], derivs[:-1])
+
+
+@PROPERTY_SETTINGS
+@given(half=st.integers(1, 200), dx=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_simpson_matches_scipy_on_odd_uniform_grids(half, dx, seed):
+    y = np.random.default_rng(seed).standard_normal(2 * half + 1)
+    assert simpson(y, dx) == pytest.approx(scipy_simpson(y, dx=dx), rel=0,
+                                           abs=1e-13 * dx * np.sum(np.abs(y)))
+
+
+def test_simpson_needs_an_odd_sample_count():
+    assert simpson(np.array([0.0, 0.25, 1.0]), 0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    for size in (0, 1, 2, 4):
+        with pytest.raises(ValueError):
+            simpson(np.ones(size), 1.0)
+
+
+def _close(ours, theirs):
+    return np.max(np.abs(ours - theirs)) <= 1e-13 * np.max(np.abs(theirs))
+
+
+@PROPERTY_SETTINGS
+@given(shape=st.sampled_from([(8,), (30,), (64,), (8, 8), (16, 30), (48, 48)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_in_place_numpy_transforms_match_scipy(shape, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(len(shape)))
+    for ours, theirs in ((np.fft.fftn, scipy.fft.fftn), (np.fft.ifftn, scipy.fft.ifftn)):
+        work = a.copy()
+        assert ours(work, out=work) is work     # in place: the result is the input's storage
+        assert _close(work, theirs(a))
+    out = np.empty_like(a)
+    assert forward(a.copy(), out) is out and _close(out, scipy.fft.fftn(a))
+    kept = a.copy()
+    assert _close(forward(kept), scipy.fft.fftn(a)) and np.array_equal(kept, a)
+
+    x = a.real.copy()
+    half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+    assert np.fft.rfftn(x, out=half) is half
+    assert np.array_equal(x, a.real)            # the real input is left as it was
+    assert _close(half, scipy.fft.rfftn(x))
+    spectrum = half.copy()
+    back = np.empty(shape)
+    assert np.fft.irfftn(spectrum, s=shape, axes=axes, out=back) is back
+    assert np.array_equal(spectrum, half)       # irfftn reads its half spectrum only
+    assert _close(back, scipy.fft.irfftn(half, s=shape))
+    assert _close(back, x)

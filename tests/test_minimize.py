@@ -61,8 +61,8 @@ class TestGradient:
         errs = {}
         for eps in (1e-3, 1e-4):
             plus, minus = u + eps * v, u - eps * v
-            ep = _energy(plus, rfftn(plus), g, m)
-            em = _energy(minus, rfftn(minus), g, m)
+            ep = _energy(plus, rfftn(plus), g, m)[0]
+            em = _energy(minus, rfftn(minus), g, m)[0]
             errs[eps] = abs((ep - em) / (2.0 * eps) - pairing)
         assert errs[1e-3] <= 1e-4 * max(abs(pairing), 1.0)
         # quadratic decay of the finite-difference error
@@ -98,7 +98,7 @@ class TestHalfSpectrum:
         m = _MODELS[g.dim]
         kinetic = _full_spectrum_kinetic(u, g)
         potential = integrate(g, potential_density(u * u, m))
-        e = _energy(u, rfftn(u), g, m)
+        e = _energy(u, rfftn(u), g, m)[0]
         assert abs(e - (kinetic + potential)) <= 1e-12 * (abs(kinetic) + abs(potential))
         # one kinetic energy: the record path's equals the minimizer's, Nyquist mode included
         obs = observables(ComplexField(g, u), m)
@@ -179,7 +179,7 @@ class TestMinimize:
         for width in (0.5, 1.0, 3.0):
             trial = np.exp(-r2 / (2.0 * width**2))
             trial *= math.sqrt(rho / integrate(g, np.abs(trial) ** 2))
-            assert res.energy < _energy(trial, rfftn(trial), g, model2d)
+            assert res.energy < _energy(trial, rfftn(trial), g, model2d)[0]
 
     def test_radially_nonincreasing_modulus(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
