@@ -16,6 +16,24 @@ takes its spectrum from linearity, so a trial takes no transform.  Both
 transforms of an iteration write into arrays the run owns (``out=``), and a
 trial's energy hands rate(u^2) to the next gradient, so the accepted samples'
 logarithm is taken once.
+
+A call allocates every array its iterations compute in before the first one,
+and no operation of the loop makes a grid-sized temporary (``out=`` on every
+ufunc).  The ``_Workspace`` that ``_energy``, ``gradient_E`` and
+``_eigen_residual`` write into holds four real grid arrays (u^2, its
+logarithm, the potential and the trials' rate), two real half-spectrum arrays
+for the Parseval sums and a complex one for the Laplacian term; the loop owns
+the accepted and trial samples, their half spectra, the accepted rate, the
+gradient (whose array also takes the direction's inverse transform), the
+residual (preconditioned in place into the direction's spectrum), the
+direction and P.  That is about 14.5 real grid arrays, 17 MB at 384^2.  A
+trial writes into the trial arrays, and an accepted trial swaps them with the
+accepted ones.  The reason is the allocator: glibc hands freed temporaries
+of 1.2 MB (384^2) back to the system, so a line search that builds six of
+them per trial faulted their pages in again on every trial.  On a 2-vCPU
+x86 host a minimizer_mass sweep of three masses took 116k minor faults and
+0.3-0.4 s of system time in a 1.4-1.7 s sweep that way; it now takes 15k
+faults, nearly all the first touch of each call's arrays, and 0.03-0.06 s.
 """
 
 from __future__ import annotations
@@ -47,6 +65,20 @@ class MinimizerResult:
     iterations: int
 
 
+class _Workspace:
+    """The arrays ``_energy``, ``gradient_E`` and ``_eigen_residual`` compute in on one grid.
+
+    ``rate`` is what ``_energy`` returns; the potential uses it as scratch
+    before, and ``gradient_E`` uses ``rho`` for the product rate(u^2) u.
+    """
+
+    def __init__(self, g: _grid.Grid):
+        self.rho, self.log_rho, self.potential, self.rate = (np.empty(g.shape) for _ in range(4))
+        half = g.shape[:-1] + (g.n // 2 + 1,)
+        self.power, self.square = np.empty(half), np.empty(half)
+        self.spectrum = _half_spectrum(g)
+
+
 def _half_k2(g: _grid.Grid) -> np.ndarray:
     """|k|^2 on the rfftn half spectrum (a view of ``g.k2``: the Nyquist column squares alike)."""
     return g.k2[..., : g.n // 2 + 1]
@@ -55,6 +87,13 @@ def _half_k2(g: _grid.Grid) -> np.ndarray:
 def _half_spectrum(g: _grid.Grid) -> np.ndarray:
     """An uninitialized complex array of the rfftn half spectrum's shape on ``g``."""
     return np.empty(g.shape[:-1] + (g.n // 2 + 1,), dtype=complex)
+
+
+def _power(coeffs: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """``grid.spectral_power`` of a half spectrum, formed in ``ws.power``."""
+    power = np.square(coeffs.real, out=ws.power)
+    power += np.square(coeffs.imag, out=ws.square)
+    return power
 
 
 def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
@@ -75,44 +114,78 @@ def gradient_E(
     model: ModelParams,
     out: np.ndarray | None = None,
     rate: np.ndarray | None = None,
+    ws: _Workspace | None = None,
 ) -> np.ndarray:
     """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u).
 
     It is made in ``out`` (a new half-spectrum array if None).  ``rate`` is
-    rate(u^2) when the caller holds it (``_energy`` returns it).
+    rate(u^2) when the caller holds it (``_energy`` returns it).  The
+    intermediate arrays are ``ws``'s (a new workspace if None).
     """
+    ws = _Workspace(g) if ws is None else ws
     if rate is None:
-        rate = nonlinear_phase_rate(values * values, model)
-    grad = rfftn(rate * values, out=_half_spectrum(g) if out is None else out)
-    grad += 0.5 * _half_k2(g) * coeffs
+        rho = np.multiply(values, values, out=ws.rho)
+        rate = nonlinear_phase_rate(rho, model, _density_log(rho, out=ws.log_rho), out=ws.rate)
+    product = np.multiply(rate, values, out=ws.rho)
+    grad = rfftn(product, out=_half_spectrum(g) if out is None else out)
+    laplacian = np.multiply(0.5, _half_k2(g), out=ws.power)
+    grad += np.multiply(laplacian, coeffs, out=ws.spectrum)
     return grad
 
 
 def _energy(
-    values: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, model: ModelParams
+    values: np.ndarray,
+    coeffs: np.ndarray,
+    g: _grid.Grid,
+    model: ModelParams,
+    ws: _Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """(energy, rate(u^2)) of the real samples u = ``values``, given ``coeffs`` = rfftn(u).
 
-    The rate, ``gradient_E``'s nonlinear factor, shares the potential's logarithm.
+    The rate, ``gradient_E``'s nonlinear factor, shares the potential's
+    logarithm.  Every array is formed in ``ws`` (a new workspace if None), and
+    the rate returned is ``ws.rate``.
     """
-    kinetic = 0.5 * _parseval(g, _half_k2(g) * _grid.spectral_power(coeffs))
-    rho = values * values
-    log_rho = _density_log(rho)
-    rate = nonlinear_phase_rate(rho, model, log_rho)
-    return kinetic + _grid.integrate(g, potential_density(rho, model, log_rho)), rate
+    ws = _Workspace(g) if ws is None else ws
+    power = _power(coeffs, ws)
+    kinetic = 0.5 * _parseval(g, np.multiply(_half_k2(g), power, out=power))
+    rho = np.multiply(values, values, out=ws.rho)
+    log_rho = _density_log(rho, out=ws.log_rho)
+    potential = potential_density(rho, model, log_rho, out=ws.potential, scratch=ws.rate)
+    energy = kinetic + _grid.integrate(g, potential)
+    return energy, nonlinear_phase_rate(rho, model, log_rho, out=ws.rate)
 
 
 def _eigen_residual(
-    grad: np.ndarray, coeffs: np.ndarray, g: _grid.Grid, rho: float
+    grad: np.ndarray,
+    coeffs: np.ndarray,
+    g: _grid.Grid,
+    rho: float,
+    out: np.ndarray | None = None,
+    ws: _Workspace | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """(omega, half spectrum of grad + omega u, ||grad + omega u|| / sqrt(rho)) by Parseval.
 
     ``grad`` and ``coeffs`` are the half spectra of grad E(u) and of u, whose
-    mass is ``rho``; omega = -<grad E(u), u> / rho.
+    mass is ``rho``; omega = -<grad E(u), u> / rho.  The residual's spectrum is
+    made in ``out`` (a new array if None), the sums in ``ws`` (a new workspace
+    if None).
     """
-    omega_hat = -_parseval(g, grad.real * coeffs.real + grad.imag * coeffs.imag) / rho
-    resid = grad + omega_hat * coeffs
-    return omega_hat, resid, math.sqrt(_parseval(g, _grid.spectral_power(resid)) / rho)
+    ws = _Workspace(g) if ws is None else ws
+    pairing = np.multiply(grad.real, coeffs.real, out=ws.power)
+    pairing += np.multiply(grad.imag, coeffs.imag, out=ws.square)
+    omega_hat = -_parseval(g, pairing) / rho
+    resid = np.multiply(omega_hat, coeffs, out=_half_spectrum(g) if out is None else out)
+    np.add(grad, resid, out=resid)
+    return omega_hat, resid, math.sqrt(_parseval(g, _power(resid, ws)) / rho)
+
+
+def _gaussian_start(g: _grid.Grid, rho: float) -> np.ndarray:
+    """The descent's start: a centred Gaussian of width max(1, L/6) and mass ``rho``."""
+    r2 = sum(x * x for x in _grid.coordinates(g))
+    width = max(1.0, g.half_width / 6.0)
+    values = np.exp(-r2 / (2.0 * width ** 2))
+    return values * math.sqrt(rho / _grid.integrate(g, values * values))
 
 
 def minimize_energy(
@@ -130,23 +203,18 @@ def minimize_energy(
         raise UnsupportedFamily("the pure cubic energy is not bounded below at fixed mass")
 
     g = grid
-    xs = _grid.coordinates(g)
-    r2 = sum(x * x for x in xs)
-    width = max(1.0, g.half_width / 6.0)
-    values = np.exp(-r2 / (2.0 * width ** 2))
-    values = values * math.sqrt(rho / _grid.integrate(g, values * values))
-
-    tau = 1.0
+    ws = _Workspace(g)
+    values = _gaussian_start(g, rho)
+    cand, rate, direction = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
+    coeffs, cand_coeffs, grad, resid = (_half_spectrum(g) for _ in range(4))
     pinv = 1.0 / (1.0 + _half_k2(g))
-    grad, inverse = _half_spectrum(g), _half_spectrum(g)
-    direction = np.empty(g.shape)
 
-    coeffs = rfftn(values, out=_half_spectrum(g))
-    e_cur, rate = _energy(values, coeffs, g, model)
+    e_cur = _energy(values, rfftn(values, out=coeffs), g, model, ws)[0]
+    rate, ws.rate = ws.rate, rate  # ``rate`` is the accepted samples', ``ws.rate`` the trials'
+    tau = 1.0
     for iteration in range(1, _MAX_ITER + 1):
-        omega_hat, resid, residual = _eigen_residual(
-            gradient_E(values, coeffs, g, model, grad, rate), coeffs, g, rho
-        )
+        gradient_E(values, coeffs, g, model, grad, rate, ws)
+        omega_hat, resid, residual = _eigen_residual(grad, coeffs, g, rho, resid, ws)
         if residual <= tol:
             return MinimizerResult(
                 field=_grid.ComplexField(g, values),
@@ -155,30 +223,36 @@ def minimize_energy(
                 residual=residual,
                 iterations=iteration - 1,
             )
-        dir_coeffs = pinv * resid
+        dir_coeffs = np.multiply(pinv, resid, out=resid)
         # numpy's irfftn allocates the result of its leading axes: invert them
-        # in place in the run's own array, then the real axis into ``direction``
-        np.copyto(inverse, dir_coeffs)
+        # in place in the gradient's array, free until the next gradient, then
+        # the real axis into ``direction``
+        np.copyto(grad, dir_coeffs)
         for axis in range(g.dim - 1):
-            ifft(inverse, axis=axis, out=inverse)
-        direction = irfftn(inverse, s=(g.n,), axes=(g.dim - 1,), out=direction)
+            ifft(grad, axis=axis, out=grad)
+        irfftn(grad, s=(g.n,), axes=(g.dim - 1,), out=direction)
         accepted = False
         while tau > 1e-18:
-            cand = values - tau * direction
-            scale = math.sqrt(rho / _grid.integrate(g, cand * cand))
+            np.subtract(values, np.multiply(tau, direction, out=cand), out=cand)
+            scale = math.sqrt(rho / _grid.integrate(g, np.multiply(cand, cand, out=ws.rho)))
             cand *= scale
-            cand_coeffs = (coeffs - tau * dir_coeffs) * scale
-            e_new, cand_rate = _energy(cand, cand_coeffs, g, model)
+            np.subtract(coeffs, np.multiply(tau, dir_coeffs, out=cand_coeffs), out=cand_coeffs)
+            cand_coeffs *= scale
+            e_new = _energy(cand, cand_coeffs, g, model, ws)[0]
             if e_new <= e_cur:
-                values, coeffs, rate = cand, cand_coeffs, cand_rate
+                # the trial's arrays become the accepted ones and the old accepted
+                # ones the next trial's
+                values, cand = cand, values
+                coeffs, cand_coeffs = cand_coeffs, coeffs
+                rate, ws.rate = ws.rate, rate
                 e_cur = e_new
                 tau = min(tau * 1.3, 4.0)
                 accepted = True
                 break
             tau *= 0.5
         if not accepted:
-            # stalled below float resolution of the energy; report as converged
-            # only if the residual is meaningful, otherwise give up
+            # stalled below float resolution of the energy: no step down to
+            # tau = 1e-18 lowers it, so the descent cannot go on
             raise MaxIterations(
                 f"descent stalled at residual {residual:.3e} after {iteration} iterations"
             )
@@ -203,15 +277,16 @@ def negative_energy_witness(
     vals = field.values.real
     if not np.any(vals):
         raise ValueError("witness requires a nonzero field")
-    coeffs = rfftn(vals, out=_half_spectrum(g))
-    e0 = _energy(vals, coeffs, g, model)[0]
+    ws = _Workspace(g)
+    coeffs, rescaled_coeffs = _half_spectrum(g), _half_spectrum(g)
+    e0 = _energy(vals, rfftn(vals, out=coeffs), g, model, ws)[0]
     quartic = _grid.integrate(g, vals ** 4)
 
     mu = 1.0
     while mu > 1e-8:
         mu *= 0.5
         rescaled = _rescale_field(coeffs, g, mu)
-        e_grid = _energy(rescaled, rfftn(rescaled, out=_half_spectrum(g)), g, model)[0]
+        e_grid = _energy(rescaled, rfftn(rescaled, out=rescaled_coeffs), g, model, ws)[0]
         closed = mu * mu * e0 - 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2) * quartic
         if abs(e_grid - closed) > 1e-6 * max(abs(closed), abs(e0), 1.0):
             raise ConservationError(

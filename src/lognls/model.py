@@ -193,41 +193,72 @@ def positive_G_zero(model: ModelParams) -> float:
     return _bisect_root(eq, 1e-12, math.exp(-0.25))
 
 
-def _density_log(rho: np.ndarray | float) -> np.ndarray | float:
-    """ln(rho) with the removable-singularity convention: 0 where rho ~ 0."""
+def _array(rho, out) -> np.ndarray:
+    """``out``, or a new float array of ``rho``'s shape when None."""
+    return np.empty(np.shape(rho)) if out is None else out
+
+
+def _value(result: np.ndarray):
+    """A 0-d result as a scalar, as numpy's own arithmetic returns it; arrays unchanged."""
+    return result[()] if result.ndim == 0 else result
+
+
+def _density_log(rho: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray | float:
+    """ln(rho) with the removable-singularity convention: 0 where rho ~ 0.
+
+    It is formed in ``out`` (a new array if None), which must not be ``rho``.
+    """
     rho = np.asarray(rho, dtype=float)
-    safe = np.where(rho > _DENSITY_CLAMP, rho, 1.0)
-    return np.log(safe)
+    safe = _array(rho, out)
+    np.copyto(safe, 1.0)
+    np.copyto(safe, rho, where=rho > _DENSITY_CLAMP)
+    return _value(np.log(safe, out=safe))
 
 
-def nonlinear_phase_rate(rho, model: ModelParams, log_rho=None):
+def nonlinear_phase_rate(rho, model: ModelParams, log_rho=None, out=None):
     """d/d rho of the potential density: the phase rate of the nonlinear subflow.
 
     CubicLog2D: lam rho ln rho; QuinticLog1D: lam rho^2 ln rho; PureCubic2D: -lam rho.
-    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.
+    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.  The
+    rate is formed in ``out`` (a new array if None), which must be neither input.
     """
     rho = np.asarray(rho, dtype=float)
+    rate = _array(rho, out)
     if model.family is Family.PURE_CUBIC_2D:
-        return -model.lam * rho
+        return _value(np.multiply(-model.lam, rho, out=rate))
     lr = _density_log(rho) if log_rho is None else log_rho
-    if model.family is Family.CUBIC_LOG_2D:
-        return model.lam * rho * lr
-    return model.lam * rho * rho * lr
+    np.multiply(model.lam, rho, out=rate)
+    if model.family is Family.QUINTIC_LOG_1D:
+        rate *= rho
+    rate *= lr
+    return _value(rate)
 
 
-def potential_density(rho, model: ModelParams, log_rho=None):
+def potential_density(rho, model: ModelParams, log_rho=None, out=None, scratch=None):
     """Potential-energy density V(rho):  E = (1/2)||grad u||^2 + int V(|u|^2).
 
-    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.
+    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.  V is
+    formed in ``out`` and the shifted logarithm of the log families in
+    ``scratch`` (new arrays if None); neither may be an input or the other.
     """
     rho = np.asarray(rho, dtype=float)
+    density = _array(rho, out)
     if model.family is Family.PURE_CUBIC_2D:
-        return -0.5 * model.lam * rho * rho
+        np.multiply(-0.5 * model.lam, rho, out=density)
+        density *= rho
+        return _value(density)
     lr = _density_log(rho) if log_rho is None else log_rho
     if model.family is Family.CUBIC_LOG_2D:
         # (lam/2) rho^2 ln(rho / sqrt(e))
-        return 0.5 * model.lam * rho * rho * (lr - 0.5)
-    return (model.lam / 3.0) * rho ** 3 * (lr - 1.0 / 3.0)
+        np.multiply(0.5 * model.lam, rho, out=density)
+        density *= rho
+        shift = 0.5
+    else:
+        # (lam/3) rho^3 ln(rho / e^(1/3))
+        np.multiply(model.lam / 3.0, np.power(rho, 3, out=density), out=density)
+        shift = 1.0 / 3.0
+    density *= np.subtract(lr, shift, out=scratch)
+    return _value(density)
 
 
 def potential_G(z, model: ModelParams):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,52 @@ class TestHalfSpectrum:
         assert calls["rfftn"] == res.iterations + 2
         assert calls["irfftn"] == res.iterations
         assert np.all(res.field.values.imag == 0.0)
+
+    def test_line_search_makes_no_grid_sized_temporaries(self, model2d, monkeypatch):
+        # Transient memory, in real grid arrays, of each _energy call and of the
+        # bookkeeping between two calls (gradient, residual, direction, trial).
+        # At 128^2 numpy's 8192-element ufunc buffers read 0.5 (real) and 1.0
+        # (complex); one temporary grid array more per call would cross the bounds.
+        g = Grid(2, 128, 15.0)
+        array_bytes = 8 * g.n**g.dim
+        energy = lognls.minimize._energy
+        in_call, between, returned = [], [], []
+
+        def measured(*args, **kwargs):
+            peak = tracemalloc.get_traced_memory()[1]
+            if returned:
+                between.append(peak - returned[-1])
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = energy(*args, **kwargs)
+            current, peak = tracemalloc.get_traced_memory()
+            in_call.append(peak - start)
+            tracemalloc.reset_peak()
+            returned.append(current)
+            return result
+
+        monkeypatch.setattr(lognls.minimize, "_energy", measured)
+        tracemalloc.start()
+        try:
+            res = minimize_energy(20.0, g, model2d, tol=1e-5)
+        finally:
+            tracemalloc.stop()
+        assert len(between) == len(in_call) - 1 >= res.iterations
+        assert max(in_call) < array_bytes
+        assert max(between) < 2 * array_bytes
+
+    def test_second_call_leaves_the_first_result(self, model2d):
+        # a box wide enough for the witness's first scale, mu = 1/2
+        g = Grid(2, 128, 24.0)
+        first = minimize_energy(5.0, g, model2d, tol=1e-5)
+        kept = first.field.values.copy()
+        witness = negative_energy_witness(first.field, model2d)
+        second = minimize_energy(5.0, g, model2d, tol=1e-5)
+        assert first.field.values.tobytes() == kept.tobytes()
+        assert second.field.values.tobytes() == kept.tobytes()
+        scalars = ("energy", "lagrange_omega", "residual", "iterations")
+        assert [getattr(first, k) for k in scalars] == [getattr(second, k) for k in scalars]
+        assert negative_energy_witness(first.field, model2d) == witness
 
 
 class TestMinimize:

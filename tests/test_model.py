@@ -14,8 +14,10 @@ from lognls.errors import (
 )
 from lognls.grid import ComplexField, Grid, coordinates, gradient, h1_norm, integrate
 from lognls.model import (
+    _DENSITY_CLAMP,
     Family,
     ModelParams,
+    _density_log,
     amplitude_roots,
     h1_apriori_bound,
     nonlinear_phase_rate,
@@ -23,10 +25,11 @@ from lognls.model import (
     omega_window,
     positive_G_zero,
     potential_G,
+    potential_density,
     stationary_amplitude,
 )
 
-from properties import PROPERTY_SETTINGS, models_in_window, smooth_fields
+from properties import PROPERTY_SETTINGS, models_in_window, real_fields, smooth_fields
 
 
 def test_omega_window_values():
@@ -100,6 +103,62 @@ def test_positive_G_zero_solves_G_below_the_stationary_amplitude(model):
 def test_stationary_amplitude_solves_the_rate_equation(model):
     phi = stationary_amplitude(model)
     assert abs(float(nonlinear_phase_rate(phi * phi, model)) + model.omega) <= 1e-12 * model.omega
+
+
+@st.composite
+def _densities(draw):
+    """u^2 of a ``real_fields`` draw with a few samples at 0 and a few at or below the clamp."""
+    _, u = draw(real_fields())
+    rho = (u * u).ravel()
+    cells = draw(st.lists(st.integers(0, rho.size - 1), min_size=2, max_size=8, unique=True))
+    tiny = draw(st.sampled_from([_DENSITY_CLAMP, _DENSITY_CLAMP / 2.0, 5e-324]))
+    rho[cells[: len(cells) // 2]] = 0.0
+    rho[cells[len(cells) // 2:]] = tiny
+    return rho.reshape(u.shape)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(_densities(), st.sampled_from(list(Family)), st.floats(min_value=0.5, max_value=2.0))
+def test_buffered_density_forms_equal_the_allocating_ones_bitwise(rho, family, lam):
+    m = ModelParams(family, lam)
+
+    def garbage():
+        return np.full(rho.shape, np.nan)
+
+    log_rho = _density_log(rho)
+    assert _bits(log_rho) == _bits(np.log(np.where(rho > _DENSITY_CLAMP, rho, 1.0)))
+    out = garbage()
+    assert _density_log(rho, out=out) is out and _bits(out) == _bits(log_rho)
+    for given_log in (None, log_rho):
+        for form in (nonlinear_phase_rate, potential_density):
+            out = garbage()
+            assert form(rho, m, given_log, out=out) is out
+            assert _bits(out) == _bits(form(rho, m, given_log))
+        out = garbage()
+        potential_density(rho, m, given_log, out=out, scratch=garbage())
+        assert _bits(out) == _bits(potential_density(rho, m))
+    # and both are the closed forms, evaluated left to right
+    expected = {
+        Family.CUBIC_LOG_2D: (lam * rho * log_rho, 0.5 * lam * rho * rho * (log_rho - 0.5)),
+        Family.QUINTIC_LOG_1D: (
+            lam * rho * rho * log_rho, (lam / 3.0) * rho**3 * (log_rho - 1.0 / 3.0)
+        ),
+        Family.PURE_CUBIC_2D: (-lam * rho, -0.5 * lam * rho * rho),
+    }[family]
+    assert _bits(nonlinear_phase_rate(rho, m)) == _bits(expected[0])
+    assert _bits(potential_density(rho, m)) == _bits(expected[1])
+
+
+def test_density_forms_keep_scalars_scalar():
+    for family in Family:
+        m = ModelParams(family, 1.0)
+        for rho in (0.0, 0.25):
+            values = (_density_log(rho), nonlinear_phase_rate(rho, m), potential_density(rho, m))
+            assert all(isinstance(value, np.float64) for value in values)
 
 
 def _nonlinear_term(z, m):
