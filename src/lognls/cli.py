@@ -341,6 +341,7 @@ def _writable(path: Path) -> Path:
 
 
 def _resolve_outputs(config: dict, out_dir: str | None) -> dict:
+    """Output paths under ``out_dir``; ConfigError if two outputs would write one file."""
     base = Path(out_dir or ".")
     outputs = config.get("outputs", {})
     resolved = {key: _writable(base / outputs[key])
@@ -349,6 +350,16 @@ def _resolve_outputs(config: dict, out_dir: str | None) -> dict:
         (_writable(base / p), float(t))
         for p, t in zip(outputs.get("snapshot_paths", []), outputs.get("snapshot_times", []))
     ]
+    if "csv_path" in resolved and config.get("experiment") == "contrast_blowup":
+        csv = resolved["csv_path"]  # contrast writes its pure-cubic run beside the log run
+        resolved["purecubic_csv_path"] = csv.with_name(csv.stem + "_purecubic" + csv.suffix)
+    files = [(key, path) for key, path in resolved.items() if key != "snapshots"]
+    files += [(f"snapshot_paths[{i}]", p) for i, (p, _) in enumerate(resolved["snapshots"])]
+    writers: dict[Path, str] = {}
+    for name, path in files:
+        other = writers.setdefault(path.resolve(), name)
+        if other != name:
+            raise ConfigError(f"outputs {other} and {name} both write {path}")
     return resolved
 
 
@@ -457,7 +468,7 @@ def _run_evolve(config, typed, outputs, asserts: Assertions):
     asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
     asserts.check("energy_drift", traj.energy_drift, 1e-6)
     asserts.check("momentum_drift", traj.momentum_drift, 1e-9)
-    _write_traj(config, outputs, traj, g, model)
+    _write_traj(config, outputs, "csv_path", traj, g, model)
     return {
         "mass_drift": traj.mass_drift,
         "energy_drift": traj.energy_drift,
@@ -467,13 +478,10 @@ def _run_evolve(config, typed, outputs, asserts: Assertions):
     }
 
 
-def _write_traj(config, outputs, traj, g, model, suffix=""):
-    if outputs.get("csv_path"):
-        path = outputs["csv_path"]
-        if suffix:
-            path = path.with_name(path.stem + suffix + path.suffix)
+def _write_traj(config, outputs, csv_key, traj, g, model):
+    if outputs.get(csv_key):
         header, rows = _trajectory_rows(traj, g.dim)
-        write_csv(path, provenance(config), header, rows)
+        write_csv(outputs[csv_key], provenance(config), header, rows)
     for snap_path, snap_t in outputs["snapshots"]:
         write_snapshot(snap_path, traj.snapshots[snap_t], model, snap_t)
 
@@ -489,7 +497,7 @@ def _run_stability(config, typed, outputs, asserts: Assertions):
     sup_dist = max(traj.orbit_distances)
     asserts.check("sup_orbit_distance", sup_dist, 10.0 * cfg.perturbation.delta)
     asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
-    _write_traj(config, outputs, traj, g, model)
+    _write_traj(config, outputs, "csv_path", traj, g, model)
     return {
         "sup_orbit_distance": sup_dist,
         "initial_orbit_distance": traj.orbit_distances[0],
@@ -600,8 +608,8 @@ def _run_contrast(config, typed, outputs, asserts: Assertions):
     traj_log = evolve(cfg)
     sup_kin = max(s.kinetic for s in traj_log.samples)
     asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + H1_BOUND_SLACK)
-    _write_traj(config, outputs, traj_log, g, model)
-    _write_traj(config, outputs, traj_cubic, g, cubic, suffix="_purecubic")
+    _write_traj(config, outputs, "csv_path", traj_log, g, model)
+    _write_traj(config, outputs, "purecubic_csv_path", traj_cubic, g, cubic)
     blew_up = math.isfinite(blowup_time)
     return {
         "blowup_time": blowup_time if blew_up else None,
@@ -629,7 +637,7 @@ def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")
         metrics["pc_residual_half_dt"] = residual_half
         metrics["pc_residual_ratio"] = ratio
-    _write_traj(config, outputs, traj, g, model)
+    _write_traj(config, outputs, "csv_path", traj, g, model)
     return metrics
 
 
@@ -680,9 +688,8 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     except _FAULTS as exc:
         summary = {"pass": False, "error": _error(exc)}
         try:
-            failed_outputs = _resolve_outputs(config if isinstance(config, dict) else {}, out_dir)
-            if failed_outputs.get("summary_json_path"):
-                _write_summary(failed_outputs["summary_json_path"], summary)
+            path = _writable(Path(out_dir or ".") / config["outputs"]["summary_json_path"])
+            _write_summary(path, summary)
         except Exception:
             pass
         return 2, summary

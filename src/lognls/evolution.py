@@ -13,7 +13,9 @@ nonlinear rotation writes cos and sin of the phase into the real and
 imaginary parts of one preallocated complex buffer (bitwise equal to
 ``exp(-i dt rate)``), and a synchronized record state is formed in that same
 buffer, so a run holds the state, one buffer and the two propagators between
-steps.  A record's forward transform goes into one more array the run owns.
+steps.  A record's one forward transform, taken by ``observables``, goes into
+one more array the run owns, and the orbit distance and the pseudo-conformal
+functional read it there.
 
 The transforms run on the calling thread: ``numpy.fft`` has no worker pool,
 so there is no knob for one.  None is missed: with a pooled pocketfft
@@ -316,10 +318,15 @@ def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.C
     return result
 
 
-def pc_functional(field: _grid.ComplexField, t: float, model: ModelParams) -> float:
-    """(1/2)||(x + i t grad) u||^2 + (lam t^2 / 2-weighted) potential term."""
+def pc_functional(
+    field: _grid.ComplexField, coeffs: np.ndarray, t: float, model: ModelParams
+) -> float:
+    """(1/2)||(x + i t grad) u||^2 + (lam t^2 / 2-weighted) potential term.
+
+    ``coeffs`` is the forward transform of ``field``, whose gradient it gives.
+    """
     g = field.grid
-    parts = _grid.galilean_apply(field, t)
+    parts = _grid.galilean_apply(field, coeffs, t)
     val = 0.5 * sum(_grid.integrate(g, np.abs(p.values) ** 2) for p in parts)
     rho = np.abs(field.values) ** 2
     val += t * t * _grid.integrate(g, potential_density(rho, model))
@@ -342,7 +349,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         if config.reference is None:
             raise ValueError("orbit tracking needs a reference profile")
         traj.orbit_distances = []
-        reference_hat = _reference_spectrum(config.reference, g)
+        reference_hat = reference_spectrum(config.reference, g)
 
     spectrum = np.empty(g.shape, dtype=complex)
     obs0 = observables(u, model, spectrum)
@@ -365,12 +372,13 @@ def evolve(config: EvolutionConfig) -> Trajectory:
             obs = observables(fld, model, spectrum)
         except NonFiniteField:
             raise NonFiniteField(f"non-finite field at t={t}") from None
+        # ``spectrum`` now holds the record state's transform, the only one a record takes
         traj.times.append(t)
         traj.samples.append(obs)
         if config.monitor_pc:
-            traj.pc_quantity.append(pc_functional(fld, t, model))
+            traj.pc_quantity.append(pc_functional(fld, spectrum, t, model))
         if config.track_orbit:
-            dist, _, _ = orbit_distance(fld, config.reference, reference_hat=reference_hat)
+            dist, _, _ = orbit_distance(spectrum, reference_hat, g)
             traj.orbit_distances.append(dist)
         if step in snapshots:
             traj.snapshots[snapshots[step]] = fld.copy()
@@ -404,26 +412,20 @@ def evolve(config: EvolutionConfig) -> Trajectory:
 
 
 def orbit_distance(
-    field: _grid.ComplexField,
-    profile: RadialProfile,
-    reference_hat: np.ndarray | None = None,
+    u_hat: np.ndarray, p_hat: np.ndarray, g: _grid.Grid
 ) -> tuple[float, float, tuple[float, ...]]:
-    """min over (theta, y) of the H1 distance to e^{i theta} phi(. - y).
+    """min over (theta, y) of the H1 distance from u to e^{i theta} phi(. - y) on ``g``.
+
+    ``u_hat`` and ``p_hat`` are the forward transforms of u and of phi embedded
+    on the grid (``reference_spectrum``); neither is modified.
 
     The shift is searched by spectral cross-correlation of the H1 pairing,
     refined by one quadratic interpolation per axis; the optimal phase is the
     argument of the pairing.  The reported distance is the H1 norm of the
     difference spectrum u_hat - e^{i theta} e^{-i k.y} phi_hat (Parseval), a
     direct difference, so exact orbit members return ~1e-14, not the
-    half-precision left by cancelling near-equal norms.  ``reference_hat``,
-    the forward transform of phi embedded on the grid, lets a caller that
-    measures many fields against one profile transform it once.
+    half-precision left by cancelling near-equal norms.
     """
-    g = field.grid
-    p_hat = reference_hat
-    if p_hat is None:
-        p_hat = _reference_spectrum(profile, g)
-    u_hat = _grid.forward(field.values)
     weight = 1.0 + g.k2
     # |C(y)| with C(y) = <u, phi(.-y)>_H1 up to a positive factor, for every
     # grid shift y, via one inverse FFT
@@ -465,7 +467,7 @@ def orbit_distance(
     return d_refined, theta_refined, y
 
 
-def _reference_spectrum(profile: RadialProfile, g: _grid.Grid) -> np.ndarray:
+def reference_spectrum(profile: RadialProfile, g: _grid.Grid) -> np.ndarray:
     """The forward transform of ``profile`` embedded on ``g``, made in the embedding's array."""
     values = embed_radial(profile, g).values
     return fftn(values, out=values)

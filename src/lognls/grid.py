@@ -106,10 +106,6 @@ def forward(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return fftn(values, out=out)
 
 
-def gradient(field: ComplexField) -> tuple[ComplexField, ...]:
-    return spectral_gradient(field.grid, forward(field.values))
-
-
 def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> tuple[ComplexField, ...]:
     """Gradient components of the field whose forward transform is ``coeffs``.
 
@@ -197,11 +193,10 @@ def hermite_cubic(
     return value, deriv
 
 
-def galilean_apply(field: ComplexField, t: float) -> tuple[ComplexField, ...]:
-    """J(t) u = x u + i t grad u, one component per axis."""
-    field.check_finite()
+def galilean_apply(field: ComplexField, coeffs: np.ndarray, t: float) -> tuple[ComplexField, ...]:
+    """J(t) u = x u + i t grad u, one component per axis, given ``coeffs`` = forward(u)."""
     g = field.grid
-    grads = gradient(field)
+    grads = spectral_gradient(g, coeffs)
     xs = coordinates(g)
     return tuple(
         ComplexField(g, x * field.values + 1j * t * gr.values)

@@ -27,7 +27,6 @@ from .errors import (
     GridTooSmall,
     IntegratorFailure,
     NonPositiveB,
-    ConservationError,
 )
 from .model import (
     Family,
@@ -269,10 +268,6 @@ def _integrate_radial(model, b, store):
         h *= fac
     if not store:
         rs, ps, qs = [r], [p], [q]
-    elif rs[-1] != r:
-        rs.append(r)
-        ps.append(p)
-        qs.append(q)
     return cls, rs, ps, qs
 
 
@@ -609,10 +604,6 @@ def mass_asymptotics_sweep(
                 ratio_log=mass * L / mass_Q,
             )
         )
-    masses = [row.mass for row in rows]
-    if len(masses) > 1 and all(a > b for a, b in zip(omega_list, list(omega_list)[1:])):
-        if not all(a > b for a, b in zip(masses, masses[1:])):
-            raise ConservationError("masses failed to decrease along decreasing omega")
     return rows, mass_Q
 
 

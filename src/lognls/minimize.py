@@ -48,6 +48,7 @@ from . import grid as _grid
 from .errors import (
     ConservationError,
     ExhaustedScaling,
+    GridTooSmall,
     MaxIterations,
     NonPositiveRho,
     UnsupportedFamily,
@@ -111,23 +112,17 @@ def gradient_E(
     values: np.ndarray,
     coeffs: np.ndarray,
     g: _grid.Grid,
-    model: ModelParams,
-    out: np.ndarray | None = None,
-    rate: np.ndarray | None = None,
-    ws: _Workspace | None = None,
+    out: np.ndarray,
+    rate: np.ndarray,
+    ws: _Workspace,
 ) -> np.ndarray:
     """Half spectrum of the first variation -1/2 Lap u + rate(u^2) u, given ``coeffs`` = rfftn(u).
 
-    It is made in ``out`` (a new half-spectrum array if None).  ``rate`` is
-    rate(u^2) when the caller holds it (``_energy`` returns it).  The
-    intermediate arrays are ``ws``'s (a new workspace if None).
+    ``rate`` is rate(u^2), which ``_energy`` returns.  The result is made in
+    ``out``, the intermediate arrays in ``ws``.
     """
-    ws = _Workspace(g) if ws is None else ws
-    if rate is None:
-        rho = np.multiply(values, values, out=ws.rho)
-        rate = nonlinear_phase_rate(rho, model, _density_log(rho, out=ws.log_rho), out=ws.rate)
     product = np.multiply(rate, values, out=ws.rho)
-    grad = rfftn(product, out=_half_spectrum(g) if out is None else out)
+    grad = rfftn(product, out=out)
     laplacian = np.multiply(0.5, _half_k2(g), out=ws.power)
     grad += np.multiply(laplacian, coeffs, out=ws.spectrum)
     return grad
@@ -138,15 +133,14 @@ def _energy(
     coeffs: np.ndarray,
     g: _grid.Grid,
     model: ModelParams,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> tuple[float, np.ndarray]:
     """(energy, rate(u^2)) of the real samples u = ``values``, given ``coeffs`` = rfftn(u).
 
     The rate, ``gradient_E``'s nonlinear factor, shares the potential's
-    logarithm.  Every array is formed in ``ws`` (a new workspace if None), and
-    the rate returned is ``ws.rate``.
+    logarithm.  Every array is formed in ``ws``, and the rate returned is
+    ``ws.rate``.
     """
-    ws = _Workspace(g) if ws is None else ws
     power = _power(coeffs, ws)
     kinetic = 0.5 * _parseval(g, np.multiply(_half_k2(g), power, out=power))
     rho = np.multiply(values, values, out=ws.rho)
@@ -161,21 +155,19 @@ def _eigen_residual(
     coeffs: np.ndarray,
     g: _grid.Grid,
     rho: float,
-    out: np.ndarray | None = None,
-    ws: _Workspace | None = None,
+    out: np.ndarray,
+    ws: _Workspace,
 ) -> tuple[float, np.ndarray, float]:
     """(omega, half spectrum of grad + omega u, ||grad + omega u|| / sqrt(rho)) by Parseval.
 
     ``grad`` and ``coeffs`` are the half spectra of grad E(u) and of u, whose
     mass is ``rho``; omega = -<grad E(u), u> / rho.  The residual's spectrum is
-    made in ``out`` (a new array if None), the sums in ``ws`` (a new workspace
-    if None).
+    made in ``out``, the sums in ``ws``.
     """
-    ws = _Workspace(g) if ws is None else ws
     pairing = np.multiply(grad.real, coeffs.real, out=ws.power)
     pairing += np.multiply(grad.imag, coeffs.imag, out=ws.square)
     omega_hat = -_parseval(g, pairing) / rho
-    resid = np.multiply(omega_hat, coeffs, out=_half_spectrum(g) if out is None else out)
+    resid = np.multiply(omega_hat, coeffs, out=out)
     np.add(grad, resid, out=resid)
     return omega_hat, resid, math.sqrt(_parseval(g, _power(resid, ws)) / rho)
 
@@ -213,7 +205,7 @@ def minimize_energy(
     rate, ws.rate = ws.rate, rate  # ``rate`` is the accepted samples', ``ws.rate`` the trials'
     tau = 1.0
     for iteration in range(1, _MAX_ITER + 1):
-        gradient_E(values, coeffs, g, model, grad, rate, ws)
+        gradient_E(values, coeffs, g, grad, rate, ws)
         omega_hat, resid, residual = _eigen_residual(grad, coeffs, g, rho, resid, ws)
         if residual <= tol:
             return MinimizerResult(
@@ -265,7 +257,9 @@ def negative_energy_witness(
     """A scale mu in (0,1) with E(mu u(mu x)) < 0, cross-checked in closed form.
 
     E(u_mu) = mu^2 E(u) - (lam/2) mu^2 ln(1/mu^2) \\int |u|^4: negative for
-    small mu since the quartic term is positive for nonzero u.
+    small mu since the quartic term is positive for nonzero u.  The grid holds
+    u_mu only where mu x lies in [-mu L, mu L)^d; GridTooSmall if the closed
+    form of the part of u outside that box exceeds the cross-check's tolerance.
     """
     if model.family is not Family.CUBIC_LOG_2D:
         raise UnsupportedFamily("the scaling witness is a 2D log-model statement")
@@ -280,15 +274,30 @@ def negative_energy_witness(
     ws = _Workspace(g)
     coeffs, rescaled_coeffs = _half_spectrum(g), _half_spectrum(g)
     e0 = _energy(vals, rfftn(vals, out=coeffs), g, model, ws)[0]
-    quartic = _grid.integrate(g, vals ** 4)
+    quartic_density = vals ** 4
+    quartic = _grid.integrate(g, quartic_density)
+    # the energy density of u: u_mu loses its integral outside [-mu L, mu L)^d
+    grads = _grid.spectral_gradient(g, _grid.forward(field.values))
+    energy_density = potential_density(vals * vals, model)
+    energy_density += 0.5 * sum(_grid.spectral_power(d.values) for d in grads)
+    coords = _grid.coordinates(g)
 
     mu = 1.0
     while mu > 1e-8:
         mu *= 0.5
+        scale, log_scale = mu * mu, 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2)
+        closed = scale * e0 - log_scale * quartic
+        tol = 1e-6 * max(abs(closed), abs(e0), 1.0)
+        box = mu * g.half_width
+        outside = np.any([(x < -box) | (x >= box) for x in coords], axis=0)
+        dropped = (scale * _grid.integrate(g, energy_density * outside)
+                   - log_scale * _grid.integrate(g, quartic_density * outside))
+        if abs(dropped) > tol:
+            raise GridTooSmall(f"the field outside [-{box}, {box})^{g.dim} carries {dropped:.3e} "
+                               f"of E(u_mu) = {closed} at mu = {mu}: the box is too small")
         rescaled = _rescale_field(coeffs, g, mu)
         e_grid = _energy(rescaled, rfftn(rescaled, out=rescaled_coeffs), g, model, ws)[0]
-        closed = mu * mu * e0 - 0.5 * model.lam * mu * mu * math.log(1.0 / mu ** 2) * quartic
-        if abs(e_grid - closed) > 1e-6 * max(abs(closed), abs(e0), 1.0):
+        if abs(e_grid - closed) > tol:
             raise ConservationError(
                 f"rescaled-grid energy {e_grid} disagrees with closed form {closed}"
             )

@@ -33,10 +33,7 @@ def write_snapshot(
         fh.write(struct.pack("<" + "I" * g.dim, *([g.n] * g.dim)))
         fh.write(struct.pack("<" + "d" * g.dim, *([g.half_width] * g.dim)))
         fh.write(struct.pack("<ddd", model.lam, omega, t))
-        interleaved = np.empty(field.values.size * 2, dtype="<f8")
-        interleaved[0::2] = field.values.real.ravel()
-        interleaved[1::2] = field.values.imag.ravel()
-        fh.write(interleaved.tobytes())
+        np.ascontiguousarray(field.values, dtype="<c16").tofile(fh)
 
 
 def read_snapshot(path) -> tuple[ComplexField, dict]:
@@ -67,11 +64,10 @@ def read_snapshot(path) -> tuple[ComplexField, dict]:
         raise ConfigError(
             f"{path}: {len(raw)} bytes, but a {n}^{dim} snapshot takes {off + 16 * count}"
         )
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=off)
-    values = (flat[0::2] + 1j * flat[1::2]).reshape((n,) * dim)
+    values = np.frombuffer(raw, dtype="<c16", count=count, offset=off).reshape((n,) * dim)
     grid = Grid(dim, n, widths[0])
     meta = {"lam": lam, "omega": None if math.isnan(omega) else omega, "t": t}
-    return ComplexField(grid, values.copy()), meta
+    return ComplexField(grid, values.astype(complex)), meta
 
 
 def format_float(x) -> str:

@@ -30,8 +30,9 @@ from lognls.evolution import (
     orbit_distance,
     pc_identity_rhs,
     pseudoconformal_residual,
+    reference_spectrum,
 )
-from lognls.grid import Grid
+from lognls.grid import Grid, forward
 from lognls.groundstate import (
     find_ground_state,
     mass_asymptotics_sweep,
@@ -287,7 +288,7 @@ def test_criterion_09_minimizer_vs_shooter(profiles):
     rho = radial_observables(profile).mass
     g = Grid(2, 384, 30.0)
     res = minimize_energy(rho, g, MODEL, tol=1e-6)
-    dist, _, _ = orbit_distance(res.field, profile)
+    dist, _, _ = orbit_distance(forward(res.field.values), reference_spectrum(profile, g), g)
     assert dist <= 1e-4
     assert abs(res.lagrange_omega - 0.1) <= 1e-3
     energies = {}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from properties import PROPERTY_SETTINGS, models_in_window
 
 import lognls.cli
+import lognls.convexity1d
 from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
 from lognls.grid import ComplexField, Grid
@@ -58,6 +59,15 @@ class TestSnapshotFormat:
         # omega absent -> NaN slot
         _, meta = read_snapshot(path)
         assert meta["omega"] is None
+
+    def test_signed_zeros_roundtrip(self, tmp_path):
+        g = Grid(1, 4, 1.0)
+        vals = np.array([1.0, -0.0, 0.0, -2.0]) + 0j
+        vals.imag = [-0.0, 0.0, -0.0, 3.0]
+        model = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
+        write_snapshot(tmp_path / "z.nlsf", ComplexField(g, vals), model)
+        back, _ = read_snapshot(tmp_path / "z.nlsf")
+        assert back.values.tobytes() == vals.tobytes()
 
     def test_missing_omega_nan_roundtrip(self, tmp_path):
         g = Grid(1, 8, 1.0)
@@ -589,6 +599,47 @@ def _tiny_sweep_mass():
 def test_mass_monotonicity_is_read_in_omega_order(tmp_path, config):
     code, summary = run_config(config, out_dir=str(tmp_path))
     assert code == 0 and summary["pass"]
+
+
+def test_failed_convexity_claim_is_an_assertion(tmp_path, monkeypatch):
+    # the library leaves d'' > 0 to the CLI's dpp_min check: exit 1 with the table written
+    monkeypatch.setattr(lognls.convexity1d, "dpp_forms", lambda model: (-1.0, -1.0))
+    config = _with(_tiny_convexity1d(), ("outputs", "csv_path"), "scan.csv")
+    code, summary = run_config(config, out_dir=str(tmp_path))
+    assert code == 1 and summary["error"] is None
+    (dpp_min,) = [a for a in summary["assertions"] if a["name"] == "dpp_min"]
+    assert dpp_min["pass"] is False and dpp_min["value"] == -1.0
+    assert read_csv(tmp_path / "scan.csv")[1]["dpp_quad"].tolist() == [-1.0]
+
+
+def _contrast_outputs(outputs):
+    config = _with(_tiny_evolve(), ("experiment",), "contrast_blowup")
+    return _with(config, ("outputs",), outputs)
+
+
+# two outputs of one config that name one file
+_COLLIDING_OUTPUTS = {
+    "csv_is_summary": _with(_tiny_evolve(), ("outputs", "csv_path"), "summary.json"),
+    "two_snapshots_one_file": _with(_evolve_config([0.05, 0.1], ["snap.nlsf", "./snap.nlsf"]),
+                                    ("outputs", "summary_json_path"), "summary.json"),
+    "purecubic_csv_is_summary": _contrast_outputs(
+        {"csv_path": "traj.csv", "summary_json_path": "traj_purecubic.csv"}),
+}
+
+
+@pytest.mark.parametrize("config", _COLLIDING_OUTPUTS.values(), ids=list(_COLLIDING_OUTPUTS))
+def test_colliding_outputs_are_config_errors(tmp_path, monkeypatch, config):
+    def never(*args, **kwargs):
+        raise AssertionError("a config with colliding outputs ran")
+
+    monkeypatch.setattr(lognls.cli, "evolve", never)
+    code, summary = run_config(config, out_dir=str(tmp_path))
+    _assert_config_error(code, summary)
+    assert "both write" in summary["error"]["message"]
+    # nothing but the error summary is written
+    summary_path = config["outputs"]["summary_json_path"]
+    assert [p.name for p in tmp_path.iterdir()] == [summary_path]
+    assert json.loads((tmp_path / summary_path).read_text())["error"]["code"] == "ConfigError"
 
 
 # frequency lists outside the window their experiment solves in (quintic edge 0.119)

@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.fft import fftn
 
+import lognls.grid
 from lognls import evolution
 from lognls.errors import BlowUpDetected, InsufficientSamples
 from lognls.evolution import (
@@ -19,10 +21,11 @@ from lognls.evolution import (
     orbit_distance,
     pc_identity_rhs,
     pseudoconformal_residual,
+    reference_spectrum,
     snapshot_steps,
     strang_step,
 )
-from lognls.grid import ComplexField, Grid, coordinates, h1_norm, integrate
+from lognls.grid import ComplexField, Grid, coordinates, forward, h1_norm, integrate
 from lognls.groundstate import embed_radial, find_ground_state
 from lognls.model import Family, ModelParams
 
@@ -156,7 +159,7 @@ class TestOrbitDistance:
         u = ComplexField(
             g, np.roll(ref.values, shift_cells, axis=0) * np.exp(1j * theta0)
         )
-        dist, theta, y = orbit_distance(u, profile_01)
+        dist, theta, y = orbit_distance(forward(u.values), reference_spectrum(profile_01, g), g)
         assert dist <= 1e-12
         assert theta == pytest.approx(theta0, abs=1e-9)
         assert y[0] == pytest.approx(y0, abs=1e-9)
@@ -170,7 +173,7 @@ class TestOrbitDistance:
         delta = 1e-2
         bump_norm = h1_norm(ComplexField(g, bump))
         u = ComplexField(g, ref.values + delta * bump / bump_norm)
-        dist, _, _ = orbit_distance(u, profile_01)
+        dist, _, _ = orbit_distance(forward(u.values), reference_spectrum(profile_01, g), g)
         assert dist <= delta + 1e-12
 
     def test_perturbation_sizes_are_exact(self, profile_01):
@@ -233,6 +236,44 @@ class TestPseudoconformal:
         traj = Trajectory(times=[0.0, 0.1], samples=[], pc_quantity=[1.0, 1.0])
         with pytest.raises(InsufficientSamples):
             pseudoconformal_residual(traj, model2d)
+
+
+class TestRecordTransforms:
+    """A record reads the spectrum its observables took: one forward transform per record."""
+
+    @staticmethod
+    def _forward_per_record(monkeypatch, config):
+        original, in_record = lognls.grid.fftn, []
+
+        def counted(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                code = frame.f_code
+                if code.co_name == "record" and code.co_filename == evolution.__file__:
+                    in_record.append(1)
+                    break
+                frame = frame.f_back
+            return original(*args, **kwargs)
+
+        # the only bindings through which an evolution takes a forward transform
+        for module in (lognls.grid, evolution):
+            monkeypatch.setattr(module, "fftn", counted)
+        traj = evolve(config)
+        return len(in_record) / len(traj.times)
+
+    def test_tracked_orbit(self, monkeypatch, model2d, profile_01):
+        cfg = EvolutionConfig(
+            model=model2d, grid=Grid(2, 64, 20.0), dt=5e-3, t_final=0.05, sample_every=2,
+            initial=GroundStateInit(omega=0.1), reference=profile_01, track_orbit=True,
+        )
+        assert self._forward_per_record(monkeypatch, cfg) == 1.0
+
+    def test_monitor_pc(self, monkeypatch, model2d):
+        cfg = EvolutionConfig(
+            model=model2d, grid=Grid(2, 64, 10.0), dt=5e-3, t_final=0.05, sample_every=2,
+            initial=GaussianInit(), monitor_pc=True,
+        )
+        assert self._forward_per_record(monkeypatch, cfg) == 1.0
 
 
 class TestBuildInitial:
@@ -384,7 +425,7 @@ class TestOrbitDistanceProperties:
         u = ComplexField(
             g, np.exp(1j * theta0) * np.roll(phi.values, cells, axis=tuple(range(g.dim)))
         )
-        dist, theta, y = orbit_distance(u, None, reference_hat=fftn(phi.values))
+        dist, theta, y = orbit_distance(fftn(u.values), fftn(phi.values), g)
         assert dist <= 1e-12
         assert _periodic_gap(theta, theta0, 2.0 * math.pi) <= 1e-10
         for y_axis, c in zip(y, cells):

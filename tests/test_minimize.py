@@ -7,11 +7,12 @@ from hypothesis import given
 from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 import lognls.minimize
-from lognls.errors import NonPositiveRho, UnsupportedFamily
-from lognls.grid import ComplexField, Grid, coordinates, integrate
+from lognls.errors import GridTooSmall, NonPositiveRho, UnsupportedFamily
+from lognls.grid import ComplexField, Grid, coordinates, forward, integrate
 from lognls.groundstate import embed_radial, radial_observables
-from lognls.evolution import orbit_distance
+from lognls.evolution import orbit_distance, reference_spectrum
 from lognls.minimize import (
+    _Workspace,
     _eigen_residual,
     _energy,
     gradient_E,
@@ -39,8 +40,17 @@ def _random_smooth(g, seed):
     return np.fft.ifftn(coeffs).real
 
 
+def _energy_of(u, g, model):
+    return _energy(u, rfftn(u), g, model, _Workspace(g))[0]
+
+
+def _gradient_spectrum(u, coeffs, g, model):
+    rate = nonlinear_phase_rate(u * u, model)
+    return gradient_E(u, coeffs, g, np.empty_like(coeffs), rate, _Workspace(g))
+
+
 def _gradient_samples(u, g, model):
-    return irfftn(gradient_E(u, rfftn(u), g, model), s=g.shape)
+    return irfftn(_gradient_spectrum(u, rfftn(u), g, model), s=g.shape)
 
 
 class TestGradient:
@@ -48,7 +58,7 @@ class TestGradient:
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 64, 8.0)
         zero = np.zeros(g.shape)
-        out = gradient_E(zero, rfftn(zero), g, m)
+        out = _gradient_spectrum(zero, rfftn(zero), g, m)
         assert np.max(np.abs(out)) == 0.0
 
     def test_directional_derivative_oracle(self):
@@ -62,8 +72,8 @@ class TestGradient:
         errs = {}
         for eps in (1e-3, 1e-4):
             plus, minus = u + eps * v, u - eps * v
-            ep = _energy(plus, rfftn(plus), g, m)[0]
-            em = _energy(minus, rfftn(minus), g, m)[0]
+            ep = _energy_of(plus, g, m)
+            em = _energy_of(minus, g, m)
             errs[eps] = abs((ep - em) / (2.0 * eps) - pairing)
         assert errs[1e-3] <= 1e-4 * max(abs(pairing), 1.0)
         # quadratic decay of the finite-difference error
@@ -99,7 +109,7 @@ class TestHalfSpectrum:
         m = _MODELS[g.dim]
         kinetic = _full_spectrum_kinetic(u, g)
         potential = integrate(g, potential_density(u * u, m))
-        e = _energy(u, rfftn(u), g, m)[0]
+        e = _energy_of(u, g, m)
         assert abs(e - (kinetic + potential)) <= 1e-12 * (abs(kinetic) + abs(potential))
         # one kinetic energy: the record path's equals the minimizer's, Nyquist mode included
         obs = observables(ComplexField(g, u), m)
@@ -121,7 +131,9 @@ class TestHalfSpectrum:
         m = _MODELS[g.dim]
         rho = integrate(g, u * u)
         coeffs = rfftn(u)
-        omega, resid, residual = _eigen_residual(gradient_E(u, coeffs, g, m), coeffs, g, rho)
+        grad_hat = _gradient_spectrum(u, coeffs, g, m)
+        omega, resid, residual = _eigen_residual(
+            grad_hat, coeffs, g, rho, np.empty_like(coeffs), _Workspace(g))
         grad = _full_spectrum_gradient(u, g, m)
         omega_x = -integrate(g, grad * u) / rho
         resid_x = grad + omega_x * u
@@ -205,7 +217,8 @@ class TestMinimize:
         g = Grid(2, 384, 30.0)
         res = minimize_energy(rho, g, model2d, tol=1e-6)
         assert res.residual <= 1e-6
-        dist, _, _ = orbit_distance(res.field, profile_01)
+        p_hat = reference_spectrum(profile_01, g)
+        dist, _, _ = orbit_distance(forward(res.field.values), p_hat, g)
         assert dist <= 1e-4
         assert abs(res.lagrange_omega - 0.1) <= 1e-3
         mass = integrate(g, np.abs(res.field.values) ** 2)
@@ -226,7 +239,7 @@ class TestMinimize:
         for width in (0.5, 1.0, 3.0):
             trial = np.exp(-r2 / (2.0 * width**2))
             trial *= math.sqrt(rho / integrate(g, np.abs(trial) ** 2))
-            assert res.energy < _energy(trial, rfftn(trial), g, model2d)[0]
+            assert res.energy < _energy_of(trial, g, model2d)
 
     def test_radially_nonincreasing_modulus(self, model2d, profile_01):
         rho = radial_observables(profile_01).mass
@@ -264,6 +277,14 @@ class TestWitness:
         u = embed_radial(profile_01, g)
         mu, e_mu = negative_energy_witness(u, m)
         assert e_mu < 0.0
+
+    def test_box_too_small_for_the_first_scale(self, model2d):
+        # u(x/2) needs u on [-L/2, L/2)^2 alone; a minimizer that fills its box does not fit
+        small = minimize_energy(2.0, Grid(2, 64, 10.0), model2d, tol=1e-5)
+        with pytest.raises(GridTooSmall):
+            negative_energy_witness(small.field, model2d)
+        wide = minimize_energy(5.0, Grid(2, 128, 24.0), model2d, tol=1e-5)
+        assert negative_energy_witness(wide.field, model2d)[0] == 0.5
 
     @pytest.mark.parametrize("imag, message", [(None, "nonzero"), (1e-3, "real")],
                              ids=["zero_field", "complex_field"])
