@@ -29,10 +29,6 @@ class SizeMismatch(LogNLSError, ValueError):
     pass
 
 
-class NonPositiveB(LogNLSError, ValueError):
-    pass
-
-
 class IntegratorFailure(LogNLSError, ArithmeticError):
     """Adaptive step size underflowed or the trajectory left the trusted regime."""
 

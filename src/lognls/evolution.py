@@ -27,7 +27,7 @@ time per step, and 4.5-4.8 ms against 3.6-4.0 ms of CPU time per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.fft import fftn, ifftn
@@ -120,6 +120,12 @@ class Perturbation:
 
 @dataclass
 class EvolutionConfig:
+    """One evolution, checked against every rule on its inputs when it is built.
+
+    Every run checks mass conservation at each record, and the log families
+    their a-priori H1 bound too; there is no switch for either.
+    """
+
     model: ModelParams
     grid: _grid.Grid
     dt: float
@@ -130,11 +136,11 @@ class EvolutionConfig:
     monitor_pc: bool = False
     track_orbit: bool = False
     reference: RadialProfile | None = None
-    blowup_threshold: float | None = None
     snapshot_times: tuple[float, ...] = ()
-    check_invariants: bool = True
 
     def __post_init__(self):
+        g, init = self.grid, self.initial
+        self.model.check_grid(g)
         if not 0 < self.dt <= 1e-2 + 1e-15:
             raise ValueError("dt must lie in (0, 1e-2] for accuracy")
         if not self.t_final > 0:
@@ -142,8 +148,23 @@ class EvolutionConfig:
         if self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
         snapshot_steps(self.snapshot_times, self.dt, self.t_final)
+        if not isinstance(init, (_grid.ComplexField, GroundStateInit, GaussianInit, SnapshotInit)):
+            raise ValueError(f"unrecognized initial data descriptor: {init!r}")
+        if isinstance(init, _grid.ComplexField) and init.grid != g:
+            raise ValueError(f"the initial field lies on {init.grid}, not on the configured {g}")
+        if isinstance(init, GroundStateInit):
+            self.model.with_omega(init.omega)  # OmegaOutOfWindow outside the model's window
+        for name in ("initial", "perturbation"):
+            section = getattr(self, name)
+            for f in fields(section) if section is not None else ():
+                value = getattr(section, f.name)
+                if isinstance(value, tuple) and len(value) != g.dim:
+                    raise ValueError(f"{name}.{f.name} has {len(value)} entries, "
+                                     f"not grid.dim {g.dim}")
         if self.perturbation is not None:
-            self.perturbation.check_grid(self.grid)
+            self.perturbation.check_grid(g)
+        if self.track_orbit and self.reference is None:
+            raise ValueError("orbit tracking needs a reference profile")
 
 
 @dataclass
@@ -271,14 +292,12 @@ def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
         xs = _grid.coordinates(g)
         r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
         fld = _grid.ComplexField(g, init.amplitude * np.exp(-r2 / (2.0 * init.width ** 2)))
-    elif isinstance(init, SnapshotInit):
+    else:  # SnapshotInit: EvolutionConfig admits no other kind
         from .snapshots import read_snapshot
 
         fld, _meta = read_snapshot(init.path)
         if fld.grid != g:
             raise GridTooSmall("snapshot grid does not match the configured grid")
-    else:
-        raise ValueError(f"unrecognized initial data descriptor: {init!r}")
 
     boost = getattr(init, "boost", None)
     if boost:
@@ -346,8 +365,6 @@ def evolve(config: EvolutionConfig) -> Trajectory:
     if config.monitor_pc:
         traj.pc_quantity = []
     if config.track_orbit:
-        if config.reference is None:
-            raise ValueError("orbit tracking needs a reference profile")
         traj.orbit_distances = []
         reference_hat = reference_spectrum(config.reference, g)
 
@@ -355,15 +372,13 @@ def evolve(config: EvolutionConfig) -> Trajectory:
     obs0 = observables(u, model, spectrum)
     bound = h1_apriori_bound(obs0, model)
     traj.h1_bound = bound
-    check_bound = config.check_invariants and model.family is not Family.PURE_CUBIC_2D
-    threshold = config.blowup_threshold
-    if threshold is None:
-        # mass conservation caps ||grad u||^2 at 2 kmax^2 M on the grid, so a
-        # fixed 1e6 is unreachable on desk grids; scale the proxy to the run.
-        # Collapse drives the norm to ~0.1-0.2 of the cap before aliasing
-        # saturates it, while bounded runs stay under the a-priori level.
-        kmax2 = float(np.max(g.k2))
-        threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
+    check_bound = model.family is not Family.PURE_CUBIC_2D
+    # mass conservation caps ||grad u||^2 at 2 kmax^2 M on the grid, so a
+    # fixed 1e6 is unreachable on desk grids; scale the proxy to the run.
+    # Collapse drives the norm to ~0.1-0.2 of the cap before aliasing
+    # saturates it, while bounded runs stay under the a-priori level.
+    kmax2 = float(np.max(g.k2))
+    threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
 
     def record(step: int, values: np.ndarray):
         t = step * dt
@@ -389,10 +404,9 @@ def evolve(config: EvolutionConfig) -> Trajectory:
                 time=t,
                 trajectory=traj,
             )
-        if config.check_invariants:
-            drift = abs(obs.mass - obs0.mass) / max(abs(obs0.mass), 1e-300)
-            if drift > MASS_DRIFT_TOL:
-                raise ConservationError(f"mass drift {drift:.3e} at t={t}")
+        drift = abs(obs.mass - obs0.mass) / max(abs(obs0.mass), 1e-300)
+        if drift > MASS_DRIFT_TOL:
+            raise ConservationError(f"mass drift {drift:.3e} at t={t}")
         if check_bound and obs.kinetic > bound + H1_BOUND_SLACK:
             raise ConservationError(
                 f"kinetic energy {obs.kinetic:.6e} broke the a-priori bound {bound:.6e} at t={t}"

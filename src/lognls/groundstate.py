@@ -26,7 +26,6 @@ from .errors import (
     BracketFailure,
     GridTooSmall,
     IntegratorFailure,
-    NonPositiveB,
 )
 from .model import (
     Family,
@@ -49,17 +48,6 @@ class ShotClass(Enum):
     OVERSHOOT = "overshoot"
     UNDERSHOOT = "undershoot"
     CONVERGED = "converged"
-
-
-@dataclass
-class ShotResult:
-    classification: ShotClass
-    r_stop: float
-    phi_stop: float
-    dphi_stop: float
-    r: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    dphi: np.ndarray | None = None
 
 
 @dataclass
@@ -187,8 +175,8 @@ def _make_rhs(model: ModelParams):
 def _integrate_radial(model, b, store):
     """March the radial ODE from r=0 out to ``default_r_max`` and classify the trajectory.
 
-    Returns (classification, rs, ps, qs); the lists are populated only when
-    ``store`` is true (plus always the final point).
+    Returns (classification, rs, ps, qs): the lists hold every accepted sample
+    from r = 0 when ``store`` is true, and the starting point alone otherwise.
     """
     rhs = _make_rhs(model)
     omega = model.require_omega()
@@ -266,27 +254,12 @@ def _integrate_radial(model, b, store):
         else:
             fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= fac
-    if not store:
-        rs, ps, qs = [r], [p], [q]
     return cls, rs, ps, qs
 
 
 def default_r_max(omega: float) -> float:
     """40 e-foldings of the linearized tail decay rate sqrt(2 omega)."""
     return 40.0 / math.sqrt(2.0 * omega)
-
-
-def shoot(model: ModelParams, b: float = 1.0, store: bool = False) -> ShotResult:
-    """Integrate one trajectory at ``model.omega`` out to ``default_r_max`` and classify it."""
-    if b <= 0:
-        raise NonPositiveB(f"initial amplitude must be positive, got {b}")
-    cls, rs, ps, qs = _integrate_radial(model, b, store)
-    result = ShotResult(cls, rs[-1], ps[-1], qs[-1])
-    if store:
-        result.r = np.asarray(rs)
-        result.phi = np.asarray(ps)
-        result.dphi = np.asarray(qs)
-    return result
 
 
 def _classify(model, b):

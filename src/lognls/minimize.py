@@ -193,6 +193,7 @@ def minimize_energy(
         raise ValueError("minimization requires lam > 0")
     if model.family is Family.PURE_CUBIC_2D:
         raise UnsupportedFamily("the pure cubic energy is not bounded below at fixed mass")
+    model.check_grid(grid)
 
     g = grid
     ws = _Workspace(g)
@@ -266,6 +267,7 @@ def negative_energy_witness(
     if model.lam <= 0:
         raise ValueError("witness requires lam > 0")
     g = field.grid
+    model.check_grid(g)
     if np.any(field.values.imag):
         raise ValueError("witness requires a real field")
     vals = field.values.real

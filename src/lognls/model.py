@@ -72,6 +72,12 @@ class ModelParams:
     def with_omega(self, omega: float) -> "ModelParams":
         return ModelParams(self.family, self.lam, omega)
 
+    def check_grid(self, grid: _grid.Grid) -> None:
+        """The one dimension rule: ValueError unless ``grid`` has the family's dimension."""
+        if grid.dim != self.dim:
+            raise ValueError(f"grid.dim {grid.dim} differs from the "
+                             f"{self.family.value} dimension {self.dim}")
+
 
 def omega_window(model: ModelParams) -> tuple[float, float]:
     """Open interval of frequencies admitting nontrivial solitary waves."""

@@ -234,7 +234,7 @@ def test_criterion_06_global_existence_contrast():
     cubic = ModelParams(Family.PURE_CUBIC_2D, 1.0)
     cfg_cubic = EvolutionConfig(
         model=cubic, grid=g, dt=4e-3, t_final=5.0, sample_every=5,
-        initial=init, check_invariants=False,
+        initial=init,
     )
     with pytest.raises(BlowUpDetected) as excinfo:
         evolve(cfg_cubic)

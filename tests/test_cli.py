@@ -267,6 +267,13 @@ class TestRunConfig:
         assert summary["metrics"]["energy_min"] < 0.0
         assert (tmp_path / "min.nlsf").exists()
 
+    def test_minimize_writes_its_csv_beside_its_snapshot(self, tmp_path):
+        outputs = {"csv_path": "point.csv", "summary_json_path": "summary.json",
+                   "snapshot_paths": ["min.nlsf"], "snapshot_times": [0.0]}
+        code, _ = run_config(_with(_tiny_minimize(), ("outputs",), outputs), out_dir=str(tmp_path))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["min.nlsf", "point.csv", "summary.json"]
+
 
 class TestSweep:
     def test_singleton_list_matches_run(self, tmp_path):
@@ -666,6 +673,8 @@ _OUT_OF_RANGE_CASES = {
     "gaussian_width_zero": (_with(_tiny_evolve(), ("initial", "width"), 0.0), "ConfigError"),
     "gaussian_width_negative": (_with(_tiny_evolve(), ("initial", "width"), -1.0), "ConfigError"),
     "grid_dim_of_another_family": (_with(_tiny_evolve(), ("grid", "dim"), 1), "ConfigError"),
+    "minimize_grid_dim_of_another_family": (_with(_tiny_minimize(), ("grid", "dim"), 1),
+                                            "ConfigError"),
     "initial_center_short": (_with(_tiny_evolve(), ("initial", "center"), [1.0]), "ConfigError"),
     "initial_boost_long": (_with(_tiny_stability(), ("initial", "boost"), [0.1, 0.0, 0.0]),
                            "ConfigError"),
@@ -805,6 +814,19 @@ class TestMalformedConfig:
         config, code = _OUT_OF_RANGE_CASES["omega_past_edge"]
         assert run_config(config, out_dir=str(tmp_path))[1]["error"]["code"] == code
 
+
+    @pytest.mark.parametrize("sample_every", [3, 10], ids=["off_the_lattice", "two_records"])
+    def test_pseudoconformal_sampling_checked_before_work(self, tmp_path, monkeypatch,
+                                                          sample_every):
+        def never(*args, **kwargs):
+            raise AssertionError("an evolution ran that cannot give the residual")
+
+        monkeypatch.setattr(lognls.cli, "evolve", never)
+        time = {"dt": 5e-3, "t_final": 0.05, "sample_every": sample_every}
+        code, summary = run_config(_with(_tiny_pseudoconformal(), ("time",), time),
+                                   out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert "sample_every" in summary["error"]["message"]
 
     @pytest.mark.parametrize("config, code", _FREQUENCY_LIST_CASES.values(),
                              ids=list(_FREQUENCY_LIST_CASES))

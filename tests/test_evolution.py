@@ -10,7 +10,7 @@ from scipy.fft import fftn
 
 import lognls.grid
 from lognls import evolution
-from lognls.errors import BlowUpDetected, InsufficientSamples
+from lognls.errors import BlowUpDetected, InsufficientSamples, OmegaOutOfWindow
 from lognls.evolution import (
     EvolutionConfig,
     GaussianInit,
@@ -135,7 +135,7 @@ class TestEvolve:
         cubic = ModelParams(Family.PURE_CUBIC_2D, 1.0)
         cfg = EvolutionConfig(
             model=cubic, grid=g, dt=2e-3, t_final=3.0, sample_every=10,
-            initial=init, check_invariants=False,
+            initial=init,
         )
         with pytest.raises(BlowUpDetected) as excinfo:
             evolve(cfg)
@@ -288,12 +288,63 @@ class TestBuildInitial:
         assert peak != profile_01.center_value
 
 
+def _short_config(model, grid, initial=GaussianInit(), **kwargs):
+    return EvolutionConfig(model=model, grid=grid, dt=5e-3, t_final=1e-2, initial=initial,
+                           **kwargs)
+
+
+_SHORT, _LONG = (2.0,), (2.0, 0.0, 0.0)
+
+
 class TestConfigGuards:
+    """An evolution's inputs are checked when its config is built, before any work."""
+
     def test_dt_accuracy_cap_enforced(self, model2d):
         g = Grid(2, 64, 10.0)
         with pytest.raises(ValueError):
             EvolutionConfig(model=model2d, grid=g, dt=0.02, t_final=1.0,
                             initial=GaussianInit())
+
+    @pytest.mark.parametrize("family, dim", [(Family.CUBIC_LOG_2D, 1), (Family.QUINTIC_LOG_1D, 2)],
+                             ids=["2d_family_on_1d_grid", "1d_family_on_2d_grid"])
+    def test_grid_of_another_dimension(self, family, dim):
+        with pytest.raises(ValueError, match="grid.dim"):
+            _short_config(ModelParams(family, 1.0), Grid(dim, 32, 8.0))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"initial": GaussianInit(center=_SHORT)},
+         {"initial": GaussianInit(center=_LONG)},
+         {"initial": GroundStateInit(omega=0.1, boost=_SHORT)},
+         {"initial": GroundStateInit(omega=0.1, boost=_LONG)},
+         {"perturbation": Perturbation("gaussian_bump", 1e-2, center=_SHORT)},
+         {"perturbation": Perturbation("gaussian_bump", 1e-2, center=_LONG)},
+         {"perturbation": Perturbation("fourier_mode", 1e-2, mode=(1,))},
+         {"perturbation": Perturbation("fourier_mode", 1e-2, mode=(1, 1, 1))}],
+        ids=["initial_center_short", "initial_center_long", "initial_boost_short",
+             "initial_boost_long", "perturbation_center_short", "perturbation_center_long",
+             "perturbation_mode_short", "perturbation_mode_long"],
+    )
+    def test_tuple_fields_have_one_entry_per_axis(self, model2d, fields):
+        with pytest.raises(ValueError, match="not grid.dim 2"):
+            _short_config(model2d, Grid(2, 32, 8.0), **fields)
+
+    def test_ground_state_frequency_in_the_window(self, model2d):
+        with pytest.raises(OmegaOutOfWindow):
+            _short_config(model2d, Grid(2, 32, 8.0), initial=GroundStateInit(omega=0.5))
+
+    def test_field_on_another_grid_is_no_conservation_failure(self, model2d):
+        u = _gaussian(Grid(2, 32, 16.0))
+        with pytest.raises(ValueError, match="initial field lies on"):
+            evolve(_short_config(model2d, Grid(2, 32, 8.0), initial=u))
+
+    def test_unrecognized_initial(self, model2d):
+        with pytest.raises(ValueError, match="unrecognized"):
+            _short_config(model2d, Grid(2, 32, 8.0), initial=None)
+
+    def test_orbit_tracking_needs_a_reference(self, model2d):
+        with pytest.raises(ValueError, match="reference"):
+            _short_config(model2d, Grid(2, 32, 8.0), track_orbit=True)
 
     def test_quintic_1d_run_conserves_and_respects_bound(self):
         m = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
@@ -357,8 +408,7 @@ def _mass(u):
 def _free_config(u, model, dt, steps, sample_every, snapshot_times=()):
     return EvolutionConfig(
         model=model, grid=u.grid, dt=dt, t_final=steps * dt, sample_every=sample_every,
-        initial=u, snapshot_times=snapshot_times, check_invariants=False,
-        blowup_threshold=math.inf,
+        initial=u, snapshot_times=snapshot_times,
     )
 
 

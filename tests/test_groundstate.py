@@ -7,17 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, NonPositiveB, OmegaOutOfWindow
+from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, OmegaOutOfWindow
 from lognls.grid import Grid, integrate
 from lognls.groundstate import (
     RadialProfile,
     ShotClass,
+    _classify,
+    _integrate_radial,
     _make_rhs,
     embed_radial,
     find_ground_state,
     pohozaev_residuals,
     radial_observables,
-    shoot,
     townes_mass,
     uniqueness_certificate,
 )
@@ -64,32 +65,27 @@ def test_shooting_force_is_the_model_rate(model, p, tiny):
 class TestShoot:
     def test_amplitude_at_the_linfty_bound_overshoots(self, model2d):
         _, sqz = amplitude_roots(model2d.with_omega(0.1))
-        res = shoot(model2d.with_omega(0.1), b=sqz * (1.0 - 1e-9))
-        assert res.classification is ShotClass.OVERSHOOT
+        assert _classify(model2d.with_omega(0.1), sqz * (1.0 - 1e-9)) is ShotClass.OVERSHOOT
         # the spec's own printed value sits below the root and must overshoot
-        assert shoot(model2d.with_omega(0.1), b=0.9452).classification is ShotClass.OVERSHOOT
+        assert _classify(model2d.with_omega(0.1), 0.9452) is ShotClass.OVERSHOOT
 
     def test_just_above_G_zero_undershoots(self, model2d):
-        res = shoot(model2d.with_omega(0.1), b=_g_zero_oracle(0.1) + 1e-6)
-        assert res.classification is ShotClass.UNDERSHOOT
-
-    def test_nonpositive_amplitude_rejected(self, model2d):
-        with pytest.raises(NonPositiveB):
-            shoot(model2d.with_omega(0.1), b=0.0)
+        cls = _classify(model2d.with_omega(0.1), _g_zero_oracle(0.1) + 1e-6)
+        assert cls is ShotClass.UNDERSHOOT
 
     def test_omega_outside_window_rejected(self, model2d):
         with pytest.raises(OmegaOutOfWindow):
-            shoot(model2d.with_omega(0.31), b=0.5)
+            _classify(model2d.with_omega(0.31), 0.5)
 
     def test_store_returns_trajectory(self, model2d):
-        res = shoot(model2d.with_omega(0.1), b=0.5, store=True)
-        assert res.r is not None and res.r.size > 50
-        assert np.all(np.diff(res.r) > 0)
+        _, rs, ps, qs = _integrate_radial(model2d.with_omega(0.1), 0.5, True)
+        assert len(rs) == len(ps) == len(qs) > 50
+        assert np.all(np.diff(rs) > 0)
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize(
-    "solve", [lambda m: shoot(m, b=0.5), find_ground_state, uniqueness_certificate],
+    "solve", [lambda m: _classify(m, 0.5), find_ground_state, uniqueness_certificate],
     ids=["shoot", "find_ground_state", "uniqueness_certificate"],
 )
 def test_solvers_read_omega_from_the_model(solve, family):

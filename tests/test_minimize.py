@@ -256,6 +256,8 @@ class TestMinimize:
             minimize_energy(0.0, g, model2d)
         with pytest.raises(UnsupportedFamily):
             minimize_energy(1.0, g, ModelParams(Family.PURE_CUBIC_2D, 1.0))
+        with pytest.raises(ValueError, match="grid.dim"):
+            minimize_energy(1.0, Grid(1, 64, 10.0), model2d)
 
 
 class TestWitness:
@@ -295,6 +297,11 @@ class TestWitness:
         u = ComplexField(g, np.zeros(g.shape) if imag is None else gauss + 1j * imag * gauss)
         with pytest.raises(ValueError, match=message):
             negative_energy_witness(u, ModelParams(Family.CUBIC_LOG_2D, 1.0))
+
+    def test_grid_of_another_dimension(self, model2d):
+        g = Grid(1, 64, 10.0)
+        with pytest.raises(ValueError, match="grid.dim"):
+            negative_energy_witness(ComplexField(g, np.exp(-g.axis**2)), model2d)
 
     def test_wrong_family(self):
         g = Grid(1, 64, 10.0)
