@@ -579,7 +579,11 @@ def _run_contrast(config, typed, outputs, asserts: Assertions):
     deadline = typed["blowup_deadline"]
 
     cubic = ModelParams(Family.PURE_CUBIC_2D, model.lam)
-    cfg_cubic = dataclasses.replace(cfg, model=cubic, t_final=deadline)
+    try:  # cfg passed every check, so only the deadline, off cfg's dt lattice, can fail
+        cfg_cubic = dataclasses.replace(cfg, model=cubic, t_final=deadline)
+    except ValueError:
+        raise ConfigError(f"blowup_deadline {deadline} must be an integer multiple of "
+                          f"dt = {cfg.dt}") from None
     blowup_time = math.inf
     try:
         traj_cubic = evolve(cfg_cubic)
@@ -804,46 +808,6 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
 # entry point
 # ---------------------------------------------------------------------------
 
-_QUICK_FLAGS = ("lam", "omega", "n", "half_width", "dt", "t_final", "out")
-
-
-def _quick_config(args) -> dict:
-    if args.out is None:
-        raise ConfigError("quick runs need --out PREFIX for artifacts")
-    experiment = args.experiment or "ground"
-    model = {"family": "cubic_log_2d", "lambda": args.lam if args.lam is not None else 1.0}
-    if args.omega is not None:
-        model["omega"] = args.omega
-    config: dict = {
-        "experiment": experiment,
-        "model": model,
-        "outputs": {
-            "csv_path": f"{args.out}.csv",
-            "summary_json_path": f"{args.out}_summary.json",
-        },
-    }
-    if "time" in EXPERIMENTS[experiment].sections:
-        config["grid"] = {
-            "dim": 2,
-            "n": args.n if args.n is not None else 256,
-            "half_width": args.half_width if args.half_width is not None else 20.0,
-        }
-        config["time"] = {
-            "dt": args.dt if args.dt is not None else 1e-3,
-            "t_final": args.t_final if args.t_final is not None else 1.0,
-            "sample_every": 10,
-        }
-        if experiment == "contrast_blowup":
-            config["initial"] = {"kind": "gaussian", "amplitude": 3.0, "width": 1.5}
-        else:
-            omega = model.get("omega")
-            if omega is None:
-                raise ConfigError(f"--omega required for quick {experiment} runs")
-            config["initial"] = {"kind": "ground_state", "omega": omega}
-            del config["model"]["omega"]
-    return config
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="lognls",
@@ -851,34 +815,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON experiment config")
+        p = sub.add_parser(name, allow_abbrev=False)  # no --out for --out-dir
+        p.add_argument("--config", type=str, required=True, help="JSON experiment config")
         p.add_argument("--out-dir", type=str, default=None, help="base directory for relative outputs")
-        if name == "run":
-            p.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-            p.add_argument("--lambda", dest="lam", type=float, default=None)
-            p.add_argument("--omega", type=float, default=None)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--half-width", dest="half_width", type=float, default=None)
-            p.add_argument("--dt", type=float, default=None)
-            p.add_argument("--t-final", dest="t_final", type=float, default=None)
-            p.add_argument("--out", type=str, default=None)
     args = parser.parse_args(argv)
 
     try:
-        if args.config is not None:
-            quick_used = args.command == "run" and (
-                args.experiment is not None
-                or any(getattr(args, f, None) is not None for f in _QUICK_FLAGS)
-            )
-            if quick_used:
-                raise ConfigError("--config conflicts with quick-run flags; pass one or the other")
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        elif args.command == "run":
-            config = _quick_config(args)
-        else:
-            raise ConfigError("sweep requires --config")
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,6 @@ from . import grid as _grid
 from .errors import (
     BlowUpDetected,
     ConservationError,
-    GridTooSmall,
     InsufficientSamples,
     NonFiniteField,
 )
@@ -130,8 +129,8 @@ class EvolutionConfig:
     grid: _grid.Grid
     dt: float
     t_final: float
+    initial: object
     sample_every: int = 1
-    initial: object = None
     perturbation: Perturbation | None = None
     monitor_pc: bool = False
     track_orbit: bool = False
@@ -297,7 +296,7 @@ def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
 
         fld, _meta = read_snapshot(init.path)
         if fld.grid != g:
-            raise GridTooSmall("snapshot grid does not match the configured grid")
+            raise ValueError(f"the snapshot field lies on {fld.grid}, not on the configured {g}")
 
     boost = getattr(init, "boost", None)
     if boost:

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,6 +179,18 @@ class TestMalformedSnapshot:
         assert summary["error"]["code"] == "ConfigError"
         assert str(path) in summary["error"]["message"]
 
+    @pytest.mark.parametrize("grid", [{"dim": 2, "n": 32, "half_width": 16.0},
+                                      {"dim": 2, "n": 64, "half_width": 8.0}],
+                             ids=["larger_box", "finer_grid"])
+    def test_snapshot_on_another_grid_is_config_error(self, tmp_path, grid):
+        # a mismatch, not a box too small: the message names both grids
+        config = _with(_snapshot_start_config(self._write(tmp_path)), ("grid",), grid)
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        message = summary["error"]["message"]
+        assert "half_width=8.0" in message and f"half_width={grid['half_width']}" in message
+        assert f"n={grid['n']}" in message
+
 
 class TestCsvFormat:
     def test_seventeen_digit_roundtrip(self, tmp_path):
@@ -322,15 +335,22 @@ class TestSweep:
 
 
 class TestMainEntry:
-    def test_config_flag_conflict(self, tmp_path):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(_ground_config()))
-        assert main(["run", "--config", str(cfg_path), "--omega", "0.1"]) == 2
+    @pytest.mark.parametrize("argv", [["run"], ["sweep"], ["run", "--omega", "0.1", "--out", "x"]],
+                             ids=["run", "sweep", "run_with_parameter_flags"])
+    def test_a_config_file_is_required(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
-    def test_quick_run(self, tmp_path):
-        out = tmp_path / "quick"
-        assert main(["run", "--lambda", "1.0", "--omega", "0.2", "--out", str(out)]) == 0
-        assert (tmp_path / "quick.csv").exists()
+    def test_out_is_no_abbreviation_of_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps(_ground_config()))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", "c.json", "--out", "x"])
+        assert exc.value.code == 2
+        assert not Path("x").exists()
 
     def test_run_from_file(self, tmp_path):
         cfg_path = tmp_path / "c.json"
@@ -339,6 +359,13 @@ class TestMainEntry:
 
     def test_missing_config_file(self):
         assert main(["run", "--config", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"not json"], ids=["not_utf8", "not_json"])
+    def test_unreadable_config_file(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_bytes(raw)
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestSweepDeterminism:
@@ -828,6 +855,18 @@ class TestMalformedConfig:
         _assert_config_error(code, summary)
         assert "sample_every" in summary["error"]["message"]
 
+    def test_contrast_deadline_checked_before_work(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an evolution ran to a deadline off the dt lattice")
+
+        monkeypatch.setattr(lognls.cli, "evolve", never)
+        config = _with(_tiny_evolve(), ("experiment",), "contrast_blowup")
+        config["outputs"] = {"summary_json_path": "summary.json"}
+        config["time"] = {"dt": 3e-3, "t_final": 0.03}  # the default deadline 5.0 is off it
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert "blowup_deadline" in summary["error"]["message"]
+
     @pytest.mark.parametrize("config, code", _FREQUENCY_LIST_CASES.values(),
                              ids=list(_FREQUENCY_LIST_CASES))
     def test_frequency_list_checked_before_work(self, tmp_path, monkeypatch, config, code):
@@ -888,6 +927,23 @@ def test_fuzzed_config_never_raises(config):
             code, summary = entry(copy.deepcopy(config), out_dir=out)
         assert code in (0, 1, 2, 3)
         assert isinstance(summary, dict)
+
+
+_README_CONFIGS = re.findall(r"```json\n(.*?)```",
+                             (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8"),
+                             re.S)
+
+
+@pytest.mark.parametrize("text", _README_CONFIGS,
+                         ids=[json.loads(t)["experiment"] for t in _README_CONFIGS])
+def test_readme_configs_are_valid(tmp_path, text):
+    config = validate_config(json.loads(text))
+    lognls.cli._parse(config)
+    if config["experiment"] == "ground":  # the minimal example runs end to end
+        path = tmp_path / "ground.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["pass"] is True
 
 
 def test_runtime_imports_no_scipy(tmp_path):

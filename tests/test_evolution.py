@@ -338,6 +338,10 @@ class TestConfigGuards:
         with pytest.raises(ValueError, match="initial field lies on"):
             evolve(_short_config(model2d, Grid(2, 32, 8.0), initial=u))
 
+    def test_initial_is_required(self, model2d):
+        with pytest.raises(TypeError, match="initial"):
+            EvolutionConfig(model=model2d, grid=Grid(2, 32, 8.0), dt=5e-3, t_final=1e-2)
+
     def test_unrecognized_initial(self, model2d):
         with pytest.raises(ValueError, match="unrecognized"):
             _short_config(model2d, Grid(2, 32, 8.0), initial=None)
