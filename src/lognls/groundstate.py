@@ -148,7 +148,7 @@ def _make_rhs(model: ModelParams):
             pp = p * p
             if pp > _DENSITY_CLAMP:
                 return 2.0 * (omega * p + lam * p * pp * log(pp))
-            return 2.0 * omega * p
+            return 2.0 * (omega * p)
 
     elif fam is Family.QUINTIC_LOG_1D:
 
@@ -156,7 +156,7 @@ def _make_rhs(model: ModelParams):
             pp = p * p
             if pp > _DENSITY_CLAMP:
                 return 2.0 * (omega * p + lam * p * pp * pp * log(pp))
-            return 2.0 * omega * p
+            return 2.0 * (omega * p)
 
     else:
 

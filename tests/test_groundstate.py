@@ -59,7 +59,7 @@ def test_shooting_force_is_the_model_rate(model, p, tiny):
     expected = 2.0 * (model.omega * p + rate_term)
     assert abs(force - expected) <= 1e-14 * 2.0 * (model.omega * p + abs(rate_term))
     assert tiny * tiny <= _DENSITY_CLAMP
-    assert rhs(1.0, tiny, 0.0)[1] == 2.0 * model.omega * tiny
+    assert rhs(1.0, tiny, 0.0)[1] == 2.0 * (model.omega * tiny)
 
 
 class TestShoot:
