@@ -4,10 +4,23 @@ The stationary profile solves, radially,
 
     phi'' + (d-1)/r phi' = 2 omega phi + 2 phi * rate(phi^2),
 
-integrated from phi(0) = b, phi'(0) = 0.  The amplitude b is bisected between
+integrated from phi(0) = b, phi'(0) = 0.  The amplitude b is searched between
 the positive zero of G (too little potential energy to reach zero at infinity)
 and the largest admissible amplitude (the stationary point of g), classifying
-each trajectory as overshoot / undershoot.  The integrator is a scalar
+each trajectory as overshoot / undershoot.  The result is the amplitude plain
+bisection reaches at float exhaustion, in about half its shots:
+
+1. estimate: a secant on each shot's ratio of growing to decaying tail mode,
+   which is near linear in b - b*, bisecting whenever it leaves the bracket;
+2. guard band: a few hundred ulps each side of the estimate, whose lower
+   edge must undershoot and upper edge overshoot, widened until they do;
+3. replay: the bisection, with every midpoint below the band taken as an
+   undershoot and every one above it as an overshoot, and shots only inside.
+
+The replay is exact as long as the classification is monotone outside the
+band.  Uniqueness of the ground state makes it monotone away from b*; within
+a few ulps of b* it is not (rounding decides), which is why no faster search
+to float exhaustion reaches the same bits.  The integrator is a scalar
 adaptive Dormand-Prince 5(4) pair: generic library steppers spend two orders
 of magnitude more time per step than this loop, which matters for the small
 frequency sweeps.
@@ -70,7 +83,9 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         inside = r <= self.r_cut
         out = np.empty_like(r)
-        out[inside] = _grid.hermite_cubic(self.r_nodes, self.values, self.derivs, r[inside])[0]
+        out[inside] = _grid.hermite_cubic(
+            self.r_nodes, self.values, self.derivs, r[inside], uniform=True
+        )[0]
         out[~inside] = self.tail_coeff * np.exp(-self.tail_rate * r[~inside])
         return out
 
@@ -176,7 +191,9 @@ def _integrate_radial(model, b, store):
     """March the radial ODE from r=0 out to ``default_r_max`` and classify the trajectory.
 
     Returns (classification, rs, ps, qs): the lists hold every accepted sample
-    from r = 0 when ``store`` is true, and the starting point alone otherwise.
+    from r = 0 when ``store`` is true, and the exit sample alone otherwise.
+    Either way their last entries are the state (r, p, q) at which the shot
+    was classified.
     """
     rhs = _make_rhs(model)
     omega = model.require_omega()
@@ -254,6 +271,8 @@ def _integrate_radial(model, b, store):
         else:
             fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= fac
+    if not store:
+        return cls, [r], [p], [q]
     return cls, rs, ps, qs
 
 
@@ -266,13 +285,108 @@ def _classify(model, b):
     return _integrate_radial(model, b, False)[0]
 
 
-def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
-    """Bisect the shooting amplitude and return the certified profile at ``model.omega``.
+# The search of find_ground_state, in units of the amplitude.  The estimate
+# stops once its step is below _ESTIMATE_STOP (64 to 128 ulps): the tail-mode
+# ratio is still close to linear there, and finer steps would chase the
+# classification noise, which reaches about 5 ulps around the true amplitude.
+# The guard band's half width starts at _GUARD (256 to 512 ulps, so the band
+# holds the estimate's error and that noise with room to spare) and grows
+# by _GUARD_GROWTH whenever an edge misclassifies.
+_ESTIMATE_STOP = 2.0 ** -46
+_GUARD = 2.0 ** -44
+_GUARD_GROWTH = 256.0
 
-    ``tol`` is the relative bracket width target; the returned profile passes
-    the Pohozaev certification at 10*tol (self-checked).  Bisection always
-    refines to at least width max(tol*b, 1e-14), so requesting a loose tol
-    does not degrade the profile itself.
+
+def _tail_mode_ratio(kappa, r, p, q):
+    """B/A of the linear tail p = A e^{-kappa r} + B e^{kappa r} through the state (r, p, q).
+
+    kappa p + q = 2 kappa B e^{kappa r} and kappa p - q = 2 kappa A e^{-kappa r}.
+    The ratio is near linear in b - b*: positive on undershoots, negative on
+    overshoots.  NaN where the decaying part has no positive weight.
+    """
+    den = kappa * p - q
+    if not den > 0.0:
+        return math.nan
+    return math.exp(-2.0 * kappa * r) * (kappa * p + q) / den
+
+
+def _estimate_amplitude(model, lo, hi):
+    """Secant on the tail-mode ratio of successive shots, bisecting whenever it leaves (lo, hi).
+
+    ``lo`` must undershoot and ``hi`` overshoot.  Returns once a step is
+    below _ESTIMATE_STOP of the amplitude, or at a converged shot.  Every
+    shot lies strictly inside (lo, hi) and narrows it, so the loop ends.
+    """
+    kappa = math.sqrt(2.0 * model.omega)
+    b, prev = 0.5 * (lo + hi), None
+    while True:
+        cls, rs, ps, qs = _integrate_radial(model, b, False)
+        if cls is ShotClass.CONVERGED:
+            return b
+        if cls is ShotClass.OVERSHOOT:
+            hi = b
+        else:
+            lo = b
+        sigma = _tail_mode_ratio(kappa, rs[-1], ps[-1], qs[-1])
+        step = math.nan
+        if prev is not None and sigma != prev[1]:
+            step = -sigma * (b - prev[0]) / (sigma - prev[1])
+        if not lo < b + step < hi:  # a NaN step bisects too
+            step = 0.5 * (lo + hi) - b
+        if abs(step) < _ESTIMATE_STOP * b:
+            return b + step
+        prev = (b, sigma)
+        b += step
+
+
+def _exhausted_amplitude(model, lo, hi):
+    """The amplitude plain bisection of (lo, hi) reaches at float exhaustion, in fewer shots.
+
+    ``lo`` must undershoot and ``hi`` overshoot.  The bisection is replayed
+    decision for decision, but a shot is taken only inside a guard band
+    [L, H] around an estimate of the amplitude whose edges classify as
+    expected: every midpoint at or below L counts as an undershoot, every
+    one at or above H as an overshoot.  That is exact as long as the
+    classification is monotone outside the band.  Once the band covers
+    (lo, hi) every midpoint is shot, which is plain bisection.
+    """
+    estimate = _estimate_amplitude(model, lo, hi)
+    guard = _GUARD * estimate
+    while True:
+        L, H = estimate - guard, estimate + guard
+        if (L <= lo or _classify(model, L) is ShotClass.UNDERSHOOT) and (
+            H >= hi or _classify(model, H) is ShotClass.OVERSHOOT
+        ):
+            break
+        guard *= _GUARD_GROWTH
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid <= L:
+            cls = ShotClass.UNDERSHOOT
+        elif mid >= H:
+            cls = ShotClass.OVERSHOOT
+        else:
+            cls = _classify(model, mid)
+        if cls is ShotClass.OVERSHOOT:
+            hi = mid
+        elif cls is ShotClass.UNDERSHOOT:
+            lo = mid
+        else:
+            lo = hi = mid
+            break
+    return 0.5 * (lo + hi)
+
+
+def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
+    """Shoot the amplitude to float exhaustion and return the certified profile at ``model.omega``.
+
+    The amplitude is the one plain bisection of the bracket reaches when no
+    midpoint lies strictly inside it any more (``_exhausted_amplitude``), so
+    ``tol`` does not steer the search: it only sets the Pohozaev bound 10*tol
+    that the returned profile is checked against.
     """
     if not 1e-13 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-13, 1e-2]")
@@ -296,20 +410,7 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
 
     # Refine to float exhaustion: every extra bit of b pushes the radius where
     # the unstable mode takes over further out, buying clean tail decades.
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        cls = _classify(model, mid)
-        if cls is ShotClass.OVERSHOOT:
-            hi = mid
-        elif cls is ShotClass.UNDERSHOOT:
-            lo = mid
-        else:
-            lo = hi = mid
-            break
-
-    b = 0.5 * (lo + hi)
+    b = _exhausted_amplitude(model, lo, hi)
     _, rs, ps, qs = _integrate_radial(model, b, True)
     rs = np.asarray(rs)
     ps = np.asarray(ps)

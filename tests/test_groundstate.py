@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from lognls import groundstate
 from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, OmegaOutOfWindow
 from lognls.grid import Grid, integrate
 from lognls.groundstate import (
@@ -82,6 +83,12 @@ class TestShoot:
         assert len(rs) == len(ps) == len(qs) > 50
         assert np.all(np.diff(rs) > 0)
 
+    def test_unstored_shot_keeps_its_exit_state(self, model2d):
+        cls, rs, ps, qs = _integrate_radial(model2d.with_omega(0.1), 0.5, True)
+        assert _integrate_radial(model2d.with_omega(0.1), 0.5, False) == (
+            cls, [rs[-1]], [ps[-1]], [qs[-1]]
+        )
+
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize(
@@ -137,6 +144,121 @@ class TestFindGroundState:
     def test_bad_tolerance_rejected(self, model2d):
         with pytest.raises(ValueError):
             find_ground_state(model2d.with_omega(0.1), tol=1e-14)
+
+
+def _plain_bisection(model, lo, hi):
+    """The amplitude search the guard band replays: shoot every midpoint to float exhaustion."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        cls = _classify(model, mid)
+        if cls is ShotClass.OVERSHOOT:
+            hi = mid
+        elif cls is ShotClass.UNDERSHOOT:
+            lo = mid
+        else:
+            lo = hi = mid
+            break
+    return 0.5 * (lo + hi)
+
+
+def _bisected_profile(monkeypatch, model):
+    with monkeypatch.context() as patch:
+        patch.setattr(groundstate, "_exhausted_amplitude", _plain_bisection)
+        return find_ground_state(model)
+
+
+def _bits(profile):
+    fields = ("r_nodes", "values", "derivs", "tail_rate", "tail_coeff", "center_value", "residuals")
+    return tuple(np.asarray(getattr(profile, name), dtype=float).tobytes() for name in fields)
+
+
+def _counting_shots(monkeypatch):
+    """Record (amplitude, store) of every shot find_ground_state takes from here on."""
+    shots = []
+    shoot = groundstate._integrate_radial
+
+    def counted(model, b, store):
+        shots.append((b, store))
+        return shoot(model, b, store)
+
+    monkeypatch.setattr(groundstate, "_integrate_radial", counted)
+    return shots
+
+
+class _Stored(Exception):
+    pass
+
+
+_SEARCH_MODELS = [
+    *(ModelParams(Family.CUBIC_LOG_2D, 1.0, w) for w in (0.001, 0.01, 0.05, 0.1, 0.2, 0.28, 0.29)),
+    ModelParams(Family.CUBIC_LOG_2D, 2.0, 0.5),
+    *(ModelParams(Family.QUINTIC_LOG_1D, 1.0, w) for w in (0.01, 0.05, 0.1, 0.119)),
+    ModelParams(Family.PURE_CUBIC_2D, 1.0, 1.0),
+]
+
+
+class TestAmplitudeSearch:
+    @pytest.mark.parametrize(
+        "model", _SEARCH_MODELS, ids=[f"{m.family.value}-{m.lam}-{m.omega}" for m in _SEARCH_MODELS]
+    )
+    def test_profile_is_plain_bisections_bit_for_bit(self, monkeypatch, model):
+        assert _bits(find_ground_state(model)) == _bits(_bisected_profile(monkeypatch, model))
+
+    def test_half_the_shots_of_plain_bisection(self, monkeypatch, model2d):
+        shots = _counting_shots(monkeypatch)
+        find_ground_state(model2d.with_omega(0.1))
+        assert len(shots) <= 30  # plain bisection: 57, the stored shot included
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_an_estimate_at_the_bracket_end_widens_the_band(self, monkeypatch, model2d, side):
+        model = model2d.with_omega(0.1)
+        reference = _bisected_profile(monkeypatch, model)
+        bracket = {}
+
+        def at_the_end(model, lo, hi):
+            bracket.update(lo=lo, hi=hi)
+            return bracket[side]
+
+        monkeypatch.setattr(groundstate, "_estimate_amplitude", at_the_end)
+        shots = _counting_shots(monkeypatch)
+        assert _bits(find_ground_state(model)) == _bits(reference)
+        # the first guard edge inside the bracket misclassified, so the band grew
+        edge = bracket[side]
+        guard = groundstate._GUARD * edge
+        first = edge + guard if side == "lo" else edge - guard
+        assert (first, False) in shots
+        assert len(shots) > 30
+
+    def test_a_converged_shot_ends_the_search(self, monkeypatch, model2d, profile_01):
+        """Shots within 1e-9 of the amplitude converge: both searches stop at the same one."""
+        model = model2d.with_omega(0.1)
+        target = profile_01.center_value
+        shoot = groundstate._integrate_radial
+        shots = []
+
+        def converging(model, b, store):
+            if store:
+                raise _Stored(b)
+            if abs(b - target) <= 1e-9 * target:
+                out = (ShotClass.CONVERGED, [0.0], [0.0], [0.0])
+            else:
+                out = shoot(model, b, store)
+            shots.append((b, out[0]))
+            return out
+
+        monkeypatch.setattr(groundstate, "_integrate_radial", converging)
+        found = []
+        for search in (groundstate._exhausted_amplitude, _plain_bisection):
+            monkeypatch.setattr(groundstate, "_exhausted_amplitude", search)
+            shots.clear()
+            with pytest.raises(_Stored) as stored:
+                find_ground_state(model)
+            b = stored.value.args[0]
+            assert shots[-1] == (b, ShotClass.CONVERGED)
+            found.append(b)
+        assert found[0] == found[1]
 
 
 class TestPohozaev:
