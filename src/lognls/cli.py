@@ -46,14 +46,11 @@ from .snapshots import format_float, write_csv, write_snapshot
 # ---------------------------------------------------------------------------
 # config schema: the keys of "grid", "initial" (per kind) and "perturbation"
 # are the init fields of the dataclasses they build; the top-level keys of
-# each experiment are its entry in EXPERIMENTS, after the runners
+# each experiment are _TOP's and its entry in EXPERIMENTS, after the runners
 # ---------------------------------------------------------------------------
 
 _INITIAL_KINDS = {"ground_state": GroundStateInit, "gaussian": GaussianInit,
                   "snapshot": SnapshotInit}
-_MODEL_KEYS = {"family", "lambda", "omega"}
-_OUTPUT_KEYS = {"csv_path", "summary_json_path", "snapshot_paths", "snapshot_times"}
-_COMMON_KEYS = {"experiment", "model", "outputs", "seed"}
 
 
 def _of_type(kind, what: str):
@@ -69,6 +66,12 @@ _integer = _of_type(int, "an integer")
 _boolean = _of_type(bool, "true or false")
 _string = _of_type(str, "a string")
 _numeric = _of_type((int, float), "a number")
+_object = _of_type(dict, "a JSON object")
+
+
+def _or_null(convert):
+    """Converter of ``convert``'s values or null (read as None)."""
+    return lambda value: None if value is None else convert(value)
 
 
 def _number(value) -> float:
@@ -110,17 +113,24 @@ def _read(convert, value, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _read_keys(schema: dict, section: dict, where: str = "") -> dict:
+_REQUIRED = dataclasses.MISSING  # a schema default: the key must be given
+
+
+def _read_keys(schema: dict, section: dict, where: str = "", also: tuple = ()) -> dict:
     """Each key of ``schema`` {key: (converter, default)} read once from ``section``.
 
-    A missing key takes its default; with none (``dataclasses.MISSING``) it is an error.
+    A key outside the schema (and ``also``) is an error; a missing key takes its
+    default, and with none (``_REQUIRED``) it is an error too.
     """
+    unknown = set(section) - schema.keys() - set(also)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'top level'}")
     values = {}
     for key, (convert, default) in schema.items():
         name = f"{where}.{key}" if where else key
         if key in section:
             values[key] = _read(convert, section[key], name)
-        elif default is dataclasses.MISSING:
+        elif default is _REQUIRED:
             raise ConfigError(f"missing key {name!r}")
         else:
             values[key] = default
@@ -143,14 +153,23 @@ _SCHEMA = {
     cls: {f.name: (_CONVERT[f.type], f.default) for f in dataclasses.fields(cls) if f.init}
     for cls in (_grid.Grid, *_INITIAL_KINDS.values(), Perturbation)
 }
+_MODEL = {"family": (Family, _REQUIRED), "lambda": (_number, _REQUIRED),
+          "omega": (_or_null(_number), None)}
 # the "time" section, read into the EvolutionConfig fields of the same names
-_TIME = {"dt": (_number, dataclasses.MISSING), "t_final": (_number, dataclasses.MISSING),
+_TIME = {"dt": (_number, _REQUIRED), "t_final": (_number, _REQUIRED),
          "sample_every": (_integer, 1)}
+_OUTPUTS = {"csv_path": (_or_null(_string), None), "summary_json_path": (_or_null(_string), None),
+            "snapshot_paths": (_tuple_of(_string), None),
+            "snapshot_times": (_tuple_of(_number), None)}
+# the top-level keys beside an experiment's scalars, each section read as an object first
+_TOP = {"experiment": (_string, _REQUIRED), "seed": (_integer, 0), "model": (_object, _REQUIRED),
+        "outputs": (_object, {}), "grid": (_object, _REQUIRED), "time": (_object, _REQUIRED),
+        "initial": (_object, _REQUIRED), "perturbation": (_or_null(_object), None)}
 
 
-def _from_section(cls, section: dict, where: str):
+def _from_section(cls, section: dict, where: str, also: tuple = ()):
     """The dataclass ``cls`` built from a section whose keys are its init fields."""
-    return cls(**_read_keys(_SCHEMA[cls], section, where))
+    return cls(**_read_keys(_SCHEMA[cls], section, where, also))
 
 
 # lists that are values in their own right, never swept: tuple fields and these
@@ -168,95 +187,55 @@ _INHERENT_LISTS = {
 }
 
 
-def _section(config: dict, name: str, allowed: set | None = None) -> dict:
-    """config[name], checked to be a JSON object (with only allowed keys, if given)."""
-    if name not in config:
-        raise ConfigError(f"missing '{name}' section")
-    section = config[name]
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' must be a JSON object, got {section!r}")
-    if allowed is not None:
-        _check_keys(section, allowed, name)
-    return section
-
-
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _outputs(config: dict) -> dict:
-    """The outputs section, checked: path strings and numeric snapshot times."""
-    outputs = _section(config, "outputs", _OUTPUT_KEYS) if "outputs" in config else {}
-    for key in ("csv_path", "summary_json_path"):
-        if outputs.get(key) is not None:
-            _read(_string, outputs[key], f"outputs.{key}")
-    paths = outputs.get("snapshot_paths", [])
-    times = outputs.get("snapshot_times", [])
-    if not isinstance(paths, list) or not isinstance(times, list):
-        raise ConfigError("snapshot_paths and snapshot_times must be lists")
-    if len(paths) != len(times):
+def _outputs(section: dict) -> dict:
+    """The outputs section read: path strings, and one numeric snapshot time per path."""
+    outputs = _read_keys(_OUTPUTS, section, "outputs")
+    outputs["snapshot_paths"] = outputs["snapshot_paths"] or ()
+    outputs["snapshot_times"] = outputs["snapshot_times"] or ()
+    if len(outputs["snapshot_paths"]) != len(outputs["snapshot_times"]):
         raise ConfigError("snapshot_paths and snapshot_times must have equal length")
-    for p, t in zip(paths, times):
-        _read(_string, p, "outputs.snapshot_paths")
-        _read(_number, t, "outputs.snapshot_times")
     return outputs
 
 
 def validate_config(config: dict) -> dict:
-    """Check a config's structure: JSON objects, known keys and kinds (``_parse`` reads values)."""
+    """A config that is a JSON object naming a known experiment, its seed defaulted.
+
+    ``_parse`` reads, and checks, every other key, so an unexpanded sweep config,
+    its swept value still a list, passes too.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     exp = config.get("experiment")
     if not isinstance(exp, str) or exp not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
-    spec = EXPERIMENTS[exp]
-    _check_keys(config, _COMMON_KEYS | set(spec.sections) | spec.scalars.keys(), "top level")
-    _section(config, "model", _MODEL_KEYS)
-    for name, allowed in (("grid", _SCHEMA[_grid.Grid].keys()), ("time", _TIME.keys())):
-        if name in config:
-            _section(config, name, allowed)
-    if "initial" in config:
-        kind = _section(config, "initial").get("kind")
-        if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
-            raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
-        _check_keys(config["initial"], {"kind"} | _SCHEMA[_INITIAL_KINDS[kind]].keys(), "initial")
-    if config.get("perturbation") is not None:
-        _section(config, "perturbation", _SCHEMA[Perturbation].keys())
-    # an evolution's snapshot times are checked against its dt lattice by EvolutionConfig
-    times = _outputs(config).get("snapshot_times", [])
-    writes = spec.snapshot_times
-    if writes is not None and times and times != list(writes):
-        raise ConfigError(f"the {exp} experiment writes snapshots only at times {list(writes)}"
-                          if writes else f"the {exp} experiment writes no snapshots")
     config.setdefault("seed", 0)
     return config
 
 
-def _model(section: dict) -> ModelParams:
-    omega = section.get("omega")
-    return ModelParams(
-        Family(section["family"]),
-        _read(_number, section["lambda"], "model.lambda"),
-        None if omega is None else _read(_number, omega, "model.omega"),
-    )
-
-
 def _parse(config: dict) -> dict:
-    """The typed "model", "grid", "evolution" and scalar keys of a validated config.
+    """Every key of a validated config read once, and checked, before any numerical work.
 
-    Every value is read once, and checked, before any numerical work starts.
+    Each section's keys are checked by the call that reads its values.
     """
-    spec = EXPERIMENTS[config["experiment"]]
-    typed = _read_keys(spec.scalars, config)
-    model = typed["model"] = _model(config["model"])
-    if "grid" in spec.sections:
-        typed["grid"] = _from_section(_grid.Grid, _section(config, "grid"), "grid")
-    if "time" in spec.sections:  # EvolutionConfig checks every rule on an evolution's inputs
-        typed["evolution"] = _evolution_config(config, model, typed["grid"])
+    exp = config["experiment"]
+    spec = EXPERIMENTS[exp]
+    schema = {key: _TOP[key] for key in ("experiment", "seed", "model", "outputs", *spec.sections)}
+    typed = _read_keys({**schema, **spec.scalars}, config)
+    m = _read_keys(_MODEL, typed["model"], "model")
+    typed["model"] = ModelParams(m["family"], m["lambda"], m["omega"])
+    typed["outputs"] = _outputs(typed["outputs"])
+    times = typed["outputs"]["snapshot_times"]
+    # an evolution's snapshot times are checked against its dt lattice by EvolutionConfig
+    writes = spec.snapshot_times
+    if writes is not None and times and times != writes:
+        raise ConfigError(f"the {exp} experiment writes snapshots only at times {list(writes)}"
+                          if writes else f"the {exp} experiment writes no snapshots")
+    if "grid" in typed:
+        typed["grid"] = _from_section(_grid.Grid, typed["grid"], "grid")
+    if "time" in typed:  # EvolutionConfig checks every rule on an evolution's inputs
+        typed["evolution"] = _evolution_config(typed)
     for key in _LIST_FAMILY.keys() & typed.keys():
-        _check_frequencies(config["experiment"], key, typed)
+        _check_frequencies(exp, key, typed)
     return typed
 
 
@@ -269,10 +248,13 @@ def _check_frequencies(experiment: str, key: str, typed: dict):
 
     ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than one
     point its finite-difference neighbours omega +- ``fd_delta`` lie in the window too.
+    A repeated frequency is refused: the mass along the list could not be strictly monotone.
     """
     omegas, model = typed[key], typed["model"]
     if not omegas:
         raise ConfigError(f"{key} needs at least one frequency")
+    if len(set(omegas)) < len(omegas):
+        raise ConfigError(f"{key} repeats a frequency: {list(omegas)}")
     family = _LIST_FAMILY[key]
     if model.family is not family:
         raise ConfigError(f"{experiment} computes on {family.value}, not {model.family.value}")
@@ -286,17 +268,19 @@ def _check_frequencies(experiment: str, key: str, typed: dict):
             model.with_omega(omega + typed["fd_delta"])
 
 
-def _evolution_config(config: dict, model: ModelParams, grid: _grid.Grid) -> EvolutionConfig:
+def _evolution_config(typed: dict) -> EvolutionConfig:
     """The evolution a config asks for; runners vary it with dataclasses.replace."""
-    initial = _section(config, "initial")
-    pert = config.get("perturbation")
+    initial, pert = typed["initial"], typed.get("perturbation")
+    kind = initial.get("kind")
+    if not isinstance(kind, str) or kind not in _INITIAL_KINDS:
+        raise ConfigError(f"initial.kind must be one of {sorted(_INITIAL_KINDS)}")
     return EvolutionConfig(
-        model=model,
-        grid=grid,
-        **_read_keys(_TIME, _section(config, "time"), "time"),
-        initial=_from_section(_INITIAL_KINDS[initial["kind"]], initial, "initial"),
-        perturbation=_from_section(Perturbation, pert, "perturbation") if pert else None,
-        snapshot_times=tuple(float(t) for t in config.get("outputs", {}).get("snapshot_times", [])),
+        model=typed["model"],
+        grid=typed["grid"],
+        **_read_keys(_TIME, typed["time"], "time"),
+        initial=_from_section(_INITIAL_KINDS[kind], initial, "initial", ("kind",)),
+        perturbation=None if pert is None else _from_section(Perturbation, pert, "perturbation"),
+        snapshot_times=typed["outputs"]["snapshot_times"],
     )
 
 
@@ -324,17 +308,15 @@ def _writable(path: Path) -> Path:
     return path
 
 
-def _resolve_outputs(config: dict, out_dir: str | None) -> dict:
+def _resolve_outputs(typed: dict, out_dir: str | None) -> dict:
     """Output paths under ``out_dir``; ConfigError if two outputs would write one file."""
     base = Path(out_dir or ".")
-    outputs = config.get("outputs", {})
+    outputs = typed["outputs"]
     resolved = {key: _writable(base / outputs[key])
-                for key in ("csv_path", "summary_json_path") if outputs.get(key)}
-    resolved["snapshots"] = [
-        (_writable(base / p), float(t))
-        for p, t in zip(outputs.get("snapshot_paths", []), outputs.get("snapshot_times", []))
-    ]
-    if "csv_path" in resolved and config.get("experiment") == "contrast_blowup":
+                for key in ("csv_path", "summary_json_path") if outputs[key]}
+    resolved["snapshots"] = [(_writable(base / p), t)
+                             for p, t in zip(outputs["snapshot_paths"], outputs["snapshot_times"])]
+    if "csv_path" in resolved and typed["experiment"] == "contrast_blowup":
         csv = resolved["csv_path"]  # contrast writes its pure-cubic run beside the log run
         resolved["purecubic_csv_path"] = csv.with_name(csv.stem + "_purecubic" + csv.suffix)
     files = [(key, path) for key, path in resolved.items() if key != "snapshots"]
@@ -386,7 +368,8 @@ class Assertions:
         return all(item["pass"] for item in self.items)
 
 
-def _trajectory_rows(traj, dim: int):
+def _trajectory_table(traj, dim: int):
+    """(header, rows, extra comment lines) of a trajectory's CSV."""
     header = ["t", "mass", "energy", "kinetic", "potential", "px", "py", "quartic", "h1_bound"]
     if traj.orbit_distances is not None:
         header.append("orbit_distance")
@@ -402,7 +385,7 @@ def _trajectory_rows(traj, dim: int):
         if traj.pc_quantity is not None:
             row.append(traj.pc_quantity[i])
         rows.append(row)
-    return header, rows
+    return header, rows, []
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +393,7 @@ def _trajectory_rows(traj, dim: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_ground(config, typed, outputs, asserts: Assertions):
+def _run_ground(typed, asserts: Assertions):
     model = typed["model"]
     if model.omega is None:
         raise ConfigError("ground experiment requires model.omega")
@@ -436,42 +419,29 @@ def _run_ground(config, typed, outputs, asserts: Assertions):
         sqz = stationary_amplitude(model)
         asserts.check("amplitude_below_sqrt_z_omega", profile.center_value, sqz, "<")
         metrics["sqrt_z_omega"] = sqz
-    if outputs.get("csv_path"):
-        comments = provenance(config) + [
-            f"tail_rate: {format_float(profile.tail_rate)}",
-            f"tail_coeff: {format_float(profile.tail_coeff)}",
-        ]
-        rows = zip(profile.r_nodes, profile.values, profile.derivs)
-        write_csv(outputs["csv_path"], comments, ["r", "phi", "dphi"], rows)
-    return metrics
+    rows = list(zip(profile.r_nodes, profile.values, profile.derivs))
+    tails = [f"tail_rate: {format_float(profile.tail_rate)}",
+             f"tail_coeff: {format_float(profile.tail_coeff)}"]
+    return metrics, {"csv_path": (["r", "phi", "dphi"], rows, tails)}, {}
 
 
-def _run_evolve(config, typed, outputs, asserts: Assertions):
-    model, g = typed["model"], typed["grid"]
+def _run_evolve(typed, asserts: Assertions):
     traj = evolve(typed["evolution"])
     asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
     asserts.check("energy_drift", traj.energy_drift, 1e-6)
     asserts.check("momentum_drift", traj.momentum_drift, 1e-9)
-    _write_traj(config, outputs, "csv_path", traj, g, model)
-    return {
+    metrics = {
         "mass_drift": traj.mass_drift,
         "energy_drift": traj.energy_drift,
         "momentum_drift": traj.momentum_drift,
         "h1_bound": traj.h1_bound,
         "sup_kinetic": max(s.kinetic for s in traj.samples),
     }
+    return metrics, {"csv_path": _trajectory_table(traj, typed["grid"].dim)}, traj.snapshots
 
 
-def _write_traj(config, outputs, csv_key, traj, g, model):
-    if outputs.get(csv_key):
-        header, rows = _trajectory_rows(traj, g.dim)
-        write_csv(outputs[csv_key], provenance(config), header, rows)
-    for snap_path, snap_t in outputs["snapshots"]:
-        write_snapshot(snap_path, traj.snapshots[snap_t], model, snap_t)
-
-
-def _run_stability(config, typed, outputs, asserts: Assertions):
-    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
+def _run_stability(typed, asserts: Assertions):
+    model, cfg = typed["model"], typed["evolution"]
     if not isinstance(cfg.initial, GroundStateInit):
         raise ConfigError("stability experiment requires ground_state initial data")
     if cfg.perturbation is None:
@@ -481,38 +451,31 @@ def _run_stability(config, typed, outputs, asserts: Assertions):
     sup_dist = max(traj.orbit_distances)
     asserts.check("sup_orbit_distance", sup_dist, 10.0 * cfg.perturbation.delta)
     asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
-    _write_traj(config, outputs, "csv_path", traj, g, model)
-    return {
+    metrics = {
         "sup_orbit_distance": sup_dist,
         "initial_orbit_distance": traj.orbit_distances[0],
         "mass_drift": traj.mass_drift,
         "energy_drift": traj.energy_drift,
     }
+    return metrics, {"csv_path": _trajectory_table(traj, cfg.grid.dim)}, traj.snapshots
 
 
-def _run_minimize(config, typed, outputs, asserts: Assertions):
-    model, g = typed["model"], typed["grid"]
-    rho, tol = typed["rho"], typed["tol"]
-    res = minimize_energy(rho, g, model, tol=tol)
+def _run_minimize(typed, asserts: Assertions):
+    g, rho, tol = typed["grid"], typed["rho"], typed["tol"]
+    res = minimize_energy(rho, g, typed["model"], tol=tol)
     mass = _grid.integrate(g, np.abs(res.field.values) ** 2)
     asserts.check("residual", res.residual, tol)
     asserts.check("mass_constraint", abs(mass - rho) / rho, 1e-12)
-    if outputs["snapshots"]:
-        write_snapshot(outputs["snapshots"][0][0], res.field, model, 0.0)
-    if outputs.get("csv_path"):
-        write_csv(
-            outputs["csv_path"],
-            provenance(config),
-            ["rho", "energy", "lagrange_omega", "residual", "iterations"],
-            [[rho, res.energy, res.lagrange_omega, res.residual, float(res.iterations)]],
-        )
-    return {
+    metrics = {
         "rho": rho,
         "energy_min": res.energy,
         "lagrange_omega": res.lagrange_omega,
         "residual": res.residual,
         "iterations": res.iterations,
     }
+    table = (["rho", "energy", "lagrange_omega", "residual", "iterations"],
+             [[rho, res.energy, res.lagrange_omega, res.residual, float(res.iterations)]], [])
+    return metrics, {"csv_path": table}, {0.0: res.field}
 
 
 def _mass_rises_with_omega(rows) -> float:
@@ -521,29 +484,25 @@ def _mass_rises_with_omega(rows) -> float:
     return float(all(a.mass < b.mass for a, b in zip(by_omega, by_omega[1:])))
 
 
-def _run_sweep_mass(config, typed, outputs, asserts: Assertions):
+def _run_sweep_mass(typed, asserts: Assertions):
     rows, mass_q = mass_asymptotics_sweep(typed["model"].lam, typed["omega_list"],
                                           tol=typed["tol"])
     masses = [r.mass for r in rows]
     if len(masses) > 1:  # decreasing along decreasing omega
         asserts.check("mass_strictly_decreasing", _mass_rises_with_omega(rows), 1.0, ">=")
-    if outputs.get("csv_path"):
-        comments = provenance(config) + [f"mass_Q: {format_float(mass_q)}"]
-        write_csv(
-            outputs["csv_path"],
-            comments,
-            ["omega", "mass", "ratio", "ratio_log"],
-            [[r.omega, r.mass, r.ratio, r.ratio_log] for r in rows],
-        )
-    return {
+    metrics = {
         "mass_Q": mass_q,
         "first_mass": masses[0],
         "last_mass": masses[-1],
         "n_points": len(rows),
     }
+    table = (["omega", "mass", "ratio", "ratio_log"],
+             [[r.omega, r.mass, r.ratio, r.ratio_log] for r in rows],
+             [f"mass_Q: {format_float(mass_q)}"])
+    return metrics, {"csv_path": table}, {}
 
 
-def _run_convexity1d(config, typed, outputs, asserts: Assertions):
+def _run_convexity1d(typed, asserts: Assertions):
     rows = action_convexity_scan(typed["model"], typed["omega_grid"], delta=typed["fd_delta"])
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
@@ -553,26 +512,18 @@ def _run_convexity1d(config, typed, outputs, asserts: Assertions):
         asserts.check("dpp_fd_agreement", max(fd_rel), 0.01)
     if len(rows) > 1:
         asserts.check("mass_strictly_increasing", _mass_rises_with_omega(rows), 1.0, ">=")
-    if outputs.get("csv_path"):
-        table = [
-            [r.omega, r.dpp_quad, r.dpp_simplified,
-             "" if r.dpp_fd is None else r.dpp_fd, r.mass, r.action]
-            for r in rows
-        ]
-        write_csv(
-            outputs["csv_path"],
-            provenance(config),
-            ["omega", "dpp_quad", "dpp_simplified", "dpp_fd", "mass", "action"],
-            table,
-        )
-    return {
+    metrics = {
         "dpp_min": min(r.dpp_quad for r in rows),
         "dpp_max": max(r.dpp_quad for r in rows),
         "n_points": len(rows),
     }
+    table = (["omega", "dpp_quad", "dpp_simplified", "dpp_fd", "mass", "action"],
+             [[r.omega, r.dpp_quad, r.dpp_simplified,
+               "" if r.dpp_fd is None else r.dpp_fd, r.mass, r.action] for r in rows], [])
+    return metrics, {"csv_path": table}, {}
 
 
-def _run_contrast(config, typed, outputs, asserts: Assertions):
+def _run_contrast(typed, asserts: Assertions):
     model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
     if model.family is not Family.CUBIC_LOG_2D:
         raise ConfigError("contrast_blowup compares against the 2D cubic-log family")
@@ -595,19 +546,19 @@ def _run_contrast(config, typed, outputs, asserts: Assertions):
     traj_log = evolve(cfg)
     sup_kin = max(s.kinetic for s in traj_log.samples)
     asserts.check("kinetic_below_apriori_bound", sup_kin, traj_log.h1_bound + H1_BOUND_SLACK)
-    _write_traj(config, outputs, "csv_path", traj_log, g, model)
-    _write_traj(config, outputs, "purecubic_csv_path", traj_cubic, g, cubic)
     blew_up = math.isfinite(blowup_time)
-    return {
+    metrics = {
         "blowup_time": blowup_time if blew_up else None,
         "blew_up": blew_up,
         "sup_kinetic_log": sup_kin,
         "h1_bound": traj_log.h1_bound,
     }
+    return metrics, {"csv_path": _trajectory_table(traj_log, g.dim),
+                     "purecubic_csv_path": _trajectory_table(traj_cubic, g.dim)}, {}
 
 
-def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
-    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
+def _run_pseudoconformal(typed, asserts: Assertions):
+    model, cfg = typed["model"], typed["evolution"]
     # the residual's central differences need >= 3 records dt * sample_every apart
     n_steps = round(cfg.t_final / cfg.dt)
     if n_steps % cfg.sample_every or n_steps // cfg.sample_every < 2:
@@ -629,19 +580,18 @@ def _run_pseudoconformal(config, typed, outputs, asserts: Assertions):
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")
         metrics["pc_residual_half_dt"] = residual_half
         metrics["pc_residual_ratio"] = ratio
-    _write_traj(config, outputs, "csv_path", traj, g, model)
-    return metrics
+    return metrics, {"csv_path": _trajectory_table(traj, cfg.grid.dim)}, {}
 
 
 class _Experiment(NamedTuple):
-    run: Callable
+    run: Callable  # (typed, asserts) -> (metrics, {outputs key: CSV table}, {time: field})
     sections: tuple[str, ...]  # top-level sections beside "model" and "outputs"
-    scalars: dict  # top-level key -> (converter, default; dataclasses.MISSING if required)
+    scalars: dict  # top-level key -> (converter, default; _REQUIRED if required)
     snapshot_times: tuple | None = ()  # the snapshots it writes; None: any on the dt lattice
 
 
 _EVOLVING = ("grid", "time", "initial")
-_REQUIRED_FREQUENCIES = (_tuple_of(_number), dataclasses.MISSING)
+_REQUIRED_FREQUENCIES = (_tuple_of(_number), _REQUIRED)
 
 # the one table of experiments; a runner reads its values from ``typed``, so a
 # default never enters the config that summaries and CSV headers echo
@@ -650,7 +600,7 @@ EXPERIMENTS = {
     "evolve": _Experiment(_run_evolve, (*_EVOLVING, "perturbation"), {}, None),
     "stability": _Experiment(_run_stability, (*_EVOLVING, "perturbation"), {}, None),
     "minimize": _Experiment(_run_minimize, ("grid",), {
-        "rho": (_positive, dataclasses.MISSING), "tol": (_positive, 1e-6),
+        "rho": (_positive, _REQUIRED), "tol": (_positive, 1e-6),
         "precondition": (_precondition, None)}, (0.0,)),
     "sweep_mass": _Experiment(_run_sweep_mass, (), {
         "omega_list": _REQUIRED_FREQUENCIES, "tol": (_positive, 1e-9)}),
@@ -672,11 +622,11 @@ def _error(exc: Exception) -> dict:
 
 
 def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
-    """Validate, execute, write artifacts; returns (exit_code, summary)."""
+    """Read the config, run its experiment, write every artifact; returns (exit_code, summary)."""
     try:
         config = validate_config(copy.deepcopy(config))
         typed = _parse(config)
-        outputs = _resolve_outputs(config, out_dir)
+        outputs = _resolve_outputs(typed, out_dir)
     except _FAULTS as exc:
         summary = {"pass": False, "error": _error(exc)}
         try:
@@ -690,7 +640,13 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     asserts = Assertions()
     code = 0
     try:
-        metrics = EXPERIMENTS[config["experiment"]].run(config, typed, outputs, asserts)
+        metrics, tables, fields = EXPERIMENTS[config["experiment"]].run(typed, asserts)
+        comments = provenance(config)
+        for key, (header, rows, extra) in tables.items():
+            if key in outputs:
+                write_csv(outputs[key], comments + extra, header, rows)
+        for path, t in outputs["snapshots"]:
+            write_snapshot(path, fields[t], typed["model"], t)
         summary["metrics"] = metrics
         summary["error"] = None
     except _FAULTS as exc:
@@ -760,7 +716,7 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
                 f"sweep needs exactly one list-valued parameter, found {len(leaves)}"
             )
         leaf = leaves[0]
-        aggregate_csv = _outputs(base).get("csv_path")
+        aggregate_csv = _outputs(_read(_object, base.get("outputs", {}), "outputs"))["csv_path"]
         if not aggregate_csv:
             raise ConfigError("sweep requires outputs.csv_path for the aggregate table")
         values = _get_leaf(base, leaf)

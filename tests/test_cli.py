@@ -232,11 +232,13 @@ class TestRunConfig:
         assert code == 2
         assert summary["error"]["code"] == "ConfigError"
 
-    def test_unknown_nested_key_rejected(self):
+    def test_unknown_nested_key_rejected(self, tmp_path):
         cfg = _ground_config()
         cfg["model"]["coupling"] = 2.0
-        with pytest.raises(ConfigError):
-            validate_config(cfg)
+        code, summary = run_config(cfg, out_dir=str(tmp_path))
+        assert code == 2
+        assert summary["error"]["code"] == "ConfigError"
+        assert "coupling" in summary["error"]["message"]
 
     def test_evolve_run_with_snapshots(self, tmp_path):
         cfg = {
@@ -444,18 +446,15 @@ class TestSnapshotTimes:
         cfg["outputs"].update(snapshot_paths=["x.nlsf"], snapshot_times=[0.0])
         assert run_config(cfg, out_dir=str(tmp_path))[0] == 2
 
-    def test_minimize_snapshot_at_zero_stays_valid(self):
-        cfg = {
-            "experiment": "minimize",
-            "model": {"family": "cubic_log_2d", "lambda": 1.0},
-            "grid": {"dim": 2, "n": 32, "half_width": 8.0},
-            "rho": 1.0,
-            "outputs": {"snapshot_paths": ["min.nlsf"], "snapshot_times": [0.0]},
-        }
-        validate_config(cfg)
+    def test_minimize_snapshot_at_zero_stays_valid(self, tmp_path):
+        cfg = _with(_tiny_minimize(), ("outputs",), {"summary_json_path": "summary.json",
+                                                     "snapshot_paths": ["min.nlsf"],
+                                                     "snapshot_times": [0.0]})
+        assert run_config(cfg, out_dir=str(tmp_path / "zero"))[0] == 0
         cfg["outputs"]["snapshot_times"] = [0.5]
-        with pytest.raises(ConfigError):
-            validate_config(cfg)
+        code, summary = run_config(cfg, out_dir=str(tmp_path / "half"))
+        assert code == 2
+        assert summary["error"]["code"] == "ConfigError"
 
 
 def _reject_constant(name):
@@ -607,6 +606,8 @@ _STRICT_TYPE_CASES = {
         _with(_tiny_stability(), ("perturbation", "renormalize"), "false"), "perturbation.renormalize"),
     "precondition_string": (_with(_tiny_minimize(), ("precondition",), "false"), "precondition"),
     "refine_dt_string": (_with(_tiny_pseudoconformal(), ("refine_dt",), "false"), "refine_dt"),
+    "seed_object": (_with(_tiny_evolve(), ("seed",), {"x": [1, 2]}), "seed"),
+    "seed_nan": (_with(_tiny_evolve(), ("seed",), math.nan), "seed"),
 }
 
 def _tiny_convexity1d():
@@ -633,6 +634,40 @@ def _tiny_sweep_mass():
 def test_mass_monotonicity_is_read_in_omega_order(tmp_path, config):
     code, summary = run_config(config, out_dir=str(tmp_path))
     assert code == 0 and summary["pass"]
+
+
+def _requesting_every_output(config, *snapshot_times):
+    outputs = {"csv_path": "table.csv", "summary_json_path": "summary.json",
+               "snapshot_paths": [f"snap{i}.nlsf" for i in range(len(snapshot_times))],
+               "snapshot_times": list(snapshot_times)}
+    return _with(config, ("outputs",), outputs)
+
+
+# a tiny config of each experiment asking for every file it can write
+_EVERY_OUTPUT = {
+    "ground": _requesting_every_output(_ground_config()),
+    "evolve": _requesting_every_output(_tiny_evolve(), 5e-3, 1e-2),
+    "stability": _requesting_every_output(
+        _with(_tiny_stability(), ("grid",), {"dim": 2, "n": 32, "half_width": 16.0}), 1e-2),
+    "minimize": _requesting_every_output(_tiny_minimize(), 0.0),
+    "sweep_mass": _requesting_every_output(_tiny_sweep_mass()),
+    "convexity1d": _requesting_every_output(_tiny_convexity1d()),
+    "contrast_blowup": _requesting_every_output(
+        _with(_with(_tiny_evolve(), ("experiment",), "contrast_blowup"), ("blowup_deadline",), 1e-2)),
+    "pseudoconformal": _requesting_every_output(_tiny_pseudoconformal()),
+}
+
+
+@pytest.mark.parametrize("config", _EVERY_OUTPUT.values(), ids=list(_EVERY_OUTPUT))
+def test_run_writes_exactly_the_requested_files(tmp_path, config):
+    code, summary = run_config(config, out_dir=str(tmp_path))
+    assert code in (0, 1) and summary["error"] is None
+    requested = {"table.csv", "summary.json", *config["outputs"]["snapshot_paths"]}
+    if config["experiment"] == "contrast_blowup":
+        requested.add("table_purecubic.csv")
+    assert {p.name for p in tmp_path.iterdir()} == requested
+    for path in config["outputs"]["snapshot_paths"]:
+        assert read_snapshot(tmp_path / path)[1]["t"] in config["outputs"]["snapshot_times"]
 
 
 def test_failed_convexity_claim_is_an_assertion(tmp_path, monkeypatch):
@@ -688,6 +723,9 @@ _FREQUENCY_LIST_CASES = {
     "omega_list_past_edge": (_with(_tiny_sweep_mass(), ("omega_list",), [0.5]), "OmegaOutOfWindow"),
     "sweep_mass_of_another_family": (
         _with(_tiny_sweep_mass(), ("model", "family"), "quintic_log_1d"), "ConfigError"),
+    "omega_grid_repeated": (_with(_tiny_convexity1d(), ("omega_grid",), [0.05, 0.05]),
+                            "ConfigError"),
+    "omega_list_repeated": (_with(_tiny_sweep_mass(), ("omega_list",), [0.1, 0.1]), "ConfigError"),
 }
 
 # a well-typed value out of range, and the error code of its exit 2
@@ -730,6 +768,15 @@ class TestMalformedConfig:
         _assert_config_error(*run_config(cfg, out_dir=str(tmp_path)))
         saved = json.loads((tmp_path / "summary.json").read_text())
         assert saved["error"]["code"] == "ConfigError"
+
+    def test_empty_perturbation_is_read_not_dropped(self, tmp_path):
+        # null is no perturbation; {} is a perturbation missing its keys
+        assert run_config(_with(_tiny_evolve(), ("perturbation",), None),
+                          out_dir=str(tmp_path / "null"))[0] == 0
+        code, summary = run_config(_with(_tiny_evolve(), ("perturbation",), {}),
+                                   out_dir=str(tmp_path / "empty"))
+        _assert_config_error(code, summary)
+        assert "missing key 'perturbation.kind'" in summary["error"]["message"]
 
     def test_sweep_of_a_non_object(self, tmp_path):
         _assert_config_error(*run_sweep([1, 2], out_dir=str(tmp_path)))
