@@ -441,13 +441,10 @@ def _run_evolve(typed, asserts: Assertions):
 
 
 def _run_stability(typed, asserts: Assertions):
-    model, cfg = typed["model"], typed["evolution"]
-    if not isinstance(cfg.initial, GroundStateInit):
-        raise ConfigError("stability experiment requires ground_state initial data")
+    cfg = typed["evolution"]
     if cfg.perturbation is None:
         raise ConfigError("stability experiment requires a perturbation")
-    reference = find_ground_state(model.with_omega(cfg.initial.omega))
-    traj = evolve(dataclasses.replace(cfg, reference=reference, track_orbit=True))
+    traj = evolve(dataclasses.replace(cfg, track_orbit=True))  # refuses other initial data
     sup_dist = max(traj.orbit_distances)
     asserts.check("sup_orbit_distance", sup_dist, 10.0 * cfg.perturbation.delta)
     asserts.check("mass_drift", traj.mass_drift, MASS_DRIFT_TOL)
@@ -612,7 +609,7 @@ EXPERIMENTS = {
 
 
 # what a malformed config can raise, beside the package's own errors
-_FAULTS = (LogNLSError, KeyError, OSError, TypeError, ValueError)
+_FAULTS = (LogNLSError, KeyError, MemoryError, OSError, TypeError, ValueError)
 
 
 def _error(exc: Exception) -> dict:
@@ -700,7 +697,8 @@ def _sweep_point(base: dict, leaf: tuple, value, i: int) -> dict:
     for key in ("csv_path", "summary_json_path"):
         if pout.get(key):
             pout[key] = _numbered(pout[key], i)
-    pout["snapshot_paths"] = [_numbered(p, i) for p in pout.get("snapshot_paths", [])]
+    paths = pout.setdefault("snapshot_paths", [])  # null is kept: run_config reads it as none
+    pout["snapshot_paths"] = paths and [_numbered(p, i) for p in paths]
     return point
 
 

@@ -134,7 +134,6 @@ class EvolutionConfig:
     perturbation: Perturbation | None = None
     monitor_pc: bool = False
     track_orbit: bool = False
-    reference: RadialProfile | None = None
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -162,8 +161,8 @@ class EvolutionConfig:
                                      f"not grid.dim {g.dim}")
         if self.perturbation is not None:
             self.perturbation.check_grid(g)
-        if self.track_orbit and self.reference is None:
-            raise ValueError("orbit tracking needs a reference profile")
+        if self.track_orbit and not isinstance(init, GroundStateInit):
+            raise ValueError("orbit tracking needs ground_state initial data")
 
 
 @dataclass
@@ -274,18 +273,16 @@ def snapshot_steps(times, dt: float, t_final: float) -> dict[int, float]:
     return steps
 
 
-def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
+def build_initial(config: EvolutionConfig) -> tuple[_grid.ComplexField, RadialProfile | None]:
+    """The initial field, and the ground state solved for ``GroundStateInit`` data (else None)."""
     init = config.initial
     g = config.grid
+    profile = None
     if isinstance(init, _grid.ComplexField):
         fld = init.copy()
     elif isinstance(init, GroundStateInit):
-        model = config.model.with_omega(init.omega)
-        profile = config.reference
-        if profile is None or profile.model != model:
-            profile = find_ground_state(model)
-        center = init.center or (0.0,) * g.dim
-        fld = embed_radial(profile, g, center=center, phase=init.phase)
+        profile = find_ground_state(config.model.with_omega(init.omega))
+        fld = embed_radial(profile, g, center=init.center, phase=init.phase)
     elif isinstance(init, GaussianInit):
         center = init.center or (0.0,) * g.dim
         xs = _grid.coordinates(g)
@@ -306,7 +303,7 @@ def build_initial(config: EvolutionConfig) -> _grid.ComplexField:
     if config.perturbation is not None:
         fld = apply_perturbation(fld, config.perturbation)
     fld.check_finite()
-    return fld
+    return fld, profile
 
 
 def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.ComplexField:
@@ -359,13 +356,13 @@ def evolve(config: EvolutionConfig) -> Trajectory:
     n_steps = _lattice_step(config.t_final, dt, "t_final")
     snapshots = snapshot_steps(config.snapshot_times, dt, config.t_final)
 
-    u = build_initial(config)
+    u, profile = build_initial(config)
     traj = Trajectory()
     if config.monitor_pc:
         traj.pc_quantity = []
-    if config.track_orbit:
+    if config.track_orbit:  # EvolutionConfig admits it only with ground_state initial data
         traj.orbit_distances = []
-        reference_hat = reference_spectrum(config.reference, g)
+        reference_hat = reference_spectrum(profile, g)
 
     spectrum = np.empty(g.shape, dtype=complex)
     obs0 = observables(u, model, spectrum)

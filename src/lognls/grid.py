@@ -170,36 +170,14 @@ def simpson(samples: np.ndarray, dx: float) -> float:
     return float(dx / 3.0 * (ends + 4.0 * np.sum(samples[1:-1:2]) + 2.0 * np.sum(samples[2:-1:2])))
 
 
-def uniform_interval(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(nodes, x, side="right") - 1`` for equally spaced ``nodes``, without a search.
-
-    ``nodes`` are ``np.linspace`` nodes and ``x`` holds no NaN.  The guess
-    floor((x - nodes[0]) / spacing) is off by at most one after rounding, so
-    one comparison each way makes it exact.  In-place steps: a fresh array
-    per step costs more page faults than the arithmetic.
-    """
-    last = nodes.size - 1
-    t = np.array(x, dtype=float)
-    t -= nodes[0]
-    t *= last / (nodes[-1] - nodes[0])
-    np.clip(t, 0, last, out=t)
-    i = t.astype(np.intp)  # truncation is floor on [0, last]
-    i -= nodes[i] > x
-    # right end of each node's interval, +inf past the last node (and at i = -1)
-    i += np.append(nodes[1:], np.inf)[i] <= x
-    return i
-
-
 def hermite_cubic(
-    nodes: np.ndarray, values: np.ndarray, derivs: np.ndarray, x, uniform: bool = False
+    nodes: np.ndarray, values: np.ndarray, derivs: np.ndarray, x
 ) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative at ``x`` of the piecewise cubic with ``values`` and slopes ``derivs``.
 
     ``nodes`` increase strictly.  Each piece is c3 s^3 + c2 s^2 + d_i s + v_i in
     s = x - nodes[i] on [nodes[i], nodes[i + 1]); a point outside the nodes is
-    extrapolated from the end piece.  ``uniform`` declares the nodes equally
-    spaced, which finds each piece by ``uniform_interval`` instead of a binary
-    search: the same piece, so the same result.
+    extrapolated from the end piece.
     """
     x = np.asarray(x, dtype=float)
     h = np.diff(nodes)
@@ -207,8 +185,7 @@ def hermite_cubic(
     t = (derivs[:-1] + derivs[1:] - 2.0 * slope) / h
     c3 = t / h
     c2 = (slope - derivs[:-1]) / h - t
-    i = uniform_interval(nodes, x) if uniform else np.searchsorted(nodes, x, side="right") - 1
-    i = np.clip(i, 0, nodes.size - 2)
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
     s = x - nodes[i]
     c3, c2, d = c3[i], c2[i], derivs[i]
     value = ((c3 * s + c2) * s + d) * s + values[i]

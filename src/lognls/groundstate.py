@@ -71,8 +71,11 @@ class RadialProfile:
     derivs: np.ndarray
     tail_rate: float
     tail_coeff: float
-    center_value: float
     residuals: tuple[float, float, float] | None = None
+
+    @property
+    def center_value(self) -> float:
+        return float(self.values[0])
 
     @property
     def r_cut(self) -> float:
@@ -83,9 +86,7 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         inside = r <= self.r_cut
         out = np.empty_like(r)
-        out[inside] = _grid.hermite_cubic(
-            self.r_nodes, self.values, self.derivs, r[inside], uniform=True
-        )[0]
+        out[inside] = _grid.hermite_cubic(self.r_nodes, self.values, self.derivs, r[inside])[0]
         out[~inside] = self.tail_coeff * np.exp(-self.tail_rate * r[~inside])
         return out
 
@@ -435,7 +436,7 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
 
     r_nodes = np.linspace(0.0, float(rs[i_cut]), _N_NODES)
     values, derivs = _grid.hermite_cubic(rs[: i_cut + 1], ps[: i_cut + 1], qs[: i_cut + 1], r_nodes)
-    values[0] = b
+    values[0] = b  # the profile's center_value
     derivs[0] = 0.0
 
     window = (rs[: i_cut + 1] >= rs[i_cut] - 2.5 * math.log(10.0) / kappa) & (
@@ -449,15 +450,8 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
         raise BracketFailure("fitted tail rate is not positive")
     tail_coeff = float(values[-1] * math.exp(tail_rate * r_nodes[-1]))
 
-    profile = RadialProfile(
-        model=model,
-        r_nodes=r_nodes,
-        values=values,
-        derivs=derivs,
-        tail_rate=tail_rate,
-        tail_coeff=tail_coeff,
-        center_value=b,
-    )
+    profile = RadialProfile(model=model, r_nodes=r_nodes, values=values, derivs=derivs,
+                            tail_rate=tail_rate, tail_coeff=tail_coeff)
     res = pohozaev_residuals(profile)
     profile.residuals = res
     if max(abs(x) for x in res) > 10.0 * tol:
@@ -473,19 +467,17 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
 
 
 def _tail_T(a: float, r0: float, m: int) -> float:
-    """int_{r0}^inf r^m e^{-a r} dr for m in {0,1,2,3}."""
+    """int_{r0}^inf r^m e^{-a r} dr for m in {0,1,2}."""
     e = math.exp(-a * r0)
     if m == 0:
         return e / a
     if m == 1:
         return e * (r0 / a + 1.0 / a ** 2)
-    if m == 2:
-        return e * (r0 ** 2 / a + 2.0 * r0 / a ** 2 + 2.0 / a ** 3)
-    return e * (r0 ** 3 / a + 3.0 * r0 ** 2 / a ** 2 + 6.0 * r0 / a ** 3 + 6.0 / a ** 4)
+    return e * (r0 ** 2 / a + 2.0 * r0 / a ** 2 + 2.0 / a ** 3)
 
 
 def _radial_integrals(profile: RadialProfile) -> dict:
-    """All certification integrals over R^d: sampled Simpson + analytic tails."""
+    """The certification integrals over R^d its family reads: sampled Simpson + analytic tails."""
     model = profile.model
     r = profile.r_nodes
     phi = profile.values
@@ -520,16 +512,16 @@ def _radial_integrals(profile: RadialProfile) -> dict:
     mass = I(rho) + tail(2)
     grad2 = I(dphi * dphi) + d * d * tail(2)
     quartic = I(rho * rho) + tail(4)
-    # int phi^n ln phi^2 tail: (C e^{-dr})^n (ln C^2 - 2 d r)
-    log_quartic = I(rho * rho * lnrho) + lnC2 * tail(4) - 2.0 * d * tail(4, m=1)
-    sextic = I(rho ** 3) + tail(6)
-    log_sextic = I(rho ** 3 * lnrho) + lnC2 * tail(6) - 2.0 * d * tail(6, m=1)
 
     lam = model.lam
+    # a log family's int phi^n ln phi^2 has the tail (C e^{-dr})^n (ln C^2 - 2 d r)
     if model.family is Family.CUBIC_LOG_2D:
+        log_quartic = I(rho * rho * lnrho) + lnC2 * tail(4) - 2.0 * d * tail(4, m=1)
         nl = lam * log_quartic
         pd = 0.5 * lam * (log_quartic - 0.5 * quartic)
     elif model.family is Family.QUINTIC_LOG_1D:
+        sextic = I(rho ** 3) + tail(6)
+        log_sextic = I(rho ** 3 * lnrho) + lnC2 * tail(6) - 2.0 * d * tail(6, m=1)
         nl = lam * log_sextic
         pd = (lam / 3.0) * (log_sextic - sextic / 3.0)
     else:
@@ -540,9 +532,6 @@ def _radial_integrals(profile: RadialProfile) -> dict:
         "mass": mass,
         "grad2": grad2,
         "quartic": quartic,
-        "sextic": sextic,
-        "log_quartic": log_quartic,
-        "log_sextic": log_sextic,
         "nl": nl,  # int phi^2 rate(phi^2) = int N(phi) phi
         "pd": pd,  # int V(phi^2)
     }

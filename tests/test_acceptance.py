@@ -67,12 +67,12 @@ def profiles():
 
 
 @pytest.fixture(scope="module")
-def soliton_run(profiles):
+def soliton_run():
     # the dt^2 law is checked on gaussian_drift_pair, so one step size suffices here
     dt = 1e-3
     cfg = EvolutionConfig(
         model=MODEL, grid=Grid(2, 256, 20.0), dt=dt, t_final=10.0, sample_every=int(0.5 / dt),
-        initial=GroundStateInit(omega=0.1), reference=profiles[0.1][0],
+        initial=GroundStateInit(omega=0.1),
     )
     return evolve(cfg)
 
@@ -98,8 +98,7 @@ def sweep_data():
 
 
 @pytest.fixture(scope="module")
-def stability_runs(profiles):
-    profile = profiles[0.1][0]
+def stability_runs():
     g = Grid(2, 256, 20.0)
     modes = {
         "bump_centered": Perturbation(kind="gaussian_bump", delta=1e-2, width=2.0),
@@ -112,8 +111,7 @@ def stability_runs(profiles):
     for name, pert in modes.items():
         cfg = EvolutionConfig(
             model=MODEL, grid=g, dt=1e-2, t_final=50.0, sample_every=100,
-            initial=GroundStateInit(omega=0.1), perturbation=pert,
-            reference=profile, track_orbit=True,
+            initial=GroundStateInit(omega=0.1), perturbation=pert, track_orbit=True,
         )
         out[name] = evolve(cfg)
     return out
@@ -125,13 +123,12 @@ def pc_runs():
     # boundary terms, so the box must hold the full support: omega = 0.2 on
     # L = 32 leaves a clean dt^2 signal (on L = 20 the dt-independent wrap
     # floor is ~5e-8 and masks the halving law)
-    profile = find_ground_state(MODEL.with_omega(0.2))
     g = Grid(2, 416, 32.0)
 
     def one(dt, sample_every):
         cfg = EvolutionConfig(
             model=MODEL, grid=g, dt=dt, t_final=1.0, sample_every=sample_every,
-            initial=GroundStateInit(omega=0.2), reference=profile, monitor_pc=True,
+            initial=GroundStateInit(omega=0.2), monitor_pc=True,
         )
         return evolve(cfg)
 

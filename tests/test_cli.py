@@ -16,6 +16,7 @@ from properties import PROPERTY_SETTINGS, models_in_window
 
 import lognls.cli
 import lognls.convexity1d
+import lognls.evolution
 from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
 from lognls.grid import ComplexField, Grid
@@ -334,6 +335,47 @@ class TestSweep:
         cfg["tol"] = [1e-6, 1e-7]
         code, _ = run_sweep(cfg, out_dir=str(tmp_path))
         assert code == 2
+
+    def test_unallocatable_grid_is_a_failed_point(self, tmp_path):
+        code, agg = run_sweep(_with(_UNALLOCATABLE, ("initial", "amplitude"), [1.0]),
+                              out_dir=str(tmp_path))
+        assert (code, agg["failures"]) == (1, 1)
+        assert list(read_csv(tmp_path / "traj.csv")[1]["error"]) == ["ConfigError"]
+        summary = json.loads((tmp_path / "summary_pt000.json").read_text())
+        assert summary["error"]["code"] == "ConfigError"
+
+    def test_null_snapshot_paths_read_as_none(self, tmp_path):
+        """A sweep takes "snapshot_paths": null as a run does: no snapshots."""
+        cfg = _with(_tiny_evolve(), ("outputs",), {"csv_path": "traj.csv", "snapshot_paths": None,
+                                                   "snapshot_times": None})
+        assert run_config(cfg, out_dir=str(tmp_path / "run"))[0] == 0
+        cfg["initial"]["amplitude"] = [1.0, 0.5]
+        code, agg = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+        assert (code, agg["points"]) == (0, 2)
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "traj.csv", "traj_pt000.csv", "traj_pt001.csv"]
+
+
+class TestStabilityGroundState:
+    @staticmethod
+    def _config():
+        return _with(_tiny_stability(), ("grid",), {"dim": 2, "n": 32, "half_width": 16.0})
+
+    def test_solved_once(self, tmp_path, monkeypatch):
+        """The run's ground state is solved once, for its initial data and its orbit."""
+        calls = []
+
+        def counting(solve):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return solve(*args, **kwargs)
+            return counted
+
+        for module in (lognls.evolution, lognls.cli):
+            monkeypatch.setattr(module, "find_ground_state", counting(module.find_ground_state))
+        code, summary = run_config(self._config(), out_dir=str(tmp_path))
+        assert code == 0 and summary["pass"]
+        assert len(calls) == 1
 
 
 class TestMainEntry:
@@ -728,6 +770,10 @@ _FREQUENCY_LIST_CASES = {
     "omega_list_repeated": (_with(_tiny_sweep_mass(), ("omega_list",), [0.1, 0.1]), "ConfigError"),
 }
 
+# a 2D n = 2**23 mesh takes 512 TiB, past a 47-bit user address space, so numpy's request
+# fails before any page is touched; the per-axis arrays made first take about 64 MB each
+_UNALLOCATABLE = _with(_tiny_evolve(), ("grid", "n"), 2**23)
+
 # a well-typed value out of range, and the error code of its exit 2
 _OUT_OF_RANGE_CASES = {
     **_FREQUENCY_LIST_CASES,
@@ -758,6 +804,9 @@ _OUT_OF_RANGE_CASES = {
                                     "ConfigError"),
     "grid_too_small": (_with(_tiny_stability(), ("grid", "half_width"), 1.0), "GridTooSmall"),
     "precondition_false": (_with(_tiny_minimize(), ("precondition",), False), "ConfigError"),
+    "stability_of_gaussian_initial_data": (_with(_tiny_stability(), ("initial",), {"kind": "gaussian"}),
+                                           "ConfigError"),
+    "grid_unallocatable": (_UNALLOCATABLE, "ConfigError"),
 }
 
 
@@ -807,7 +856,8 @@ class TestMalformedConfig:
         def never(*args, **kwargs):
             raise AssertionError("the ground state was solved for a rejected config")
 
-        monkeypatch.setattr(lognls.cli, "find_ground_state", never)
+        for module in (lognls.cli, lognls.evolution):
+            monkeypatch.setattr(module, "find_ground_state", never)
         cfg = _with(_tiny_stability(), ("perturbation", "kind"), "sine_wave")
         code, summary = run_config(cfg, out_dir=str(tmp_path))
         _assert_config_error(code, summary)
@@ -869,6 +919,7 @@ class TestMalformedConfig:
 
         for name in ("evolve", "find_ground_state", "minimize_energy"):
             monkeypatch.setattr(lognls.cli, name, never)
+        monkeypatch.setattr(lognls.evolution, "find_ground_state", never)
         code, summary = run_config(config, out_dir=str(tmp_path))
         _assert_config_error(code, summary)
         assert key in summary["error"]["message"]
@@ -884,7 +935,8 @@ class TestMalformedConfig:
         def never(*args, **kwargs):
             raise AssertionError("the ground state was solved for a rejected config")
 
-        monkeypatch.setattr(lognls.cli, "find_ground_state", never)
+        for module in (lognls.cli, lognls.evolution):
+            monkeypatch.setattr(module, "find_ground_state", never)
         config, code = _OUT_OF_RANGE_CASES["omega_past_edge"]
         assert run_config(config, out_dir=str(tmp_path))[1]["error"]["code"] == code
 

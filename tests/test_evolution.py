@@ -66,7 +66,7 @@ class TestStrangStep:
         g = Grid(2, 416, 32.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=0.002, t_final=3.0, sample_every=500,
-            initial=GroundStateInit(omega=0.2), reference=profile,
+            initial=GroundStateInit(omega=0.2),
         )
         traj = evolve(cfg)
         ref = embed_radial(profile, g)
@@ -88,11 +88,11 @@ class TestStrangStep:
 
 
 class TestEvolve:
-    def test_conservation_short_run(self, model2d, profile_01):
+    def test_conservation_short_run(self, model2d):
         g = Grid(2, 256, 20.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=1e-3, t_final=1.0, sample_every=100,
-            initial=GroundStateInit(omega=0.1), reference=profile_01,
+            initial=GroundStateInit(omega=0.1),
         )
         traj = evolve(cfg)
         assert traj.mass_drift <= 1e-11
@@ -111,12 +111,12 @@ class TestEvolve:
             drifts[dt] = evolve(cfg).energy_drift
         assert drifts[4e-3] / drifts[2e-3] == pytest.approx(4.0, abs=0.5)
 
-    def test_boosted_ground_state_travels(self, model2d, profile_01):
+    def test_boosted_ground_state_travels(self, model2d):
         g = Grid(2, 256, 20.0)
         v = 8.0 * math.pi / 20.0  # grid-periodic boost, ~1.257
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=5e-3, t_final=2.0, sample_every=80,
-            initial=GroundStateInit(omega=0.1, boost=(v, 0.0)), reference=profile_01,
+            initial=GroundStateInit(omega=0.1, boost=(v, 0.0)),
         )
         traj = evolve(cfg)
         assert traj.momentum_drift <= 1e-9
@@ -219,12 +219,11 @@ class TestPseudoconformal:
         pc = np.asarray(traj.pc_quantity)
         assert np.max(np.abs(pc - pc[0])) / max(abs(pc[0]), 1.0) <= 1e-10
 
-    def test_rhs_structurally_zero_at_t0(self, model2d, profile_01):
+    def test_rhs_structurally_zero_at_t0(self, model2d):
         g = Grid(2, 128, 20.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=5e-3, t_final=0.1, sample_every=2,
-            initial=GroundStateInit(omega=0.1), reference=profile_01,
-            monitor_pc=True,
+            initial=GroundStateInit(omega=0.1), monitor_pc=True,
         )
         traj = evolve(cfg)
         rhs = pc_identity_rhs(traj, model2d)
@@ -261,10 +260,10 @@ class TestRecordTransforms:
         traj = evolve(config)
         return len(in_record) / len(traj.times)
 
-    def test_tracked_orbit(self, monkeypatch, model2d, profile_01):
+    def test_tracked_orbit(self, monkeypatch, model2d):
         cfg = EvolutionConfig(
             model=model2d, grid=Grid(2, 64, 20.0), dt=5e-3, t_final=0.05, sample_every=2,
-            initial=GroundStateInit(omega=0.1), reference=profile_01, track_orbit=True,
+            initial=GroundStateInit(omega=0.1), track_orbit=True,
         )
         assert self._forward_per_record(monkeypatch, cfg) == 1.0
 
@@ -278,14 +277,23 @@ class TestRecordTransforms:
 
 class TestBuildInitial:
     def test_reference_of_another_model_is_not_embedded(self, profile_01):
-        """A reference at the initial frequency but another coupling is solved again."""
+        """A run at another coupling embeds the ground state of its own model, not profile_01."""
         g = Grid(2, 128, 20.0)
         m2 = ModelParams(Family.CUBIC_LOG_2D, 2.0)
         cfg = EvolutionConfig(model=m2, grid=g, dt=1e-2, t_final=1e-2,
-                              initial=GroundStateInit(omega=0.1), reference=profile_01)
-        peak = float(np.max(np.abs(evolution.build_initial(cfg).values)))
+                              initial=GroundStateInit(omega=0.1))
+        peak = float(np.max(np.abs(evolution.build_initial(cfg)[0].values)))
         assert peak == find_ground_state(m2.with_omega(0.1)).center_value
         assert peak != profile_01.center_value
+
+    def test_profile_is_the_solved_ground_state(self, model2d):
+        """build_initial returns the profile it embedded, and None for other initial data."""
+        g = Grid(2, 128, 20.0)
+        cfg = _short_config(model2d, g, GroundStateInit(omega=0.1))
+        fld, profile = evolution.build_initial(cfg)
+        assert profile.model == model2d.with_omega(0.1)
+        assert np.array_equal(fld.values, embed_radial(profile, g).values)
+        assert evolution.build_initial(_short_config(model2d, g))[1] is None
 
 
 def _short_config(model, grid, initial=GaussianInit(), **kwargs):
@@ -346,16 +354,15 @@ class TestConfigGuards:
         with pytest.raises(ValueError, match="unrecognized"):
             _short_config(model2d, Grid(2, 32, 8.0), initial=None)
 
-    def test_orbit_tracking_needs_a_reference(self, model2d):
-        with pytest.raises(ValueError, match="reference"):
+    def test_orbit_tracking_needs_ground_state_initial_data(self, model2d):
+        with pytest.raises(ValueError, match="orbit tracking needs ground_state initial data"):
             _short_config(model2d, Grid(2, 32, 8.0), track_orbit=True)
 
     def test_quintic_1d_run_conserves_and_respects_bound(self):
         m = ModelParams(Family.QUINTIC_LOG_1D, 1.0)
-        p = find_ground_state(m.with_omega(0.05))
         g = Grid(1, 2048, 40.0)
         cfg = EvolutionConfig(model=m, grid=g, dt=5e-3, t_final=5.0, sample_every=100,
-                              initial=GroundStateInit(omega=0.05), reference=p)
+                              initial=GroundStateInit(omega=0.05))
         traj = evolve(cfg)
         assert traj.mass_drift <= 1e-11
         assert traj.energy_drift <= 1e-6

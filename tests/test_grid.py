@@ -21,7 +21,6 @@ from lognls.grid import (
     integrate,
     simpson,
     spectral_gradient,
-    uniform_interval,
 )
 
 from properties import PROPERTY_SETTINGS
@@ -194,28 +193,6 @@ def test_hermite_cubic_matches_scipy(n, seed):
     assert np.array_equal(deriv[: n - 1], derivs[:-1])
 
 
-
-@pytest.mark.parametrize(
-    "start, stop, n",
-    [(0.0, 1.0, 2), (0.0, 1.0, 11), (0.0, 30.3, 3201), (0.0, 63.24555320336759, 3201),
-     (-1.5, 0.1, 1000), (0.3, 123.456, 4097), (2.0, 2.0 + 1e-3, 17)],
-)
-def test_uniform_interval_is_searchsorted(start, stop, n):
-    """On nodes, midpoints, each node's float neighbours and points outside, as a binary search."""
-    nodes = np.linspace(start, stop, n)
-    width = stop - start
-    x = np.concatenate([
-        nodes,
-        0.5 * (nodes[1:] + nodes[:-1]),
-        np.nextafter(nodes, np.inf),
-        np.nextafter(nodes, -np.inf),
-        np.random.default_rng(n).uniform(start - 0.1 * width, stop + 0.1 * width, 4096),
-    ])
-    assert np.array_equal(uniform_interval(nodes, x), np.searchsorted(nodes, x, side="right") - 1)
-    values, derivs = np.cos(nodes), -np.sin(nodes)
-    located = hermite_cubic(nodes, values, derivs, x, uniform=True)
-    searched = hermite_cubic(nodes, values, derivs, x)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(located, searched))
 
 @PROPERTY_SETTINGS
 @given(half=st.integers(1, 200), dx=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))

@@ -270,7 +270,6 @@ class TestPohozaev:
             derivs=np.zeros(101),
             tail_rate=1.0,
             tail_coeff=0.0,
-            center_value=0.0,
         )
         assert pohozaev_residuals(p) == (0.0, 0.0, 0.0)
 
@@ -282,7 +281,6 @@ class TestPohozaev:
             derivs=profile_01.derivs * 1.01,
             tail_rate=profile_01.tail_rate,
             tail_coeff=profile_01.tail_coeff * 1.01,
-            center_value=profile_01.center_value * 1.01,
         )
         assert max(abs(r) for r in pohozaev_residuals(bad)) >= 1e-3
 
