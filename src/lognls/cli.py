@@ -368,7 +368,7 @@ class Assertions:
         return all(item["pass"] for item in self.items)
 
 
-def _trajectory_table(traj, dim: int):
+def _trajectory_table(traj):
     """(header, rows, extra comment lines) of a trajectory's CSV."""
     header = ["t", "mass", "energy", "kinetic", "potential", "px", "py", "quartic", "h1_bound"]
     if traj.orbit_distances is not None:
@@ -377,8 +377,7 @@ def _trajectory_table(traj, dim: int):
         header.append("pc_quantity")
     rows = []
     for i, (t, s) in enumerate(zip(traj.times, traj.samples)):
-        px = s.momentum[0]
-        py = s.momentum[1] if dim == 2 else 0.0
+        px, py = (*s.momentum, 0.0)[:2]
         row = [t, s.mass, s.energy, s.kinetic, s.potential, px, py, s.quartic, traj.h1_bound]
         if traj.orbit_distances is not None:
             row.append(traj.orbit_distances[i])
@@ -437,7 +436,7 @@ def _run_evolve(typed, asserts: Assertions):
         "h1_bound": traj.h1_bound,
         "sup_kinetic": max(s.kinetic for s in traj.samples),
     }
-    return metrics, {"csv_path": _trajectory_table(traj, typed["grid"].dim)}, traj.snapshots
+    return metrics, {"csv_path": _trajectory_table(traj)}, traj.snapshots
 
 
 def _run_stability(typed, asserts: Assertions):
@@ -454,7 +453,7 @@ def _run_stability(typed, asserts: Assertions):
         "mass_drift": traj.mass_drift,
         "energy_drift": traj.energy_drift,
     }
-    return metrics, {"csv_path": _trajectory_table(traj, cfg.grid.dim)}, traj.snapshots
+    return metrics, {"csv_path": _trajectory_table(traj)}, traj.snapshots
 
 
 def _run_minimize(typed, asserts: Assertions):
@@ -521,7 +520,7 @@ def _run_convexity1d(typed, asserts: Assertions):
 
 
 def _run_contrast(typed, asserts: Assertions):
-    model, g, cfg = typed["model"], typed["grid"], typed["evolution"]
+    model, cfg = typed["model"], typed["evolution"]
     if model.family is not Family.CUBIC_LOG_2D:
         raise ConfigError("contrast_blowup compares against the 2D cubic-log family")
     deadline = typed["blowup_deadline"]
@@ -550,8 +549,8 @@ def _run_contrast(typed, asserts: Assertions):
         "sup_kinetic_log": sup_kin,
         "h1_bound": traj_log.h1_bound,
     }
-    return metrics, {"csv_path": _trajectory_table(traj_log, g.dim),
-                     "purecubic_csv_path": _trajectory_table(traj_cubic, g.dim)}, {}
+    return metrics, {"csv_path": _trajectory_table(traj_log),
+                     "purecubic_csv_path": _trajectory_table(traj_cubic)}, {}
 
 
 def _run_pseudoconformal(typed, asserts: Assertions):
@@ -577,7 +576,7 @@ def _run_pseudoconformal(typed, asserts: Assertions):
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")
         metrics["pc_residual_half_dt"] = residual_half
         metrics["pc_residual_ratio"] = ratio
-    return metrics, {"csv_path": _trajectory_table(traj, cfg.grid.dim)}, {}
+    return metrics, {"csv_path": _trajectory_table(traj)}, {}
 
 
 class _Experiment(NamedTuple):
@@ -609,7 +608,7 @@ EXPERIMENTS = {
 
 
 # what a malformed config can raise, beside the package's own errors
-_FAULTS = (LogNLSError, KeyError, MemoryError, OSError, TypeError, ValueError)
+_FAULTS = (LogNLSError, ArithmeticError, KeyError, MemoryError, OSError, TypeError, ValueError)
 
 
 def _error(exc: Exception) -> dict:

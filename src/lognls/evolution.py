@@ -284,9 +284,7 @@ def build_initial(config: EvolutionConfig) -> tuple[_grid.ComplexField, RadialPr
         profile = find_ground_state(config.model.with_omega(init.omega))
         fld = embed_radial(profile, g, center=init.center, phase=init.phase)
     elif isinstance(init, GaussianInit):
-        center = init.center or (0.0,) * g.dim
-        xs = _grid.coordinates(g)
-        r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
+        r2 = _grid.squared_distance(g, init.center)
         fld = _grid.ComplexField(g, init.amplitude * np.exp(-r2 / (2.0 * init.width ** 2)))
     else:  # SnapshotInit: EvolutionConfig admits no other kind
         from .snapshots import read_snapshot
@@ -309,11 +307,8 @@ def build_initial(config: EvolutionConfig) -> tuple[_grid.ComplexField, RadialPr
 def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.ComplexField:
     g = field.grid
     pert.check_grid(g)
-    xs = _grid.coordinates(g)
     if pert.kind == "gaussian_bump":
-        center = pert.center or (0.0,) * g.dim
-        r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
-        bump = np.exp(-r2 / pert.width ** 2)
+        bump = np.exp(-_grid.squared_distance(g, pert.center) / pert.width ** 2)
         direction = _grid.ComplexField(g, field.values * bump)
         size = _grid.h1_norm(direction)
         if size == 0.0:
@@ -322,7 +317,7 @@ def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.C
     else:  # fourier_mode
         mode = pert.mode or (1,) * g.dim
         k = tuple(math.pi / g.half_width * m for m in mode)
-        wave = np.exp(1j * sum(ki * x for ki, x in zip(k, xs)))
+        wave = np.exp(1j * sum(ki * x for ki, x in zip(k, _grid.coordinates(g))))
         norm = math.sqrt((2.0 * g.half_width) ** g.dim * (1.0 + sum(ki ** 2 for ki in k)))
         out = field.values + (pert.delta / norm) * wave
     result = _grid.ComplexField(g, out)
@@ -445,32 +440,28 @@ def orbit_distance(
 
     shift_idx = []
     for axis, idx in enumerate(best):
-        m1 = corr_abs[_wrap_index(best, axis, idx - 1, g)]
-        p1 = corr_abs[_wrap_index(best, axis, idx + 1, g)]
-        c0 = corr_abs[best]
+        m1, c0, p1 = (corr_abs[best[:axis] + ((idx + s) % g.n,) + best[axis + 1:]]
+                      for s in (-1, 0, 1))
         denom = m1 - 2.0 * c0 + p1
         frac = 0.0 if denom == 0.0 else 0.5 * (m1 - p1) / denom
         frac = min(max(frac, -0.5), 0.5)
         shift_idx.append(idx + frac)
-    y = tuple(((s * g.dx + g.half_width) % (2.0 * g.half_width)) - g.half_width for s in shift_idx)
+
+    def wrap(s):  # a shift of s samples as a displacement in [-L, L)
+        return ((s * g.dx + g.half_width) % (2.0 * g.half_width)) - g.half_width
 
     def distance_at(yvec):
         shifted_hat = p_hat.copy()
-        if g.dim == 1:
-            shifted_hat *= np.exp(-1j * g.k * yvec[0])
-        else:
-            shifted_hat *= np.exp(-1j * g.k[:, None] * yvec[0])
-            shifted_hat *= np.exp(-1j * g.k[None, :] * yvec[1])
+        for k, yj in zip(g.along_axes(g.k), yvec):
+            shifted_hat *= np.exp(-1j * k * yj)
         # the H1 pairing <u, phi(.-y)> up to a positive factor
         theta = float(np.angle(np.sum(u_hat * np.conj(shifted_hat) * weight)))
         shifted_hat *= -np.exp(1j * theta)
         shifted_hat += u_hat
         return _grid.spectral_h1_norm(g, shifted_hat), theta
 
+    y, y_grid = tuple(wrap(s) for s in shift_idx), tuple(wrap(i) for i in best)
     d_refined, theta_refined = distance_at(y)
-    y_grid = tuple(
-        ((i * g.dx + g.half_width) % (2.0 * g.half_width)) - g.half_width for i in best
-    )
     d_grid, theta_grid = distance_at(y_grid)
     if d_grid <= d_refined:
         return d_grid, theta_grid, y_grid
@@ -481,12 +472,6 @@ def reference_spectrum(profile: RadialProfile, g: _grid.Grid) -> np.ndarray:
     """The forward transform of ``profile`` embedded on ``g``, made in the embedding's array."""
     values = embed_radial(profile, g).values
     return fftn(values, out=values)
-
-
-def _wrap_index(base: tuple, axis: int, value: int, g: _grid.Grid):
-    idx = list(base)
-    idx[axis] = value % g.n
-    return tuple(idx)
 
 
 def pseudoconformal_residual(traj: Trajectory, model: ModelParams) -> float:

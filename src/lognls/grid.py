@@ -20,16 +20,16 @@ from numpy.fft import fftn, ifftn
 from .errors import NonFiniteField, SizeMismatch
 
 
-@dataclass(eq=False)
+@dataclass(unsafe_hash=True)
 class Grid:
     dim: int
     n: int
     half_width: float
-    # derived, filled in __post_init__
-    dx: float = field(init=False)
-    k: np.ndarray = field(init=False, repr=False)          # one axis, DFT order
-    k_deriv: np.ndarray = field(init=False, repr=False)    # Nyquist zeroed
-    k2: np.ndarray = field(init=False, repr=False)         # |k|^2 mesh
+    # derived, filled in __post_init__; equality and hash read the three fields above
+    dx: float = field(init=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)        # one axis, DFT order
+    k_deriv: np.ndarray = field(init=False, repr=False, compare=False)  # Nyquist zeroed
+    k2: np.ndarray = field(init=False, repr=False, compare=False)       # |k|^2 mesh
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -43,10 +43,7 @@ class Grid:
         # Odd derivatives on a real field need the Nyquist mode suppressed.
         self.k_deriv = self.k.copy()
         self.k_deriv[self.n // 2] = 0.0
-        if self.dim == 1:
-            self.k2 = self.k ** 2
-        else:
-            self.k2 = self.k[:, None] ** 2 + self.k[None, :] ** 2
+        self.k2 = sum(k ** 2 for k in self.along_axes(self.k))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,24 +53,22 @@ class Grid:
     def axis(self) -> np.ndarray:
         return -self.half_width + self.dx * np.arange(self.n)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.n == other.n
-            and self.half_width == other.half_width
-        )
+    def along_axes(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """One view of the n-vector ``vector`` per axis j, of length n along j and 1 elsewhere.
 
-    def __hash__(self):
-        return hash((self.dim, self.n, self.half_width))
+        The views broadcast against a field on the grid and against each other.
+        """
+        return tuple(vector.reshape((self.n,) + (1,) * (self.dim - 1 - j)) for j in range(self.dim))
 
 
 def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Coordinate meshes, one array per axis (row-major / 'ij' indexing)."""
-    ax = grid.axis
-    if grid.dim == 1:
-        return (ax,)
-    return tuple(np.meshgrid(ax, ax, indexing="ij"))
+    """The coordinates x_j of the grid, as ``grid.along_axes(grid.axis)``."""
+    return grid.along_axes(grid.axis)
+
+
+def squared_distance(grid: Grid, center=None) -> np.ndarray:
+    """|x - center|^2 on the grid (an n^dim array); ``center`` defaults to the origin."""
+    return sum((x - c) ** 2 for x, c in zip(coordinates(grid), center or (0.0,) * grid.dim))
 
 
 @dataclass
@@ -112,8 +107,7 @@ def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> tuple[ComplexField, ...
     An odd derivative, so it multiplies by k_deriv: a real field keeps a real
     gradient.  One inverse transform per axis; ``coeffs`` is left untouched.
     """
-    ks = (grid.k_deriv,) if grid.dim == 1 else (grid.k_deriv[:, None], grid.k_deriv[None, :])
-    parts = (1j * k * coeffs for k in ks)
+    parts = (1j * k * coeffs for k in grid.along_axes(grid.k_deriv))
     return tuple(ComplexField(grid, ifftn(part, out=part)) for part in parts)
 
 
@@ -136,14 +130,14 @@ def _k2_contraction(grid: Grid, power: np.ndarray) -> float:
     """Sum of |k|^2 * power over the spectrum: the one quadratic form of the gradient.
 
     Its symbol |k|^2 is the one the split-step propagator exponentiates.  Each
-    axis' k^2 contracts the marginal of ``power`` over the other axis, which
+    axis' k^2 contracts the marginal of ``power`` over the other axes, which
     needs no n^dim weight mesh.  The contractions are elementwise sums, not
     BLAS dot products: a threaded BLAS pool keeps spinning after each call and
     costs CPU time beside the transforms.
     """
-    marginals = (power,) if grid.dim == 1 else (power.sum(axis=1), power.sum(axis=0))
     k2 = grid.k ** 2
-    return sum(float(np.sum(k2 * m)) for m in marginals)
+    others = [tuple(i for i in range(grid.dim) if i != j) for j in range(grid.dim)]
+    return sum(float(np.sum(k2 * power.sum(axis=axes))) for axes in others)
 
 
 def spectral_gradient_norm_sq(grid: Grid, coeffs: np.ndarray) -> float:

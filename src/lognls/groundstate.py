@@ -212,8 +212,8 @@ def _integrate_radial(model, b, store):
             break
         if h > r_max - r:
             h = r_max - r
-        if h < 1e-14 * max(1.0, r):
-            raise IntegratorFailure(f"step size underflow at r={r}")
+        if not h >= 1e-14 * max(1.0, r):  # NaN-safe: a NaN force makes a NaN step
+            raise IntegratorFailure(f"step size {h} under the floor at r={r}")
 
         k2p, k2q = rhs(r + _C2 * h, p + h * _A21 * k1p, q + h * _A21 * k1q)
         k3p, k3q = rhs(
@@ -704,7 +704,6 @@ def embed_radial(
             f"boundary amplitude {edge:.3e} exceeds 1e-3 of the peak "
             f"{profile.center_value:.3e}; enlarge the box"
         )
-    xs = _grid.coordinates(grid)
-    r = np.sqrt(sum((x - c) ** 2 for x, c in zip(xs, center)))
+    r = np.sqrt(_grid.squared_distance(grid, center))
     vals = profile(r) * complex(math.cos(phase), math.sin(phase))
     return _grid.ComplexField(grid, vals)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.fft import ifft, irfftn, rfftn
@@ -174,7 +175,7 @@ def _eigen_residual(
 
 def _gaussian_start(g: _grid.Grid, rho: float) -> np.ndarray:
     """The descent's start: a centred Gaussian of width max(1, L/6) and mass ``rho``."""
-    r2 = sum(x * x for x in _grid.coordinates(g))
+    r2 = _grid.squared_distance(g)
     width = max(1.0, g.half_width / 6.0)
     values = np.exp(-r2 / (2.0 * width ** 2))
     return values * math.sqrt(rho / _grid.integrate(g, values * values))
@@ -291,7 +292,7 @@ def negative_energy_witness(
         closed = scale * e0 - log_scale * quartic
         tol = 1e-6 * max(abs(closed), abs(e0), 1.0)
         box = mu * g.half_width
-        outside = np.any([(x < -box) | (x >= box) for x in coords], axis=0)
+        outside = reduce(np.logical_or, [(x < -box) | (x >= box) for x in coords])
         dropped = (scale * _grid.integrate(g, energy_density * outside)
                    - log_scale * _grid.integrate(g, quartic_density * outside))
         if abs(dropped) > tol:

@@ -807,6 +807,11 @@ _OUT_OF_RANGE_CASES = {
     "stability_of_gaussian_initial_data": (_with(_tiny_stability(), ("initial",), {"kind": "gaussian"}),
                                            "ConfigError"),
     "grid_unallocatable": (_UNALLOCATABLE, "ConfigError"),
+    # float overflow and division by zero in Python arithmetic are config errors too
+    "gaussian_width_overflows": (_with(_tiny_evolve(), ("initial", "width"), 1e300), "ConfigError"),
+    "ground_tail_divides_by_zero": (
+        _ground_config(model={"family": "cubic_log_2d", "lambda": 1e-300, "omega": 1e-301}),
+        "ConfigError"),
 }
 
 
@@ -1045,6 +1050,13 @@ def test_readme_configs_are_valid(tmp_path, text):
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["pass"] is True
 
 
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a child process."""
+    src = str(Path(lognls.cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     """Every solver runs on numpy alone: scipy is only the tests' independent oracle."""
     stability = _with(_tiny_stability(), ("grid",), {"dim": 2, "n": 32, "half_width": 16.0})
@@ -1057,11 +1069,21 @@ def test_runtime_imports_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
     )
-    src = str(Path(lognls.cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs), str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=600)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=600)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"codes": [0] * len(configs), "scipy": []}
+
+
+def test_nan_shooting_step_fails_fast(tmp_path):
+    """At omega = 1e300 the first force is inf - inf: the NaN step ends the shot, not the run."""
+    config = _ground_config(model={"family": "pure_cubic_2d", "lambda": 1.0, "omega": 1e300})
+    path = tmp_path / "ground.json"
+    path.write_text(json.dumps(config))
+    script = ("import sys\nfrom lognls.cli import main\n"
+              "sys.exit(main(['run', '--config', sys.argv[1], '--out-dir', sys.argv[2]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "error[IntegratorFailure]" in proc.stderr and "Traceback" not in proc.stderr

@@ -13,6 +13,7 @@ from lognls.errors import SizeMismatch
 from lognls.grid import (
     ComplexField,
     Grid,
+    _k2_contraction,
     coordinates,
     forward,
     galilean_apply,
@@ -21,6 +22,7 @@ from lognls.grid import (
     integrate,
     simpson,
     spectral_gradient,
+    squared_distance,
 )
 
 from properties import PROPERTY_SETTINGS
@@ -240,3 +242,72 @@ def test_in_place_numpy_transforms_match_scipy(shape, seed):
     assert np.array_equal(spectrum, half)       # irfftn reads its half spectrum only
     assert _close(back, scipy.fft.irfftn(half, s=shape))
     assert _close(back, x)
+
+
+# the per-axis views against the meshgrid formulas they replaced, bit for bit
+
+def _mesh_coordinates(g):
+    return (g.axis,) if g.dim == 1 else tuple(np.meshgrid(g.axis, g.axis, indexing="ij"))
+
+
+def _mesh_k2(g):
+    return g.k ** 2 if g.dim == 1 else g.k[:, None] ** 2 + g.k[None, :] ** 2
+
+
+def _mesh_k2_contraction(g, power):
+    marginals = (power,) if g.dim == 1 else (power.sum(axis=1), power.sum(axis=0))
+    return sum(float(np.sum(g.k ** 2 * m)) for m in marginals)
+
+
+def _mesh_spectral_gradient(g, coeffs):
+    ks = (g.k_deriv,) if g.dim == 1 else (g.k_deriv[:, None], g.k_deriv[None, :])
+    return tuple(np.fft.ifftn(1j * k * coeffs) for k in ks)
+
+
+def _same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return (ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            and np.ascontiguousarray(ours).tobytes() == np.ascontiguousarray(theirs).tobytes())
+
+
+@st.composite
+def _grids_and_centers(draw):
+    g = Grid(draw(st.sampled_from([1, 2])), 2 * draw(st.integers(1, 24)),
+             draw(st.floats(0.1, 100.0)))
+    center = tuple(draw(st.floats(-g.half_width, g.half_width)) for _ in range(g.dim))
+    return g, center, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(drawn=_grids_and_centers())
+def test_axis_views_equal_the_mesh_formulas_bitwise(drawn):
+    g, center, seed = drawn
+    meshes = _mesh_coordinates(g)
+    assert all(_same_bits(np.broadcast_to(x, g.shape), m) for x, m in zip(coordinates(g), meshes))
+    assert _same_bits(g.k2, _mesh_k2(g))
+    # the Gaussian initial data, gaussian_bump and embed_radial, then the minimizer's start
+    assert _same_bits(squared_distance(g, center),
+                      sum((x - c) ** 2 for x, c in zip(meshes, center)))
+    assert _same_bits(squared_distance(g), sum(x * x for x in meshes))
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    power = np.abs(coeffs) ** 2
+    assert _same_bits(_k2_contraction(g, power), _mesh_k2_contraction(g, power))
+    grads = spectral_gradient(g, coeffs)
+    assert all(_same_bits(ours.values, theirs)
+               for ours, theirs in zip(grads, _mesh_spectral_gradient(g, coeffs), strict=True))
+
+
+_GRID_KEYS = st.tuples(st.sampled_from([1, 2]), st.sampled_from([2, 4]),
+                       st.sampled_from([1.0, 2.5, math.nextafter(2.5, 3.0)]))
+
+
+@PROPERTY_SETTINGS
+@given(a=_GRID_KEYS, b=_GRID_KEYS)
+def test_grids_are_equal_exactly_when_their_init_fields_agree(a, b):
+    ga, gb = Grid(*a), Grid(*b)
+    assert (ga == gb) is (a == b)
+    assert (ga != gb) is (a != b)
+    if a == b:
+        assert hash(ga) == hash(gb) and len({ga, gb}) == 1
+    assert ga != a
