@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import grid as _grid
-from .convexity1d import action_convexity_scan, curvature_model
+from .convexity1d import FD_STEP, action_convexity_scan, curvature_model
 from .errors import BlowUpDetected, ConfigError, LogNLSError
 from .evolution import (
     H1_BOUND_SLACK,
@@ -30,8 +30,10 @@ from .evolution import (
     GroundStateInit,
     Perturbation,
     SnapshotInit,
+    Trajectory,
     evolve,
     pc_identity_rhs,
+    pc_values,
     pseudoconformal_residual,
 )
 from .groundstate import (
@@ -247,7 +249,7 @@ def _check_frequencies(experiment: str, key: str, typed: dict):
     """Each frequency of the list ``typed[key]`` checked against the window it is solved in.
 
     ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than one
-    point its finite-difference neighbours omega +- ``fd_delta`` lie in the window too.
+    point its finite-difference neighbours omega +- ``FD_STEP`` lie in the window too.
     A repeated frequency is refused: the mass along the list could not be strictly monotone.
     """
     omegas, model = typed[key], typed["model"]
@@ -264,8 +266,8 @@ def _check_frequencies(experiment: str, key: str, typed: dict):
             continue
         curvature_model(model.with_omega(omega))  # the window and its 5% edge margin
         if len(omegas) > 1:  # the finite-difference neighbours
-            model.with_omega(omega - typed["fd_delta"])
-            model.with_omega(omega + typed["fd_delta"])
+            model.with_omega(omega - FD_STEP)
+            model.with_omega(omega + FD_STEP)
 
 
 def _evolution_config(typed: dict) -> EvolutionConfig:
@@ -368,23 +370,17 @@ class Assertions:
         return all(item["pass"] for item in self.items)
 
 
-def _trajectory_table(traj):
-    """(header, rows, extra comment lines) of a trajectory's CSV."""
+def _trajectory_table(traj, pc=None):
+    """(header, rows, extra comment lines) of a trajectory's CSV, with its pc values if given."""
+    columns = (("orbit_distance", traj.orbit_distances), ("pc_quantity", pc))
+    extra = {name: column for name, column in columns if column is not None}
     header = ["t", "mass", "energy", "kinetic", "potential", "px", "py", "quartic", "h1_bound"]
-    if traj.orbit_distances is not None:
-        header.append("orbit_distance")
-    if traj.pc_quantity is not None:
-        header.append("pc_quantity")
     rows = []
     for i, (t, s) in enumerate(zip(traj.times, traj.samples)):
         px, py = (*s.momentum, 0.0)[:2]
-        row = [t, s.mass, s.energy, s.kinetic, s.potential, px, py, s.quartic, traj.h1_bound]
-        if traj.orbit_distances is not None:
-            row.append(traj.orbit_distances[i])
-        if traj.pc_quantity is not None:
-            row.append(traj.pc_quantity[i])
-        rows.append(row)
-    return header, rows, []
+        rows.append([t, s.mass, s.energy, s.kinetic, s.potential, px, py, s.quartic,
+                     traj.h1_bound, *(column[i] for column in extra.values())])
+    return header + list(extra), rows, []
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +495,7 @@ def _run_sweep_mass(typed, asserts: Assertions):
 
 
 def _run_convexity1d(typed, asserts: Assertions):
-    rows = action_convexity_scan(typed["model"], typed["omega_grid"], delta=typed["fd_delta"])
+    rows = action_convexity_scan(typed["model"], typed["omega_grid"])
     asserts.check("dpp_min", min(r.dpp_quad for r in rows), 0.0, ">")
     fd_rel = [
         abs(r.dpp_fd / r.dpp_quad - 1.0) for r in rows if r.dpp_fd is not None
@@ -555,6 +551,7 @@ def _run_contrast(typed, asserts: Assertions):
 
 def _run_pseudoconformal(typed, asserts: Assertions):
     model, cfg = typed["model"], typed["evolution"]
+    pc_identity_rhs(Trajectory(), model)  # a family whose pc law the record lacks fails here
     # the residual's central differences need >= 3 records dt * sample_every apart
     n_steps = round(cfg.t_final / cfg.dt)
     if n_steps % cfg.sample_every or n_steps // cfg.sample_every < 2:
@@ -562,7 +559,7 @@ def _run_pseudoconformal(typed, asserts: Assertions):
                           f"of sample_every = {cfg.sample_every}, with at least 3 records")
 
     def one(dt, sample_every):
-        traj = evolve(dataclasses.replace(cfg, dt=dt, sample_every=sample_every, monitor_pc=True))
+        traj = evolve(dataclasses.replace(cfg, dt=dt, sample_every=sample_every))
         return traj, pseudoconformal_residual(traj, model)
 
     traj, residual = one(cfg.dt, cfg.sample_every)
@@ -576,7 +573,7 @@ def _run_pseudoconformal(typed, asserts: Assertions):
         asserts.check("pc_residual_halving_ratio", ratio, 3.0, ">=")
         metrics["pc_residual_half_dt"] = residual_half
         metrics["pc_residual_ratio"] = ratio
-    return metrics, {"csv_path": _trajectory_table(traj)}, {}
+    return metrics, {"csv_path": _trajectory_table(traj, pc_values(traj))}, {}
 
 
 class _Experiment(NamedTuple):
@@ -600,8 +597,7 @@ EXPERIMENTS = {
         "precondition": (_precondition, None)}, (0.0,)),
     "sweep_mass": _Experiment(_run_sweep_mass, (), {
         "omega_list": _REQUIRED_FREQUENCIES, "tol": (_positive, 1e-9)}),
-    "convexity1d": _Experiment(_run_convexity1d, (), {
-        "omega_grid": _REQUIRED_FREQUENCIES, "fd_delta": (_positive, 1e-4)}),
+    "convexity1d": _Experiment(_run_convexity1d, (), {"omega_grid": _REQUIRED_FREQUENCIES}),
     "contrast_blowup": _Experiment(_run_contrast, _EVOLVING, {"blowup_deadline": (_positive, 5.0)}),
     "pseudoconformal": _Experiment(_run_pseudoconformal, _EVOLVING, {"refine_dt": (_boolean, True)}),
 }

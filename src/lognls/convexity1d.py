@@ -41,6 +41,7 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 _MAX_PANELS = 4096
 _DPP_REL_TOL = 1e-8
 _MASS_ACTION_REL_TOL = 1e-11
+FD_STEP = 1e-4  # the frequency step of the finite-difference curvature oracle
 
 
 @dataclass(frozen=True)
@@ -241,9 +242,7 @@ class ConvexityRow:
     action: float
 
 
-def action_convexity_scan(
-    model: ModelParams, omega_grid, delta: float = 1e-4
-) -> list[ConvexityRow]:
+def action_convexity_scan(model: ModelParams, omega_grid) -> list[ConvexityRow]:
     """Curvature along the branch of ``model`` at each frequency of ``omega_grid``.
 
     Each row has the quadrature, both printed forms and the FD oracle.  The
@@ -257,9 +256,9 @@ def action_convexity_scan(
         mass, action, _ = mass_action_1d(at)
         fd = None
         if len(omegas) > 1:
-            sp = mass_action_1d(model.with_omega(omega + delta))[1]
-            sm = mass_action_1d(model.with_omega(omega - delta))[1]
-            fd = (sp - 2.0 * action + sm) / delta ** 2
+            sp = mass_action_1d(model.with_omega(omega + FD_STEP))[1]
+            sm = mass_action_1d(model.with_omega(omega - FD_STEP))[1]
+            fd = (sp - 2.0 * action + sm) / FD_STEP ** 2
         rows.append(
             ConvexityRow(
                 omega=omega,

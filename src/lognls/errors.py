@@ -5,19 +5,23 @@ class LogNLSError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonPositiveLambda(LogNLSError, ValueError):
+class ConfigError(LogNLSError, ValueError):
+    """An input the run cannot be carried out on: exit code 2, wherever it is found."""
+
+
+class NonPositiveLambda(ConfigError):
     pass
 
 
-class OmegaOutOfWindow(LogNLSError, ValueError):
+class OmegaOutOfWindow(ConfigError):
     pass
 
 
-class MissingOmega(LogNLSError, ValueError):
+class MissingOmega(ConfigError):
     pass
 
 
-class NegativeAmplitude(LogNLSError, ValueError):
+class NegativeAmplitude(ConfigError):
     pass
 
 
@@ -25,7 +29,7 @@ class NonFiniteField(LogNLSError, FloatingPointError):
     pass
 
 
-class SizeMismatch(LogNLSError, ValueError):
+class SizeMismatch(ConfigError):
     pass
 
 
@@ -50,7 +54,7 @@ class ConservationError(LogNLSError, ArithmeticError):
     """A monitored conservation law or a-priori bound was violated."""
 
 
-class InsufficientSamples(LogNLSError, ValueError):
+class InsufficientSamples(ConfigError):
     pass
 
 
@@ -58,7 +62,7 @@ class MaxIterations(LogNLSError, ArithmeticError):
     pass
 
 
-class NonPositiveRho(LogNLSError, ValueError):
+class NonPositiveRho(ConfigError):
     pass
 
 
@@ -66,7 +70,7 @@ class ExhaustedScaling(LogNLSError, ArithmeticError):
     pass
 
 
-class OmegaTooCloseToEdge(LogNLSError, ValueError):
+class OmegaTooCloseToEdge(ConfigError):
     pass
 
 
@@ -74,11 +78,7 @@ class QuadratureFailure(LogNLSError, ArithmeticError):
     pass
 
 
-class UnsupportedFamily(LogNLSError, ValueError):
-    pass
-
-
-class ConfigError(LogNLSError, ValueError):
+class UnsupportedFamily(ConfigError):
     pass
 
 

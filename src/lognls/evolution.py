@@ -14,8 +14,9 @@ imaginary parts of one preallocated complex buffer (bitwise equal to
 ``exp(-i dt rate)``), and a synchronized record state is formed in that same
 buffer, so a run holds the state, one buffer and the two propagators between
 steps.  A record's one forward transform, taken by ``observables``, goes into
-one more array the run owns, and the orbit distance and the pseudo-conformal
-functional read it there.
+one more array the run owns, and the orbit distance reads it there.  The
+pseudo-conformal functional is algebra on a record's observables and takes no
+transform of its own.
 
 The transforms run on the calling thread: ``numpy.fft`` has no worker pool,
 so there is no knob for one.  None is missed: with a pooled pocketfft
@@ -38,6 +39,7 @@ from .errors import (
     ConservationError,
     InsufficientSamples,
     NonFiniteField,
+    UnsupportedFamily,
 )
 from .groundstate import RadialProfile, embed_radial, find_ground_state
 from .model import (
@@ -47,7 +49,6 @@ from .model import (
     h1_apriori_bound,
     nonlinear_phase_rate,
     observables,
-    potential_density,
 )
 
 MASS_DRIFT_TOL = 1e-11
@@ -59,7 +60,6 @@ BLOWUP_CEILING = 1e6
 class GroundStateInit:
     omega: float
     center: tuple[float, ...] | None = None
-    phase: float = 0.0
     boost: tuple[float, ...] | None = None
 
 
@@ -132,7 +132,6 @@ class EvolutionConfig:
     initial: object
     sample_every: int = 1
     perturbation: Perturbation | None = None
-    monitor_pc: bool = False
     track_orbit: bool = False
     snapshot_times: tuple[float, ...] = ()
 
@@ -170,7 +169,6 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     samples: list[Observables] = field(default_factory=list)
     orbit_distances: list[float] | None = None
-    pc_quantity: list[float] | None = None
     snapshots: dict[float, _grid.ComplexField] = field(default_factory=dict)  # by requested time
     h1_bound: float | None = None
     final_field: _grid.ComplexField | None = None
@@ -282,7 +280,7 @@ def build_initial(config: EvolutionConfig) -> tuple[_grid.ComplexField, RadialPr
         fld = init.copy()
     elif isinstance(init, GroundStateInit):
         profile = find_ground_state(config.model.with_omega(init.omega))
-        fld = embed_radial(profile, g, center=init.center, phase=init.phase)
+        fld = embed_radial(profile, g, center=init.center)
     elif isinstance(init, GaussianInit):
         r2 = _grid.squared_distance(g, init.center)
         fld = _grid.ComplexField(g, init.amplitude * np.exp(-r2 / (2.0 * init.width ** 2)))
@@ -328,19 +326,13 @@ def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.C
     return result
 
 
-def pc_functional(
-    field: _grid.ComplexField, coeffs: np.ndarray, t: float, model: ModelParams
-) -> float:
-    """(1/2)||(x + i t grad) u||^2 + (lam t^2 / 2-weighted) potential term.
+def pc_functional(obs: Observables, t: float) -> float:
+    """(1/2)||(x + i t grad) u||^2 + t^2 int V(|u|^2) = V/2 - t D + t^2 E of a record at time t.
 
-    ``coeffs`` is the forward transform of ``field``, whose gradient it gives.
+    V is the variance and D the dilation of ``obs``: expanding the square leaves
+    (1/2)||x u||^2 - t sum_j int x_j Im(conj(u) d_j u) + (t^2/2)||grad u||^2.
     """
-    g = field.grid
-    parts = _grid.galilean_apply(field, coeffs, t)
-    val = 0.5 * sum(_grid.integrate(g, np.abs(p.values) ** 2) for p in parts)
-    rho = np.abs(field.values) ** 2
-    val += t * t * _grid.integrate(g, potential_density(rho, model))
-    return val
+    return 0.5 * obs.variance - t * obs.dilation + t * t * obs.energy
 
 
 def evolve(config: EvolutionConfig) -> Trajectory:
@@ -353,8 +345,6 @@ def evolve(config: EvolutionConfig) -> Trajectory:
 
     u, profile = build_initial(config)
     traj = Trajectory()
-    if config.monitor_pc:
-        traj.pc_quantity = []
     if config.track_orbit:  # EvolutionConfig admits it only with ground_state initial data
         traj.orbit_distances = []
         reference_hat = reference_spectrum(profile, g)
@@ -381,8 +371,6 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         # ``spectrum`` now holds the record state's transform, the only one a record takes
         traj.times.append(t)
         traj.samples.append(obs)
-        if config.monitor_pc:
-            traj.pc_quantity.append(pc_functional(fld, spectrum, t, model))
         if config.track_orbit:
             dist, _, _ = orbit_distance(spectrum, reference_hat, g)
             traj.orbit_distances.append(dist)
@@ -474,12 +462,17 @@ def reference_spectrum(profile: RadialProfile, g: _grid.Grid) -> np.ndarray:
     return fftn(values, out=values)
 
 
+def pc_values(traj: Trajectory) -> np.ndarray:
+    """The pseudo-conformal functional at every record of ``traj``."""
+    return np.asarray([pc_functional(s, t) for t, s in zip(traj.times, traj.samples)])
+
+
 def pseudoconformal_residual(traj: Trajectory, model: ModelParams) -> float:
-    """Max discrepancy of d/dt(pc) = -lam t quartic at interior samples."""
-    if traj.pc_quantity is None or len(traj.pc_quantity) < 3:
+    """Max discrepancy of the family's pc law (``pc_identity_rhs``) at interior samples."""
+    if len(traj.samples) < 3:
         raise InsufficientSamples("need >= 3 uniformly spaced pc samples")
     t = np.asarray(traj.times)
-    pc = np.asarray(traj.pc_quantity)
+    pc = pc_values(traj)
     steps = np.diff(t)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise InsufficientSamples("pc samples must be uniformly spaced")
@@ -491,7 +484,12 @@ def pseudoconformal_residual(traj: Trajectory, model: ModelParams) -> float:
 
 
 def pc_identity_rhs(traj: Trajectory, model: ModelParams) -> np.ndarray:
-    """-lam t quartic at every sample; structurally exact 0.0 at t=0."""
-    t = np.asarray(traj.times)
-    quartic = np.asarray([s.quartic for s in traj.samples])
-    return -model.lam * t * quartic
+    """d/dt pc at every sample, structurally exact 0.0 at t=0: -lam t int |u|^4 for the 2D
+    cubic-log family, 0 for the L2-critical pure cubic; the 1D quintic-log law needs
+    int |u|^6, which a record does not take (UnsupportedFamily).
+    """
+    if model.family is Family.QUINTIC_LOG_1D:
+        raise UnsupportedFamily(f"the {model.family.value} pc law needs int |u|^6, "
+                                "which a record does not take")
+    lam = model.lam if model.family is Family.CUBIC_LOG_2D else 0.0
+    return -lam * np.asarray(traj.times) * np.asarray([s.quartic for s in traj.samples])

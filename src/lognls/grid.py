@@ -1,4 +1,4 @@
-"""Uniform periodic grids, spectral calculus, quadrature, and the Galilean operator.
+"""Uniform periodic grids, spectral calculus and quadrature.
 
 Domain convention is [-L, L) per axis with N even; wavenumbers are
 k_m = (pi/L) m for m in {-N/2, ..., N/2 - 1}, stored in DFT order.  The
@@ -126,18 +126,24 @@ def spectral_power(coeffs: np.ndarray) -> np.ndarray:
     return power
 
 
+def axis_moment(grid: Grid, weight: np.ndarray, samples: np.ndarray, axis: int) -> float:
+    """Sum over the grid of weight[i_axis] * samples, for an n-vector ``weight`` along ``axis``.
+
+    ``weight`` contracts the marginal of ``samples`` over the other axes, which
+    needs no n^dim weight mesh.  The contraction is an elementwise sum, not a
+    BLAS dot product: a threaded BLAS pool keeps spinning after each call and
+    costs CPU time beside the transforms.
+    """
+    others = tuple(i for i in range(grid.dim) if i != axis)
+    return float(np.sum(weight * samples.sum(axis=others)))
+
+
 def _k2_contraction(grid: Grid, power: np.ndarray) -> float:
     """Sum of |k|^2 * power over the spectrum: the one quadratic form of the gradient.
 
-    Its symbol |k|^2 is the one the split-step propagator exponentiates.  Each
-    axis' k^2 contracts the marginal of ``power`` over the other axes, which
-    needs no n^dim weight mesh.  The contractions are elementwise sums, not
-    BLAS dot products: a threaded BLAS pool keeps spinning after each call and
-    costs CPU time beside the transforms.
+    Its symbol |k|^2 is the one the split-step propagator exponentiates.
     """
-    k2 = grid.k ** 2
-    others = [tuple(i for i in range(grid.dim) if i != j) for j in range(grid.dim)]
-    return sum(float(np.sum(k2 * power.sum(axis=axes))) for axes in others)
+    return sum(axis_moment(grid, grid.k ** 2, power, j) for j in range(grid.dim))
 
 
 def spectral_gradient_norm_sq(grid: Grid, coeffs: np.ndarray) -> float:
@@ -186,13 +192,3 @@ def hermite_cubic(
     deriv = (3.0 * c3 * s + 2.0 * c2) * s + d
     return value, deriv
 
-
-def galilean_apply(field: ComplexField, coeffs: np.ndarray, t: float) -> tuple[ComplexField, ...]:
-    """J(t) u = x u + i t grad u, one component per axis, given ``coeffs`` = forward(u)."""
-    g = field.grid
-    grads = spectral_gradient(g, coeffs)
-    xs = coordinates(g)
-    return tuple(
-        ComplexField(g, x * field.values + 1j * t * gr.values)
-        for x, gr in zip(xs, grads)
-    )

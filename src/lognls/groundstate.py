@@ -679,9 +679,8 @@ def embed_radial(
     profile: RadialProfile,
     grid: _grid.Grid,
     center=None,
-    phase: float = 0.0,
 ) -> _grid.ComplexField:
-    """phi(|x - center|) on the grid with the exponential tail, times e^{i phase}.
+    """phi(|x - center|) on the grid with the exponential tail.
 
     The grid must keep the boundary amplitude below 1e-3 of the peak; the
     documented 1e-8 mass agreement additionally needs the stronger margin
@@ -705,5 +704,4 @@ def embed_radial(
             f"{profile.center_value:.3e}; enlarge the box"
         )
     r = np.sqrt(_grid.squared_distance(grid, center))
-    vals = profile(r) * complex(math.cos(phase), math.sin(phase))
-    return _grid.ComplexField(grid, vals)
+    return _grid.ComplexField(grid, profile(r))

@@ -288,7 +288,12 @@ def potential_G(z, model: ModelParams):
 
 @dataclass(frozen=True)
 class Observables:
-    """Conserved functionals of a field, plus the standard derived quantities."""
+    """Conserved functionals of a field, plus the standard derived quantities.
+
+    ``variance`` int |x|^2 |u|^2 and ``dilation`` sum_j int x_j Im(conj(u) d_j u) are the
+    moments of the pseudo-conformal and virial laws.  A radial profile is real, so its
+    dilation is 0; its observables leave the variance unset.
+    """
 
     mass: float
     energy: float
@@ -297,14 +302,17 @@ class Observables:
     potential: float
     quartic: float
     action: float | None = None
+    variance: float | None = None
+    dilation: float = 0.0
 
 
 def observables(field, model: ModelParams, spectrum: np.ndarray | None = None) -> Observables:
     """Mass, energy, momentum and friends from one forward transform + cell quadrature.
 
-    Kinetic energy by Parseval on |k|^2; momentum on the gradient of the same spectrum.
-    The transform is written into ``spectrum``, a complex array of the grid's
-    shape owned by the caller (a new one if None).
+    Kinetic energy by Parseval on |k|^2; momentum and dilation on the gradient of
+    the same spectrum, variance and dilation by per-axis marginals.  The transform
+    is written into ``spectrum``, a complex array of the grid's shape owned by the
+    caller (a new one if None).
     """
     field.check_finite()
     vals = field.values
@@ -313,26 +321,22 @@ def observables(field, model: ModelParams, spectrum: np.ndarray | None = None) -
     mass = _grid.integrate(g, rho)
     coeffs = _grid.forward(vals, spectrum)
     kinetic = 0.5 * _grid.spectral_gradient_norm_sq(g, coeffs)
-    grads = _grid.spectral_gradient(g, coeffs)
-    del coeffs  # not held while the momentum and potential are summed
+    # the momentum currents Im(conj(u) d_j u), each formed in its gradient's array
+    currents = [np.multiply(np.conj(vals), gr.values, out=gr.values).imag
+                for gr in _grid.spectral_gradient(g, coeffs)]
+    del coeffs  # not held while the moments and the potential are summed
+    momentum = tuple(_grid.integrate(g, c) for c in currents)
+    cell = g.dx ** g.dim
+    dilation = sum(_grid.axis_moment(g, g.axis, c, j) for j, c in enumerate(currents)) * cell
+    del currents  # nor the gradient arrays that hold them
+    variance = sum(_grid.axis_moment(g, g.axis ** 2, rho, j) for j in range(g.dim)) * cell
     potential = _grid.integrate(g, potential_density(rho, model))
-    momentum = tuple(
-        _grid.integrate(g, np.imag(np.conj(vals) * gr.values)) for gr in grads
-    )
     quartic = _grid.integrate(g, rho * rho)
     energy = kinetic + potential
-    action = None
-    if model.omega is not None:
-        action = energy + model.omega * mass
-    return Observables(
-        mass=mass,
-        energy=energy,
-        momentum=momentum,
-        kinetic=kinetic,
-        potential=potential,
-        quartic=quartic,
-        action=action,
-    )
+    action = None if model.omega is None else energy + model.omega * mass
+    return Observables(mass=mass, energy=energy, momentum=momentum, kinetic=kinetic,
+                       potential=potential, quartic=quartic, action=action,
+                       variance=variance, dilation=dilation)
 
 
 def h1_apriori_bound(initial: Observables, model: ModelParams) -> float:

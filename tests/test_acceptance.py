@@ -128,7 +128,7 @@ def pc_runs():
     def one(dt, sample_every):
         cfg = EvolutionConfig(
             model=MODEL, grid=g, dt=dt, t_final=1.0, sample_every=sample_every,
-            initial=GroundStateInit(omega=0.2), monitor_pc=True,
+            initial=GroundStateInit(omega=0.2),
         )
         return evolve(cfg)
 

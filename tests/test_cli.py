@@ -290,6 +290,13 @@ class TestRunConfig:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["min.nlsf", "point.csv", "summary.json"]
 
+    def test_pure_cubic_pseudoconformal_conserves_pc(self, tmp_path):
+        code, summary = run_config(_pure_cubic_pseudoconformal(), out_dir=str(tmp_path))
+        assert code == 0 and summary["pass"] is True
+        assert summary["metrics"]["pc_residual"] <= 1e-4
+        _, cols = read_csv(tmp_path / "pc.csv")
+        assert cols["pc_quantity"][0] == pytest.approx(0.5 * math.pi, rel=1e-12)
+
 
 class TestSweep:
     def test_singleton_list_matches_run(self, tmp_path):
@@ -619,6 +626,25 @@ def _tiny_pseudoconformal():
     return config
 
 
+def _pure_cubic_pseudoconformal():
+    """The bare CI job's pseudoconformal config: pc is conserved for the L2-critical cubic."""
+    return {
+        "experiment": "pseudoconformal",
+        "model": {"family": "pure_cubic_2d", "lambda": 1.0},
+        "grid": {"dim": 2, "n": 32, "half_width": 8.0},
+        "time": {"dt": 5e-3, "t_final": 0.1, "sample_every": 5},
+        "initial": {"kind": "gaussian", "amplitude": 1.0, "width": 1.0},
+        "refine_dt": False,
+        "outputs": {"csv_path": "pc.csv", "summary_json_path": "summary.json"},
+    }
+
+
+def _quintic_pseudoconformal():
+    """The same on the 1D quintic-log family, whose pc law needs int |u|^6."""
+    config = _with(_pure_cubic_pseudoconformal(), ("model", "family"), "quintic_log_1d")
+    return _with(config, ("grid", "dim"), 1)
+
+
 def _with(config, path, value):
     """A copy of config with the section or leaf at ``path`` (keys) set to value."""
     config = copy.deepcopy(config)
@@ -757,9 +783,9 @@ def test_colliding_outputs_are_config_errors(tmp_path, monkeypatch, config):
 _FREQUENCY_LIST_CASES = {
     "omega_grid_past_edge": (_with(_tiny_convexity1d(), ("omega_grid",), [0.2]), "OmegaOutOfWindow"),
     "omega_grid_near_edge": (_with(_tiny_convexity1d(), ("omega_grid",), [0.115]), "OmegaTooCloseToEdge"),
+    # the finite-difference neighbour 5e-5 - 1e-4 of the first frequency is negative
     "omega_grid_neighbour_past_edge": (
-        _with(_with(_tiny_convexity1d(), ("omega_grid",), [0.05, 0.1]), ("fd_delta",), 0.05),
-        "OmegaOutOfWindow"),
+        _with(_tiny_convexity1d(), ("omega_grid",), [5e-5, 0.05]), "OmegaOutOfWindow"),
     "convexity1d_of_another_family": (
         _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "ConfigError"),
     "omega_list_past_edge": (_with(_tiny_sweep_mass(), ("omega_list",), [0.5]), "OmegaOutOfWindow"),
@@ -804,6 +830,9 @@ _OUT_OF_RANGE_CASES = {
                                     "ConfigError"),
     "grid_too_small": (_with(_tiny_stability(), ("grid", "half_width"), 1.0), "GridTooSmall"),
     "precondition_false": (_with(_tiny_minimize(), ("precondition",), False), "ConfigError"),
+    "minimize_of_pure_cubic": (_with(_tiny_minimize(), ("model", "family"), "pure_cubic_2d"),
+                               "UnsupportedFamily"),
+    "pseudoconformal_of_quintic": (_quintic_pseudoconformal(), "UnsupportedFamily"),
     "stability_of_gaussian_initial_data": (_with(_tiny_stability(), ("initial",), {"kind": "gaussian"}),
                                            "ConfigError"),
     "grid_unallocatable": (_UNALLOCATABLE, "ConfigError"),
@@ -958,6 +987,16 @@ class TestMalformedConfig:
                                    out_dir=str(tmp_path))
         _assert_config_error(code, summary)
         assert "sample_every" in summary["error"]["message"]
+
+    def test_pseudoconformal_family_checked_before_work(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an evolution ran whose pc law the record lacks")
+
+        monkeypatch.setattr(lognls.cli, "evolve", never)
+        code, summary = run_config(_quintic_pseudoconformal(), out_dir=str(tmp_path))
+        assert code == 2
+        assert summary["error"]["code"] == "UnsupportedFamily"
+        assert "quintic_log_1d" in summary["error"]["message"]
 
     def test_contrast_deadline_checked_before_work(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):

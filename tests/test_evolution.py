@@ -10,24 +10,41 @@ from scipy.fft import fftn
 
 import lognls.grid
 from lognls import evolution
-from lognls.errors import BlowUpDetected, InsufficientSamples, OmegaOutOfWindow
+from lognls.errors import (
+    BlowUpDetected,
+    InsufficientSamples,
+    OmegaOutOfWindow,
+    UnsupportedFamily,
+)
 from lognls.evolution import (
     EvolutionConfig,
     GaussianInit,
     GroundStateInit,
     Perturbation,
+    Trajectory,
     apply_perturbation,
     evolve,
     orbit_distance,
+    pc_functional,
     pc_identity_rhs,
+    pc_values,
     pseudoconformal_residual,
     reference_spectrum,
     snapshot_steps,
     strang_step,
 )
-from lognls.grid import ComplexField, Grid, coordinates, forward, h1_norm, integrate
+from lognls.grid import (
+    ComplexField,
+    Grid,
+    coordinates,
+    forward,
+    h1_norm,
+    integrate,
+    spectral_gradient,
+    squared_distance,
+)
 from lognls.groundstate import embed_radial, find_ground_state
-from lognls.model import Family, ModelParams
+from lognls.model import Family, ModelParams, observables, potential_density
 
 from properties import PROPERTY_SETTINGS, smooth_fields
 
@@ -212,67 +229,116 @@ class TestPseudoconformal:
         g = Grid(2, 192, 12.0)
         cfg = EvolutionConfig(
             model=m, grid=g, dt=5e-3, t_final=0.5, sample_every=10,
-            initial=GaussianInit(), monitor_pc=True,
+            initial=GaussianInit(),
         )
         traj = evolve(cfg)
         assert pseudoconformal_residual(traj, m) <= 1e-10
-        pc = np.asarray(traj.pc_quantity)
+        pc = pc_values(traj)
         assert np.max(np.abs(pc - pc[0])) / max(abs(pc[0]), 1.0) <= 1e-10
 
     def test_rhs_structurally_zero_at_t0(self, model2d):
         g = Grid(2, 128, 20.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=5e-3, t_final=0.1, sample_every=2,
-            initial=GroundStateInit(omega=0.1), monitor_pc=True,
+            initial=GroundStateInit(omega=0.1),
         )
         traj = evolve(cfg)
         rhs = pc_identity_rhs(traj, model2d)
         assert rhs[0] == 0.0
 
     def test_insufficient_samples(self, model2d):
-        from lognls.evolution import Trajectory
-
-        traj = Trajectory(times=[0.0, 0.1], samples=[], pc_quantity=[1.0, 1.0])
+        obs = observables(_gaussian(Grid(2, 16, 5.0)), model2d)
+        traj = Trajectory(times=[0.0, 0.1], samples=[obs, obs])
         with pytest.raises(InsufficientSamples):
             pseudoconformal_residual(traj, model2d)
+
+    def test_law_per_family(self):
+        """The L2-critical pure cubic conserves pc; the quintic-log law is refused."""
+        g = Grid(2, 16, 5.0)
+        cubic = ModelParams(Family.PURE_CUBIC_2D, 1.0)
+        obs = observables(_gaussian(g), cubic)
+        traj = Trajectory(times=[0.0, 0.1, 0.2], samples=[obs] * 3)
+        assert pc_identity_rhs(traj, cubic).tolist() == [0.0] * 3
+        assert pc_identity_rhs(traj, ModelParams(Family.CUBIC_LOG_2D, 1.0))[2] == -0.2 * obs.quartic
+        with pytest.raises(UnsupportedFamily, match="quintic_log_1d"):
+            pc_identity_rhs(traj, ModelParams(Family.QUINTIC_LOG_1D, 1.0))
+
+    def test_gaussian_variance_at_zero_time(self, model2d):
+        # int |x|^2 e^{-|x|^2} over R^2 is pi, and a real field carries no current
+        obs = observables(_gaussian(Grid(2, 256, 10.0)), model2d)
+        assert obs.variance == pytest.approx(math.pi, rel=1e-12)
+        assert abs(obs.dilation) <= 1e-15
+        assert pc_functional(obs, 0.0) == 0.5 * obs.variance
+
+    @PROPERTY_SETTINGS
+    @given(smooth_fields(dims=(1, 2)), st.floats(min_value=-3.0, max_value=3.0))
+    def test_pc_is_the_conformal_norm(self, u, t):
+        """pc(obs, t) = (1/2) sum_j ||x_j u + i t d_j u||^2 + t^2 int V(|u|^2), from the mesh."""
+        g = u.grid
+        model = ModelParams(Family.QUINTIC_LOG_1D if g.dim == 1 else Family.CUBIC_LOG_2D, 1.0)
+        obs = observables(u, model)
+        rho = np.abs(u.values) ** 2
+        xs = coordinates(g)
+        grads = [d.values for d in spectral_gradient(g, forward(u.values))]
+        currents = [x * np.imag(np.conj(u.values) * d) for x, d in zip(xs, grads)]
+        variance = integrate(g, squared_distance(g) * rho)
+        dilation = sum(integrate(g, c) for c in currents)
+        assert abs(obs.variance - variance) <= 1e-12 * variance
+        assert abs(obs.dilation - dilation) <= 1e-12 * sum(integrate(g, np.abs(c)) for c in currents)
+        density = potential_density(rho, model)
+        pc = 0.5 * sum(integrate(g, np.abs(x * u.values + 1j * t * d) ** 2) for x, d in zip(xs, grads))
+        pc += t * t * integrate(g, density)
+        # the scale of the terms, so that cancellation between them does not shrink the bound
+        scale = 0.5 * variance + t * t * (obs.kinetic + integrate(g, np.abs(density)))
+        assert abs(pc_functional(obs, t) - pc) <= 1e-12 * scale
 
 
 class TestRecordTransforms:
     """A record reads the spectrum its observables took: one forward transform per record."""
 
     @staticmethod
-    def _forward_per_record(monkeypatch, config):
-        original, in_record = lognls.grid.fftn, []
+    def _transforms_per_record(monkeypatch, config, residual=False):
+        """(forward, inverse) transforms per record of evolving ``config`` (and its pc residual)."""
+        counts = {"fftn": 0, "ifftn": 0}
 
-        def counted(*args, **kwargs):
-            frame = sys._getframe(1)
-            while frame is not None:
-                code = frame.f_code
-                if code.co_name == "record" and code.co_filename == evolution.__file__:
-                    in_record.append(1)
-                    break
-                frame = frame.f_back
-            return original(*args, **kwargs)
+        def counting(name):
+            original = getattr(lognls.grid, name)
 
-        # the only bindings through which an evolution takes a forward transform
+            def counted(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame is not None:
+                    code = frame.f_code
+                    if (code.co_name in ("record", "pseudoconformal_residual")
+                            and code.co_filename == evolution.__file__):
+                        counts[name] += 1
+                        break
+                    frame = frame.f_back
+                return original(*args, **kwargs)
+            return counted
+
+        # the only bindings through which an evolution takes a transform
         for module in (lognls.grid, evolution):
-            monkeypatch.setattr(module, "fftn", counted)
+            for name in counts:
+                monkeypatch.setattr(module, name, counting(name))
         traj = evolve(config)
-        return len(in_record) / len(traj.times)
+        if residual:
+            pseudoconformal_residual(traj, config.model)
+        return counts["fftn"] / len(traj.times), counts["ifftn"] / len(traj.times)
 
     def test_tracked_orbit(self, monkeypatch, model2d):
         cfg = EvolutionConfig(
             model=model2d, grid=Grid(2, 64, 20.0), dt=5e-3, t_final=0.05, sample_every=2,
             initial=GroundStateInit(omega=0.1), track_orbit=True,
         )
-        assert self._forward_per_record(monkeypatch, cfg) == 1.0
+        assert self._transforms_per_record(monkeypatch, cfg)[0] == 1.0
 
-    def test_monitor_pc(self, monkeypatch, model2d):
+    def test_pseudoconformal(self, monkeypatch, model2d):
+        """The observables' 1 forward and dim inverse transforms, none for pc."""
         cfg = EvolutionConfig(
             model=model2d, grid=Grid(2, 64, 10.0), dt=5e-3, t_final=0.05, sample_every=2,
-            initial=GaussianInit(), monitor_pc=True,
+            initial=GaussianInit(),
         )
-        assert self._forward_per_record(monkeypatch, cfg) == 1.0
+        assert self._transforms_per_record(monkeypatch, cfg, residual=True) == (1.0, 2.0)
 
 
 class TestBuildInitial:

@@ -16,7 +16,6 @@ from lognls.grid import (
     _k2_contraction,
     coordinates,
     forward,
-    galilean_apply,
     h1_norm,
     hermite_cubic,
     integrate,
@@ -139,29 +138,6 @@ def test_real_even_field_derivative_is_odd_and_real():
     # odd: d(x) = -d(-x) on the symmetric part of the grid
     vals = d.values.real
     assert np.max(np.abs(vals[1:] + vals[1:][::-1])) < 1e-12
-
-
-def test_galilean_at_zero_time():
-    g = Grid(2, 256, 10.0)
-    xs = coordinates(g)
-    fld = ComplexField(g, np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0))
-    parts = galilean_apply(fld, forward(fld.values), 0.0)
-    norm2 = sum(integrate(g, np.abs(p.values) ** 2) for p in parts)
-    assert norm2 == pytest.approx(math.pi, rel=1e-12)
-
-
-def test_galilean_boost_identity():
-    # J(t)[e^{ivx} w] = e^{ivx} (J(t) w - t v w), per axis with v on axis 0
-    g = Grid(2, 128, 4.0 * math.pi)
-    xs = coordinates(g)
-    w = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
-    v = 1.0
-    boosted = ComplexField(g, np.exp(1j * v * xs[0]) * w)
-    t = 0.7
-    lhs = galilean_apply(boosted, forward(boosted.values), t)[0].values
-    jw = galilean_apply(ComplexField(g, w.astype(complex)), forward(w), t)[0].values
-    rhs = np.exp(1j * v * xs[0]) * (jw - t * v * w)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_h1_norm_matches_direct_sum():
