@@ -464,6 +464,7 @@ def _run_minimize(typed, asserts: Assertions):
         "lagrange_omega": res.lagrange_omega,
         "residual": res.residual,
         "iterations": res.iterations,
+        "line_search_trials": res.trials,
     }
     table = (["rho", "energy", "lagrange_omega", "residual", "iterations"],
              [[rho, res.energy, res.lagrange_omega, res.residual, float(res.iterations)]], [])

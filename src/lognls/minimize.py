@@ -1,39 +1,61 @@
-"""Constrained energy minimization on the mass sphere by normalized descent.
+"""Constrained energy minimization on the mass sphere by preconditioned conjugate gradient.
 
-The descent step is u <- renormalize(u - tau * P grad E(u)) with the
-spectral preconditioner P = (1 + |k|^2)^{-1} and backtracking on energy
-increase; convergence is declared on the eigen-residual
-||grad E(u) + omega u|| / ||u||, which certifies the stationary equation
+The method is the preconditioned nonlinear conjugate gradient of Antoine,
+Levitt and Tang (J. Comput. Phys. 343 (2017) 92-109) on the sphere M(u) = rho,
+from a Gaussian.  At u, with g = grad E(u), the multiplier is
+omega = -<g, u> / rho and the residual r = g + omega u is the gradient
+projected onto the tangent space <., u> = 0.  Convergence is declared on the
+eigen-residual ||r|| / ||u||, which certifies the stationary equation
 directly rather than energy stagnation.
 
-The descent runs on real samples u and their half spectrum rfftn(u): the
-Gaussian start is real and every operator of a step (the Laplacian, P,
+* Preconditioner: z = P r, projected onto the tangent space, with
+  P = (max(omega, c0) + 1/2 |k|^2)^-1, the kinetic part of the linearized
+  operator shifted by the current multiplier.
+* Direction: d = -z + beta d_prev, projected onto the tangent space, with the
+  Polak-Ribiere+ beta = max(0, <r - r_prev, z> / <r_prev, z_prev>).  It
+  restarts with d = -z when d is not a sufficient descent direction,
+  -<r, d> < <r, z> / 10.
+* Step: u <- sqrt(rho) (u + tau d) / ||u + tau d||.  One trial at the carried
+  tau, capped so that tau ||d|| <= ||u||, then backtracking on energy
+  increase.  The next tau is the minimizer of the parabola through E(0), the
+  slope 2 <r, d> and the accepted E(tau), within a factor 4 of the last.  A
+  trial that moves the energy by less than its rounding (64 eps |E|) is
+  accepted and leaves tau as it was: close to a tight tolerance the energy
+  differences are rounding noise, and the residual alone decides.
+
+On the benchmark's three masses on 384^2 (L = 30, tol 1e-6) this takes 12 to
+14 iterations where the normalized gradient flow with the fixed
+P = (1 + |k|^2)^-1 took 24 to 43; a droplet as wide as its box (rho = 0.5 on
+384^2) takes 12 instead of 664.
+
+The iteration runs on real samples u and their half spectrum rfftn(u): the
+Gaussian start is real and every operator of an iteration (the Laplacian, P,
 rate(u^2) u and the mass rescale) maps real fields to real fields.  An
 iteration takes two real transforms, the forward one of rate(u^2) u in the
-gradient and the inverse one of the direction; the multiplier and the
-residual come from Parseval on the half spectrum, and each line-search trial
-takes its spectrum from linearity, so a trial takes no transform.  Both
-transforms of an iteration write into arrays the run owns (``out=``), and a
-trial's energy hands rate(u^2) to the next gradient, so the accepted samples'
-logarithm is taken once.
+gradient and the inverse one of the direction.  The multiplier, the residual,
+beta, the projections and the slope come from Parseval on the half spectrum,
+and each line-search trial takes its spectrum from linearity, so a trial takes
+no transform.  Both transforms write into arrays the run owns (``out=``), and
+a trial's energy hands rate(u^2) to the next gradient, so the accepted
+samples' logarithm is taken once.
 
 A call allocates every array its iterations compute in before the first one,
 and no operation of the loop makes a grid-sized temporary (``out=`` on every
 ufunc).  The ``_Workspace`` that ``_energy``, ``gradient_E`` and
 ``_eigen_residual`` write into holds four real grid arrays (u^2, its
 logarithm, the potential and the trials' rate), two real half-spectrum arrays
-for the Parseval sums and a complex one for the Laplacian term; the loop owns
-the accepted and trial samples, their half spectra, the accepted rate, the
-gradient (whose array also takes the direction's inverse transform), the
-residual (preconditioned in place into the direction's spectrum), the
-direction and P.  That is about 14.5 real grid arrays, 17 MB at 384^2.  A
-trial writes into the trial arrays, and an accepted trial swaps them with the
-accepted ones.  The reason is the allocator: glibc hands freed temporaries
-of 1.2 MB (384^2) back to the system, so a line search that builds six of
-them per trial faulted their pages in again on every trial.  On a 2-vCPU
-x86 host a minimizer_mass sweep of three masses took 116k minor faults and
-0.3-0.4 s of system time in a 1.4-1.7 s sweep that way; it now takes 15k
-faults, nearly all the first touch of each call's arrays, and 0.03-0.06 s.
+for the Parseval sums (the first holds 1/P while z is formed) and a complex
+one for the Laplacian term, which then holds z and the direction's inverse
+transform.  The loop owns the accepted and trial samples and their half
+spectra, the accepted rate, the residual and the previous one, and the
+direction as samples and as half spectrum.  That is about 15 real grid
+arrays, 18 MB at 384^2.  A trial writes into the trial arrays, and an
+accepted trial swaps them with the accepted ones.  The reason is the
+allocator: glibc hands freed temporaries of 1.2 MB (384^2) back to the
+system, so a line search that built six of them per trial faulted their pages
+in again on every trial (116k minor faults and 0.3-0.4 s of system time in a
+three-mass sweep at 384^2 on a 2-vCPU x86 host, against 15k faults and
+0.03-0.06 s with the arrays held).
 """
 
 from __future__ import annotations
@@ -57,6 +79,13 @@ from .errors import (
 from .model import Family, ModelParams, _density_log, nonlinear_phase_rate, potential_density
 
 _MAX_ITER = 20000
+# c0, the floor of the preconditioner's shift max(omega, c0): on the first
+# iterates from a start far from the minimizer the multiplier can be near 0 or
+# negative, and 1/(1/2 |k|^2) alone is infinite at k = 0
+_SHIFT_FLOOR = 1e-3
+# an energy change below this share of |E| is rounding (the energy of one
+# state, rounded differently, spreads by about 5e-16 |E|)
+_ROUNDING = 64 * np.finfo(float).eps
 
 @dataclass
 class MinimizerResult:
@@ -65,6 +94,7 @@ class MinimizerResult:
     lagrange_omega: float
     residual: float
     iterations: int
+    trials: int
 
 
 class _Workspace:
@@ -96,6 +126,18 @@ def _power(coeffs: np.ndarray, ws: _Workspace) -> np.ndarray:
     power = np.square(coeffs.real, out=ws.power)
     power += np.square(coeffs.imag, out=ws.square)
     return power
+
+
+def _inner(g: _grid.Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """<f, h> = integral of f h for the real fields whose half spectra are ``a`` and ``b``.
+
+    ``_parseval`` of Re(a conj(b)), summed by ``einsum`` on the (re, im) pairs
+    without an array for the products: a third of the time of forming them.
+    """
+    a, b = a.view(float), b.view(float)
+    edges = np.sum(a[..., :2] * b[..., :2]) + np.sum(a[..., -2:] * b[..., -2:])
+    total = 2.0 * float(np.einsum("i,i->", a.ravel(), b.ravel())) - float(edges)
+    return total * g.dx ** g.dim / g.n ** g.dim
 
 
 def _parseval(g: _grid.Grid, terms: np.ndarray) -> float:
@@ -163,13 +205,10 @@ def _eigen_residual(
 
     ``grad`` and ``coeffs`` are the half spectra of grad E(u) and of u, whose
     mass is ``rho``; omega = -<grad E(u), u> / rho.  The residual's spectrum is
-    made in ``out``, the sums in ``ws``.
+    made in ``out``, which may be ``grad``, and the sums in ``ws``.
     """
-    pairing = np.multiply(grad.real, coeffs.real, out=ws.power)
-    pairing += np.multiply(grad.imag, coeffs.imag, out=ws.square)
-    omega_hat = -_parseval(g, pairing) / rho
-    resid = np.multiply(omega_hat, coeffs, out=out)
-    np.add(grad, resid, out=resid)
+    omega_hat = -_inner(g, grad, coeffs) / rho
+    resid = np.add(grad, np.multiply(omega_hat, coeffs, out=ws.spectrum), out=out)
     return omega_hat, resid, math.sqrt(_parseval(g, _power(resid, ws)) / rho)
 
 
@@ -187,7 +226,12 @@ def minimize_energy(
     model: ModelParams,
     tol: float = 1e-8,
 ) -> MinimizerResult:
-    """Gradient flow on the sphere M(u) = rho from a Gaussian, stopping on the eigen-residual."""
+    """Preconditioned conjugate gradient on the sphere M(u) = rho from a Gaussian.
+
+    It stops when the eigen-residual is at most ``tol``, and raises
+    ``MaxIterations`` after ``_MAX_ITER`` iterations or when no step down to
+    1e-18 keeps the energy from rising.
+    """
     if rho <= 0:
         raise NonPositiveRho(f"mass constraint must be positive, got {rho}")
     if model.lam <= 0:
@@ -200,15 +244,14 @@ def minimize_energy(
     ws = _Workspace(g)
     values = _gaussian_start(g, rho)
     cand, rate, direction = np.empty(g.shape), np.empty(g.shape), np.empty(g.shape)
-    coeffs, cand_coeffs, grad, resid = (_half_spectrum(g) for _ in range(4))
-    pinv = 1.0 / (1.0 + _half_k2(g))
+    coeffs, cand_coeffs, resid, resid_prev, dir_coeffs = (_half_spectrum(g) for _ in range(5))
 
     e_cur = _energy(values, rfftn(values, out=coeffs), g, model, ws)[0]
     rate, ws.rate = ws.rate, rate  # ``rate`` is the accepted samples', ``ws.rate`` the trials'
-    tau = 1.0
+    tau, trials, gamma_prev = 1.0, 0, 0.0
     for iteration in range(1, _MAX_ITER + 1):
-        gradient_E(values, coeffs, g, grad, rate, ws)
-        omega_hat, resid, residual = _eigen_residual(grad, coeffs, g, rho, resid, ws)
+        gradient_E(values, coeffs, g, resid, rate, ws)
+        omega_hat, resid, residual = _eigen_residual(resid, coeffs, g, rho, resid, ws)
         if residual <= tol:
             return MinimizerResult(
                 field=_grid.ComplexField(g, values),
@@ -216,40 +259,70 @@ def minimize_energy(
                 lagrange_omega=omega_hat,
                 residual=residual,
                 iterations=iteration - 1,
+                trials=trials,
             )
-        dir_coeffs = np.multiply(pinv, resid, out=resid)
+        # z = P r in ws.spectrum, with 1/P in ws.power, projected onto <., u> = 0
+        inverse_p = np.multiply(0.5, _half_k2(g), out=ws.power)
+        inverse_p += max(omega_hat, _SHIFT_FLOOR)
+        z = np.divide(resid, inverse_p, out=ws.spectrum)
+        z -= np.multiply(_inner(g, z, coeffs) / rho, coeffs, out=cand_coeffs)
+        gamma = _inner(g, resid, z)
+        beta = 0.0
+        if gamma_prev > 0.0:
+            beta = max(0.0, (gamma - _inner(g, resid_prev, z)) / gamma_prev)
+        slope = 0.0  # dE/dtau at tau = 0, 2 <r, d> for a tangent d
+        if beta > 0.0:
+            dir_coeffs *= beta
+            dir_coeffs -= z
+            dir_coeffs -= np.multiply(_inner(g, dir_coeffs, coeffs) / rho, coeffs, out=cand_coeffs)
+            slope = 2.0 * _inner(g, resid, dir_coeffs)
+        if not slope < -0.2 * gamma:
+            np.negative(z, out=dir_coeffs)
+            slope = -2.0 * gamma
+        gamma_prev = gamma
         # numpy's irfftn allocates the result of its leading axes: invert them
-        # in place in the gradient's array, free until the next gradient, then
-        # the real axis into ``direction``
-        np.copyto(grad, dir_coeffs)
+        # in place in ws.spectrum, free until the next gradient, then the real
+        # axis into ``direction``
+        np.copyto(ws.spectrum, dir_coeffs)
         for axis in range(g.dim - 1):
-            ifft(grad, axis=axis, out=grad)
-        irfftn(grad, s=(g.n,), axes=(g.dim - 1,), out=direction)
-        accepted = False
-        while tau > 1e-18:
-            np.subtract(values, np.multiply(tau, direction, out=cand), out=cand)
+            ifft(ws.spectrum, axis=axis, out=ws.spectrum)
+        irfftn(ws.spectrum, s=(g.n,), axes=(g.dim - 1,), out=direction)
+        # A trial moves u by at most ||u||.  P's gain at low |k| is large while
+        # omega is small, and a longer first step can lift the whole box and end
+        # the run on two droplets of half the mass, antipodal on the periodic box.
+        step = min(tau, math.sqrt(rho / _inner(g, dir_coeffs, dir_coeffs)))
+        noise = _ROUNDING * abs(e_cur)
+        while True:
+            trials += 1
+            np.add(values, np.multiply(step, direction, out=cand), out=cand)
             scale = math.sqrt(rho / _grid.integrate(g, np.multiply(cand, cand, out=ws.rho)))
             cand *= scale
-            np.subtract(coeffs, np.multiply(tau, dir_coeffs, out=cand_coeffs), out=cand_coeffs)
+            np.add(coeffs, np.multiply(step, dir_coeffs, out=cand_coeffs), out=cand_coeffs)
             cand_coeffs *= scale
             e_new = _energy(cand, cand_coeffs, g, model, ws)[0]
-            if e_new <= e_cur:
-                # the trial's arrays become the accepted ones and the old accepted
-                # ones the next trial's
-                values, cand = cand, values
-                coeffs, cand_coeffs = cand_coeffs, coeffs
-                rate, ws.rate = ws.rate, rate
-                e_cur = e_new
-                tau = min(tau * 1.3, 4.0)
-                accepted = True
+            change = e_new - e_cur
+            # the parabola through E(0), the slope and E(step) means something
+            # only when the step moves E by more than its rounding; a trial that
+            # does not is accepted and leaves tau as it was
+            best = tau
+            if max(abs(change), -slope * step) > noise:
+                curvature = (change - slope * step) / step ** 2
+                best = -0.5 * slope / curvature if curvature > 0.0 else 4.0 * step
+            if change <= noise:
                 break
-            tau *= 0.5
-        if not accepted:
-            # stalled below float resolution of the energy: no step down to
-            # tau = 1e-18 lowers it, so the descent cannot go on
-            raise MaxIterations(
-                f"descent stalled at residual {residual:.3e} after {iteration} iterations"
-            )
+            step = min(max(best, 0.1 * step), 0.5 * step)
+            if step < 1e-18:
+                raise MaxIterations(
+                    f"descent stalled at residual {residual:.3e} after {iteration} iterations"
+                )
+        # the trial's arrays become the accepted ones and the old accepted ones
+        # the next trial's; the residual becomes the previous one
+        values, cand = cand, values
+        coeffs, cand_coeffs = cand_coeffs, coeffs
+        rate, ws.rate = ws.rate, rate
+        resid, resid_prev = resid_prev, resid
+        e_cur = e_new
+        tau = min(max(best, 0.25 * tau), 4.0 * tau)
     raise MaxIterations(f"no convergence to {tol} within {_MAX_ITER} iterations")
 
 

@@ -86,29 +86,3 @@ def write_csv(path, comments: list[str], header: list[str], rows) -> None:
         lines.append(",".join(v if isinstance(v, str) else format_float(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def read_csv(path) -> tuple[list[str], dict[str, np.ndarray]]:
-    """(comments, columns) parser for the tables this package writes."""
-    comments = []
-    header = None
-    data: list[list[str]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        data.append(line.split(","))
-    if header is None:
-        raise ConfigError(f"{path}: no header row")
-    cols = {}
-    for j, name in enumerate(header):
-        vals = [row[j] for row in data]
-        try:
-            cols[name] = np.asarray([float(v) if v else math.nan for v in vals])
-        except ValueError:
-            cols[name] = np.asarray(vals)
-    return comments, cols

@@ -21,7 +21,30 @@ from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
 from lognls.grid import ComplexField, Grid
 from lognls.model import Family, ModelParams
-from lognls.snapshots import format_float, read_csv, read_snapshot, write_csv, write_snapshot
+from lognls.snapshots import format_float, read_snapshot, write_csv, write_snapshot
+
+
+def read_csv(path) -> tuple[list[str], dict[str, np.ndarray]]:
+    """(comments, columns) of a table the package writes: numeric columns as floats."""
+    comments, header, data = [], None, []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif header is None:
+            header = line.split(",")
+        else:
+            data.append(line.split(","))
+    assert header is not None, f"{path}: no header row"
+    cols = {}
+    for j, name in enumerate(header):
+        vals = [row[j] for row in data]
+        try:
+            cols[name] = np.asarray([float(v) if v else math.nan for v in vals])
+        except ValueError:
+            cols[name] = np.asarray(vals)
+    return comments, cols
 
 
 def _ground_config(**over):
@@ -280,7 +303,10 @@ class TestRunConfig:
         }
         code, summary = run_config(cfg, out_dir=str(tmp_path))
         assert code == 0
-        assert summary["metrics"]["energy_min"] < 0.0
+        metrics = summary["metrics"]
+        assert metrics["energy_min"] < 0.0
+        # every iteration accepts one line-search trial, after any rejected ones
+        assert metrics["line_search_trials"] >= metrics["iterations"] > 0
         assert (tmp_path / "min.nlsf").exists()
 
     def test_minimize_writes_its_csv_beside_its_snapshot(self, tmp_path):

@@ -260,6 +260,54 @@ class TestMinimize:
             minimize_energy(1.0, Grid(1, 64, 10.0), model2d)
 
 
+class TestConjugateGradient:
+    """Convergence where the normalized gradient flow was slow or stalled."""
+
+    @pytest.mark.parametrize("rho, g, family, tol", [
+        (30.0, Grid(2, 128, 20.0), Family.CUBIC_LOG_2D, 1e-8),
+        (2.0, Grid(2, 64, 10.0), Family.CUBIC_LOG_2D, 1e-6),
+        (0.5, Grid(1, 256, 40.0), Family.QUINTIC_LOG_1D, 1e-6),
+        # the last iterations change E by less than its rounding (the gradient
+        # flow stalled here at residual 1.6e-9)
+        (3.0, Grid(2, 64, 10.0), Family.CUBIC_LOG_2D, 1e-10),
+    ], ids=["large_mass", "droplet_filling_its_box", "quintic_1d_small_mass",
+            "steps_below_the_energy_rounding"])
+    def test_converges(self, rho, g, family, tol):
+        res = minimize_energy(rho, g, ModelParams(family, 1.0), tol=tol)
+        assert res.residual <= tol
+        assert abs(integrate(g, res.field.values.real ** 2) - rho) / rho <= 1e-12
+
+    def test_small_mass_iteration_count(self, model2d):
+        # the normalized gradient flow with P = (1 + |k|^2)^-1 took 216 iterations
+        res = minimize_energy(1.0, Grid(2, 128, 15.0), model2d, tol=1e-5)
+        assert res.iterations <= 40
+
+    @pytest.mark.parametrize("rho, g, family", [
+        (30.0, Grid(2, 96, 12.0), Family.CUBIC_LOG_2D),
+        (30.0, Grid(1, 256, 40.0), Family.QUINTIC_LOG_1D),
+    ], ids=["2d", "1d"])
+    def test_does_not_split_the_mass(self, rho, g, family):
+        # Two droplets of half the mass each, antipodal on the periodic box, are
+        # stationary too: a first step that lifts the whole box can end there.
+        # The energy is strictly subadditive, so the minimizer lies below them.
+        m = ModelParams(family, 1.0)
+        whole = minimize_energy(rho, g, m, tol=1e-8)
+        half = minimize_energy(0.5 * rho, g, m, tol=1e-8)
+        assert whole.energy < 2.0 * half.energy - 1e-3 * abs(whole.energy)
+
+    def test_trials_count_the_line_search_energies(self, model2d, monkeypatch):
+        energy = lognls.minimize._energy
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return energy(*args, **kwargs)
+
+        monkeypatch.setattr(lognls.minimize, "_energy", counted)
+        res = minimize_energy(20.0, Grid(2, 32, 8.0), model2d, tol=1e-5)
+        assert res.trials == len(calls) - 1 >= res.iterations
+
+
 class TestWitness:
     def test_unit_gaussian_closed_form(self):
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)

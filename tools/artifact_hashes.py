@@ -1,16 +1,18 @@
 """Print the sha256 of every artifact of the determinism configs and perfbench seed 1.
 
-Run from anywhere, with no options:
+Run from anywhere:
 
-    python tools/artifact_hashes.py > hashes.txt
+    python tools/artifact_hashes.py [DIR] > hashes.txt
 
 It runs the eight configs of ``tests/test_acceptance.py::_DETERMINISM_CONFIGS``
 and seed 1 of each workload in ``perfbench/workloads.py::GENERATORS`` through
-``lognls.cli.run_config``/``run_sweep`` into a temporary directory, and prints
+``lognls.cli.run_config``/``run_sweep`` into DIR, which it keeps (a new or empty
+directory; a temporary one, removed afterwards, when DIR is not given), and prints
 one ``sha256  path`` line per artifact, sorted by path.  The program is
 imported from ``src`` of the checkout that holds this script.  Diffing the
 output of two checkouts, taken on the same machine, shows whether a change
-moved any artifact.  The exit code is 1 if any run did not exit 0.
+moved any artifact; ``tools/artifact_diff.py`` on their two DIRs shows by how
+much.  The exit code is 1 if any run did not exit 0.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,10 +32,10 @@ from test_acceptance import _DETERMINISM_CONFIGS  # noqa: E402
 from workloads import GENERATORS  # noqa: E402
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     failed = []
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+    with nullcontext(argv[0]) if argv else tempfile.TemporaryDirectory() as root:
+        out = Path(root)
         runs = [(run_config, config, f"determinism/{name}")
                 for name, config in sorted(_DETERMINISM_CONFIGS.items())]
         runs += [(run_config if job.entry == "run" else run_sweep, job.config,
@@ -51,4 +54,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
