@@ -410,7 +410,7 @@ def _run_ground(typed, asserts: Assertions):
         "pohozaev_r2": r2,
         "pohozaev_rV": rv,
     }
-    if model.family is Family.CUBIC_LOG_2D:
+    if model.family.log_power is not None:
         sqz = stationary_amplitude(model)
         asserts.check("amplitude_below_sqrt_z_omega", profile.center_value, sqz, "<")
         metrics["sqrt_z_omega"] = sqz

@@ -60,6 +60,8 @@ class Profile1D:
 
 def find_turning_point(model: ModelParams) -> TurningPoint:
     """Smallest positive zero a of W (``model.turning_density``), and W'(a) < 0 there."""
+    if model.family is not Family.QUINTIC_LOG_1D:
+        raise OmegaOutOfWindow("the turning point is defined for the 1D quintic-log family")
     a = turning_density(model)
     w_prime = model.require_omega() + float(nonlinear_phase_rate(a, model))
     if w_prime >= 0.0:

@@ -71,8 +71,8 @@ class GaussianInit:
     boost: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"gaussian width must be positive, got {self.width}")
+        if not (self.width > 0 and 0 < self.width * self.width < math.inf):
+            raise ValueError(f"gaussian width {self.width} needs a positive, finite square")
 
 
 @dataclass
@@ -492,4 +492,5 @@ def pc_identity_rhs(traj: Trajectory, model: ModelParams) -> np.ndarray:
         raise UnsupportedFamily(f"the {model.family.value} pc law needs int |u|^6, "
                                 "which a record does not take")
     lam = model.lam if model.family is Family.CUBIC_LOG_2D else 0.0
-    return -lam * np.asarray(traj.times) * np.asarray([s.quartic for s in traj.samples])
+    # 0.0 - x, not -x: +0.0 at t = 0 and for the pure cubic, bitwise -x elsewhere
+    return 0.0 - lam * np.asarray(traj.times) * np.asarray([s.quartic for s in traj.samples])

@@ -39,6 +39,13 @@ class Grid:
         if not 0 < self.half_width < math.inf:
             raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         self.dx = 2.0 * self.half_width / self.n
+        k_max = math.pi / self.dx
+        for what, value in (("cell volume dx^dim", math.prod((self.dx,) * self.dim)),
+                            ("largest |x|^2 dim L^2", self.dim * self.half_width * self.half_width),
+                            ("largest |k_j|^2 (pi/dx)^2", k_max * k_max)):
+            if not 0 < value < math.inf:  # each is formed in floats
+                raise ValueError(f"half_width {self.half_width} with n = {self.n} makes the "
+                                 f"{what} {value}, not positive and finite")
         self.k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         # Odd derivatives on a real field need the Nyquist mode suppressed.
         self.k_deriv = self.k.copy()

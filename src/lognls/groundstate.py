@@ -394,7 +394,7 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
     omega = model.require_omega()
     lo = positive_G_zero(model)
     hi = 2.0 * lo
-    if model.family is not Family.PURE_CUBIC_2D:
+    if model.family.log_power is not None:
         # Just below the stationary point of g: that point is an exact equilibrium
         # of the radial ODE, so its classification flips on the rounding of the
         # root; every amplitude strictly below it (and above the profile's) overshoots.
@@ -487,18 +487,13 @@ def _radial_integrals(profile: RadialProfile) -> dict:
     d = profile.tail_rate
     r0 = profile.r_cut
 
-    if dim == 2:
-        w = 2.0 * math.pi * r
+    # the weight |S^{d-1}| r^{d-1}: 2 pi r, or 2 for the even extension to the full line
+    area = 2.0 * math.pi if dim == 2 else 2.0
+    w = area * r ** (dim - 1)
 
-        def tail(n, m=0):
-            # int (C e^{-d r})^n r^m weight over the tail
-            return 2.0 * math.pi * C ** n * _tail_T(n * d, r0, m + 1)
-
-    else:
-        w = np.full_like(r, 2.0)  # even extension to the full line
-
-        def tail(n, m=0):
-            return 2.0 * C ** n * _tail_T(n * d, r0, m)
+    def tail(n, m=0):
+        # int (C e^{-d r})^n r^m weight over the tail
+        return area * C ** n * _tail_T(n * d, r0, m + dim - 1)
 
     rho = phi * phi
     lnrho = _density_log(rho)
@@ -514,19 +509,18 @@ def _radial_integrals(profile: RadialProfile) -> dict:
     quartic = I(rho * rho) + tail(4)
 
     lam = model.lam
-    # a log family's int phi^n ln phi^2 has the tail (C e^{-dr})^n (ln C^2 - 2 d r)
-    if model.family is Family.CUBIC_LOG_2D:
-        log_quartic = I(rho * rho * lnrho) + lnC2 * tail(4) - 2.0 * d * tail(4, m=1)
-        nl = lam * log_quartic
-        pd = 0.5 * lam * (log_quartic - 0.5 * quartic)
-    elif model.family is Family.QUINTIC_LOG_1D:
-        sextic = I(rho ** 3) + tail(6)
-        log_sextic = I(rho ** 3 * lnrho) + lnC2 * tail(6) - 2.0 * d * tail(6, m=1)
-        nl = lam * log_sextic
-        pd = (lam / 3.0) * (log_sextic - sextic / 3.0)
+    p = model.family.log_power
+    if p is None:
+        nl, pd = -lam * quartic, -0.5 * lam * quartic
     else:
-        nl = -lam * quartic
-        pd = -0.5 * lam * quartic
+        # int rho^(p+1) and int rho^(p+1) ln rho; a phi^n moment has the tail
+        # (C e^{-dr})^n, times (ln C^2 - 2 d r) under the logarithm
+        n = 2 * p + 2
+        moment_samples = np.power(rho, p + 1)
+        moment = I(moment_samples) + tail(n)
+        log_moment = I(moment_samples * lnrho) + lnC2 * tail(n) - 2.0 * d * tail(n, m=1)
+        nl = lam * log_moment
+        pd = lam / (p + 1) * (log_moment - moment / (p + 1))
 
     return {
         "mass": mass,

@@ -1,12 +1,17 @@
 """Nonlinearity families, admissible frequency windows, and conserved functionals.
 
 Everything downstream (shooting, evolution, minimization, the 1D appendix
-machinery) consumes the definitions in this module.  The three families are
+machinery) consumes the definitions in this module.  The log families are one
+equation, i u_t + (1/2) Lap u = lam * u |u|^(2p) ln|u|^2 on R^d, at the
+L2-critical power p = 2/d (``Family.log_power``): ``CUBIC_LOG_2D`` (d = 2, p = 1)
+and ``QUINTIC_LOG_1D`` (d = 1, p = 2).  ``PURE_CUBIC_2D`` is the focusing cubic
+reference, stationary form -(1/2) Lap Q - lam Q^3 + omega Q = 0.
 
-* ``CUBIC_LOG_2D``   : i u_t + (1/2) Lap u = lam * u |u|^2 ln|u|^2   on R^2
-* ``QUINTIC_LOG_1D`` : i u_t + (1/2) u_xx  = lam * u |u|^4 ln|u|^2   on R
-* ``PURE_CUBIC_2D``  : focusing cubic reference, stationary form
-                       -(1/2) Lap Q - lam Q^3 + omega Q = 0
+Each formula of the log families is stated once in p.  What stays per family
+encodes mathematics, not a formula: ``amplitude_roots`` (its lower root enters
+only the 2D uniqueness proof), the 1D G-zero as the exact peak amplitude (the
+appendix's turning point, the shooter's 1D bracket), and the shooter's scalar
+force, one closure per family because a power per evaluation slows its loop.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ class Family(str, Enum):
     @property
     def dim(self) -> int:
         return 1 if self is Family.QUINTIC_LOG_1D else 2
+
+    @property
+    def log_power(self) -> int | None:
+        """p = 2/d of the log families' u |u|^(2p) ln|u|^2; None for the pure cubic."""
+        return None if self is Family.PURE_CUBIC_2D else 2 // self.dim
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,13 @@ class ModelParams:
 
 
 def omega_window(model: ModelParams) -> tuple[float, float]:
-    """Open interval of frequencies admitting nontrivial solitary waves."""
+    """(0, sup -V(rho)/rho): the open interval of frequencies admitting solitary waves."""
     if model.lam <= 0:
         raise NonPositiveLambda("frequency window requires lam > 0")
-    if model.family is Family.CUBIC_LOG_2D:
-        return 0.0, model.lam / (2.0 * math.sqrt(math.e))
-    if model.family is Family.QUINTIC_LOG_1D:
-        return 0.0, model.lam / (6.0 * math.e ** (1.0 / 3.0))
-    return 0.0, math.inf
+    p = model.family.log_power
+    if p is None:
+        return 0.0, math.inf
+    return 0.0, model.lam * (math.exp(-1.0 / (p + 1)) / (p * (p + 1)))
 
 
 def _bisect_root(f, lo: float, hi: float):
@@ -124,79 +133,70 @@ def _bisect_root(f, lo: float, hi: float):
     return x
 
 
-def amplitude_roots(model: ModelParams) -> tuple[float, float]:
-    """Roots of y ln y = -omega/lam: returns (alpha, sqrt(z_omega)).
+def _rate_density(model: ModelParams, lo: float, hi: float) -> float:
+    """The root on [lo, hi] of rho^p ln rho = -omega/lam, where the phase rate is -omega.
 
-    alpha^2 is the lower root on (0, 1/e); z_omega the upper one on (1/e, 1).
-    The stationary nonlinearity g vanishes exactly at 0, alpha and sqrt(z_omega).
+    The left side falls on (0, e^(-1/p)) and rises on (e^(-1/p), 1).
     """
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise OmegaOutOfWindow("amplitude roots are defined for the 2D cubic-log family")
+    p = model.family.log_power
     target = -model.require_omega() / model.lam
 
     def eq(y):
         ly = math.log(y)
-        return y * ly - target, ly + 1.0
+        yq = y ** (p - 1)  # exact at p = 1, 2
+        return y * yq * ly - target, yq * (p * ly + 1.0)
 
-    lower = _bisect_root(eq, 1e-300, 1.0 / math.e)
-    upper = _bisect_root(eq, 1.0 / math.e, 1.0)
-    return math.sqrt(lower), math.sqrt(upper)
+    return _bisect_root(eq, lo, hi)
+
+
+def amplitude_roots(model: ModelParams) -> tuple[float, float]:
+    """Roots of y ln y = -omega/lam: returns (alpha, sqrt(z_omega)).
+
+    alpha^2 is the lower root on (0, 1/e); z_omega the upper one on (1/e, 1).  The
+    stationary nonlinearity g vanishes exactly at 0, alpha and sqrt(z_omega).  2D
+    cubic-log family only: alpha enters only its uniqueness proof.
+    """
+    if model.family is not Family.CUBIC_LOG_2D:
+        raise OmegaOutOfWindow("amplitude roots are defined for the 2D cubic-log family")
+    return math.sqrt(_rate_density(model, 1e-300, 1.0 / math.e)), stationary_amplitude(model)
 
 
 def stationary_amplitude(model: ModelParams) -> float:
     """sqrt(z_omega): the upper root of rate(phi^2) = -omega, the stationary point of g.
 
-    2D cubic-log: the upper root of ``amplitude_roots``; 1D quintic-log:
-    y^2 ln y = -omega/lam on (e^{-1/2}, 1), with phi = sqrt(y).
+    z_omega is the root of rho^p ln rho = -omega/lam on (e^(-1/p), 1).
     """
-    if model.family is Family.CUBIC_LOG_2D:
-        return amplitude_roots(model)[1]
-    if model.family is not Family.QUINTIC_LOG_1D:
+    p = model.family.log_power
+    if p is None:
         raise OmegaOutOfWindow("the stationary amplitude is defined for the log families")
-    target = -model.require_omega() / model.lam
-
-    def eq(y):
-        ly = math.log(y)
-        return y * y * ly - target, y * (2.0 * ly + 1.0)
-
-    return math.sqrt(_bisect_root(eq, math.exp(-0.5), 1.0))
+    return math.sqrt(_rate_density(model, math.exp(-1.0 / p), 1.0))
 
 
 def turning_density(model: ModelParams) -> float:
-    """Smallest s > 0 with s^2 (1/3 - ln s) = 3 omega/lam, on (0, e^{-1/6}).
+    """Smallest s > 0 with G(sqrt(s)) = 0.
 
-    G(sqrt(s)) = 0 there for the 1D quintic-log family: s is the squared
-    peak amplitude of its ground state.
+    Pure cubic: 2 omega/lam.  Log families: s^p (1/(p+1) - ln s) = (p+1) omega/lam on
+    (0, e^(-1/(p(p+1)))), where the left side rises up to the window-edge density; in
+    1D s is the squared peak amplitude of the ground state.  The bracket starts at
+    s^p = 1e-24.
     """
-    if model.family is not Family.QUINTIC_LOG_1D:
-        raise OmegaOutOfWindow("the turning density is defined for the 1D quintic-log family")
-    target = 3.0 * model.require_omega() / model.lam
+    p = model.family.log_power
+    if p is None:
+        return 2.0 * model.require_omega() / model.lam
+    c = 1.0 / (p + 1)
+    target = (p + 1) * model.require_omega() / model.lam
 
     def eq(s):
         ls = math.log(s)
-        return s * s * (1.0 / 3.0 - ls) - target, s * (-1.0 / 3.0 - 2.0 * ls)
+        sq = s ** (p - 1)  # exact at p = 1, 2
+        return s * sq * (c - ls) - target, sq * (-c - p * ls)
 
-    return _bisect_root(eq, 1e-12, math.exp(-1.0 / 6.0))
+    return _bisect_root(eq, 1e-12 ** (2 / p), math.exp(-1.0 / (p * (p + 1))))
 
 
 def positive_G_zero(model: ModelParams) -> float:
-    """Smallest z > 0 with G(z) = 0; below it shooting trajectories cannot decay.
-
-    2D cubic-log: z^2 (1/4 - ln z) = omega/lam on (0, e^{-1/4}), where the
-    left side increases; 1D quintic-log: the square root of ``turning_density``.
-    """
-    omega = model.require_omega()
-    if model.family is Family.PURE_CUBIC_2D:
-        return math.sqrt(2.0 * omega / model.lam)
-    if model.family is Family.QUINTIC_LOG_1D:
-        return math.sqrt(turning_density(model))
-    target = omega / model.lam
-
-    def eq(z):
-        lz = math.log(z)
-        return z * z * (0.25 - lz) - target, 2.0 * z * (0.25 - lz) - z
-
-    return _bisect_root(eq, 1e-12, math.exp(-0.25))
+    """Smallest z > 0 with G(z) = 0, sqrt(``turning_density``); below it shots cannot decay."""
+    return math.sqrt(turning_density(model))
 
 
 def _array(rho, out) -> np.ndarray:
@@ -224,17 +224,18 @@ def _density_log(rho: np.ndarray | float, out: np.ndarray | None = None) -> np.n
 def nonlinear_phase_rate(rho, model: ModelParams, log_rho=None, out=None):
     """d/d rho of the potential density: the phase rate of the nonlinear subflow.
 
-    CubicLog2D: lam rho ln rho; QuinticLog1D: lam rho^2 ln rho; PureCubic2D: -lam rho.
+    lam rho^p ln rho for the log families, -lam rho for the pure cubic.
     ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.  The
     rate is formed in ``out`` (a new array if None), which must be neither input.
     """
     rho = np.asarray(rho, dtype=float)
     rate = _array(rho, out)
-    if model.family is Family.PURE_CUBIC_2D:
+    p = model.family.log_power
+    if p is None:
         return _value(np.multiply(-model.lam, rho, out=rate))
     lr = _density_log(rho) if log_rho is None else log_rho
     np.multiply(model.lam, rho, out=rate)
-    if model.family is Family.QUINTIC_LOG_1D:
+    for _ in range(p - 1):  # one pass per further power: a power of rho costs one at p = 1 too
         rate *= rho
     rate *= lr
     return _value(rate)
@@ -243,36 +244,30 @@ def nonlinear_phase_rate(rho, model: ModelParams, log_rho=None, out=None):
 def potential_density(rho, model: ModelParams, log_rho=None, out=None, scratch=None):
     """Potential-energy density V(rho):  E = (1/2)||grad u||^2 + int V(|u|^2).
 
-    ``log_rho`` is ``_density_log(rho)`` when the caller already holds it.  V is
-    formed in ``out`` and the shifted logarithm of the log families in
-    ``scratch`` (new arrays if None); neither may be an input or the other.
+    lam/(p+1) rho^(p+1) ln(rho / e^(1/(p+1))) for the log families, -(lam/2) rho^2
+    for the pure cubic.  ``log_rho`` is ``_density_log(rho)`` when the caller
+    already holds it.  V is formed in ``out`` and the shifted logarithm of the
+    log families in ``scratch`` (new arrays if None); neither may be an input or
+    the other.
     """
     rho = np.asarray(rho, dtype=float)
     density = _array(rho, out)
-    if model.family is Family.PURE_CUBIC_2D:
+    p = model.family.log_power
+    if p is None:
         np.multiply(-0.5 * model.lam, rho, out=density)
         density *= rho
         return _value(density)
     lr = _density_log(rho) if log_rho is None else log_rho
-    if model.family is Family.CUBIC_LOG_2D:
-        # (lam/2) rho^2 ln(rho / sqrt(e))
-        np.multiply(0.5 * model.lam, rho, out=density)
-        density *= rho
-        shift = 0.5
-    else:
-        # (lam/3) rho^3 ln(rho / e^(1/3))
-        np.multiply(model.lam / 3.0, np.power(rho, 3, out=density), out=density)
-        shift = 1.0 / 3.0
-    density *= np.subtract(lr, shift, out=scratch)
+    np.multiply(model.lam / (p + 1), np.power(rho, p + 1, out=density), out=density)
+    density *= np.subtract(lr, 1.0 / (p + 1), out=scratch)
     return _value(density)
 
 
 def potential_G(z, model: ModelParams):
     """Antiderivative G(z) = int_0^z g, with g = -2 omega z - 2 z * phase_rate(z^2).
 
-    Closed forms:
-      CubicLog2D   : -omega z^2 - (lam/2) z^4 ln(z^2 / sqrt(e))
-      QuinticLog1D : -omega z^2 - (lam/3) z^6 ln(z^2 / e^(1/3))
+    Closed forms, G(z) = -omega z^2 - V(z^2):
+      log families : -omega z^2 - lam/(p+1) z^(2p+2) ln(z^2 / e^(1/(p+1)))
       PureCubic2D  : -omega z^2 + (lam/2) z^4
     """
     omega = model.require_omega()
@@ -281,9 +276,7 @@ def potential_G(z, model: ModelParams):
         raise NegativeAmplitude("amplitude must be nonnegative")
     z2 = z * z
     out = -omega * z2 - potential_density(z2, model)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,23 @@ class TestRunConfig:
         assert cols["pc_quantity"][0] == pytest.approx(0.5 * math.pi, rel=1e-12)
 
 
+    def test_quintic_ground_run_checks_the_amplitude_below_sqrt_z_omega(self, tmp_path):
+        config = _ground_config(model={"family": "quintic_log_1d", "lambda": 1.0, "omega": 0.05})
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        assert code == 0 and summary["pass"] is True
+        metrics = summary["metrics"]
+        assert 0.0 < metrics["amplitude"] < metrics["sqrt_z_omega"]
+        assert "amplitude_below_sqrt_z_omega" in [a["name"] for a in summary["assertions"]]
+
+    @pytest.mark.parametrize("family", ["cubic_log_2d", "pure_cubic_2d"])
+    def test_pc_rhs_at_t0_is_a_positive_zero(self, tmp_path, family):
+        config = _with(_tiny_pseudoconformal(), ("model", "family"), family)
+        run_config(_with(config, ("refine_dt",), False), out_dir=str(tmp_path))
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        value = saved["metrics"]["pc_rhs_t0"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 class TestSweep:
     def test_singleton_list_matches_run(self, tmp_path):
         sweep_cfg = _ground_config()
@@ -826,6 +843,17 @@ _FREQUENCY_LIST_CASES = {
 # fails before any page is touched; the per-axis arrays made first take about 64 MB each
 _UNALLOCATABLE = _with(_tiny_evolve(), ("grid", "n"), 2**23)
 
+# a magnitude whose square, cell volume or largest wavenumber floats cannot carry,
+# refused where its key is read, and the key its message names
+_MAGNITUDE_CASES = {
+    "gaussian_width_overflows": (_with(_tiny_evolve(), ("initial", "width"), 1e300), "width"),
+    "gaussian_width_squares_to_zero": (_with(_tiny_evolve(), ("initial", "width"), 1e-200),
+                                       "width"),
+    "grid_cell_overflows": (_with(_tiny_evolve(), ("grid", "half_width"), 1e300), "half_width"),
+    "grid_wavenumber_overflows": (_with(_tiny_evolve(), ("grid", "half_width"), 1e-200),
+                                  "half_width"),
+}
+
 # a well-typed value out of range, and the error code of its exit 2
 _OUT_OF_RANGE_CASES = {
     **_FREQUENCY_LIST_CASES,
@@ -862,8 +890,8 @@ _OUT_OF_RANGE_CASES = {
     "stability_of_gaussian_initial_data": (_with(_tiny_stability(), ("initial",), {"kind": "gaussian"}),
                                            "ConfigError"),
     "grid_unallocatable": (_UNALLOCATABLE, "ConfigError"),
-    # float overflow and division by zero in Python arithmetic are config errors too
-    "gaussian_width_overflows": (_with(_tiny_evolve(), ("initial", "width"), 1e300), "ConfigError"),
+    **{name: (config, "ConfigError") for name, (config, _) in _MAGNITUDE_CASES.items()},
+    # division by zero in Python arithmetic is a config error too
     "ground_tail_divides_by_zero": (
         _ground_config(model={"family": "cubic_log_2d", "lambda": 1e-300, "omega": 1e-301}),
         "ConfigError"),
@@ -990,6 +1018,16 @@ class TestMalformedConfig:
         assert exit_code == 2
         assert summary["error"]["code"] == code
         assert json.loads((tmp_path / "summary.json").read_text())["error"]["code"] == code
+
+    @pytest.mark.parametrize("config, key", _MAGNITUDE_CASES.values(), ids=list(_MAGNITUDE_CASES))
+    def test_magnitude_refused_where_its_key_is_read(self, tmp_path, monkeypatch, config, key):
+        def never(*args, **kwargs):
+            raise AssertionError("an evolution ran on a magnitude floats cannot carry")
+
+        monkeypatch.setattr(lognls.cli, "evolve", never)
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert key in summary["error"]["message"]
 
     def test_window_checked_before_the_ground_state(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):

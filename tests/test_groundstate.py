@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -11,6 +11,7 @@ from lognls import groundstate
 from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, OmegaOutOfWindow
 from lognls.grid import ComplexField, Grid, integrate
 from lognls.groundstate import (
+    _RTOL,
     RadialProfile,
     ShotClass,
     _classify,
@@ -61,6 +62,20 @@ def test_shooting_force_is_the_model_rate(model, p, tiny):
     assert abs(force - expected) <= 1e-14 * 2.0 * (model.omega * p + abs(rate_term))
     assert tiny * tiny <= _DENSITY_CLAMP
     assert rhs(1.0, tiny, 0.0)[1] == 2.0 * (model.omega * tiny)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=6)
+@given(model=models_in_window(tuple(Family)))
+def test_center_value_reads_omega_over_lam_alone(model):
+    """phi_{lam,omega}(r) = phi_{1,omega/lam}(sqrt(lam) r): the center values agree.
+
+    The law is exact, but the two shots take different DP5 steps (the first
+    step's cap and the absolute tolerance do not scale), so each amplitude
+    carries its own integration error, which the relative tolerance bounds.
+    """
+    unit = ModelParams(model.family, 1.0, model.omega / model.lam)
+    b = find_ground_state(model).center_value
+    assert abs(find_ground_state(unit).center_value - b) <= _RTOL * b
 
 
 class TestShoot:

@@ -35,6 +35,7 @@ from lognls.model import (
     potential_G,
     potential_density,
     stationary_amplitude,
+    turning_density,
 )
 
 from properties import PROPERTY_SETTINGS, models_in_window, real_fields, smooth_fields
@@ -113,6 +114,36 @@ def test_stationary_amplitude_solves_the_rate_equation(model):
     assert abs(float(nonlinear_phase_rate(phi * phi, model)) + model.omega) <= 1e-12 * model.omega
 
 
+# lam is a unit: u(x, t) -> u(sqrt(lam) x, lam t) maps the equation at lam onto lam = 1,
+# so the window scales with lam and the root equations read omega/lam alone
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window(tuple(Family)))
+def test_the_window_edge_is_lam_times_the_unit_edge(model):
+    # one product lam * edge(1), so the law holds bitwise
+    unit_edge = omega_window(ModelParams(model.family, 1.0))[1]
+    assert omega_window(model) == (0.0, model.lam * unit_edge)
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window())
+def test_the_root_equations_read_omega_over_lam_alone(model):
+    unit = ModelParams(model.family, 1.0, model.omega / model.lam)
+    # -omega/lam is one float for both models, so the bisections are the same
+    assert stationary_amplitude(model) == stationary_amplitude(unit)
+    # (p+1) omega/lam and (p+1) fl(omega/lam) differ by up to two roundings, and each
+    # solve's F(s) = s^p (c - ln s) - target carries about four more; a root moves
+    # by that error over |F'(s)|, plus the bisection's final width of 1e-15
+    p = model.family.log_power
+    c = 1.0 / (p + 1)
+    s = turning_density(model)
+    slope = s ** (p - 1) * abs(c + p * math.log(s))
+    eps = np.finfo(float).eps
+    tol = 10.0 * eps * s**p * (c + abs(math.log(s))) / slope + 1e-15
+    assert abs(turning_density(unit) - s) <= tol
+
+
 @st.composite
 def _densities(draw):
     """u^2 of a ``real_fields`` draw with a few samples at 0 and a few at or below the clamp."""
@@ -149,14 +180,13 @@ def test_buffered_density_forms_equal_the_allocating_ones_bitwise(rho, family, l
         out = garbage()
         potential_density(rho, m, given_log, out=out, scratch=garbage())
         assert _bits(out) == _bits(potential_density(rho, m))
-    # and both are the closed forms, evaluated left to right
-    expected = {
-        Family.CUBIC_LOG_2D: (lam * rho * log_rho, 0.5 * lam * rho * rho * (log_rho - 0.5)),
-        Family.QUINTIC_LOG_1D: (
-            lam * rho * rho * log_rho, (lam / 3.0) * rho**3 * (log_rho - 1.0 / 3.0)
-        ),
-        Family.PURE_CUBIC_2D: (-lam * rho, -0.5 * lam * rho * rho),
-    }[family]
+    # and both are the closed forms in p = 2/d, evaluated left to right
+    p = family.log_power
+    if p is None:
+        expected = (-lam * rho, -0.5 * lam * rho * rho)
+    else:
+        expected = (lam * rho * rho ** (p - 1) * log_rho,
+                    lam / (p + 1) * rho ** (p + 1) * (log_rho - 1 / (p + 1)))
     assert _bits(nonlinear_phase_rate(rho, m)) == _bits(expected[0])
     assert _bits(potential_density(rho, m)) == _bits(expected[1])
 

@@ -44,3 +44,12 @@ def test_largest_relative_change_per_column_key_and_field(tmp_path):
         "only in B  summary.json:metrics.line_search_trials",
     ]
     assert artifact_diff.diff(a, a) == []
+
+
+def test_a_zero_whose_sign_changed_is_reported(tmp_path):
+    for name, value in (("a", -0.0), ("b", 0.0)):
+        (tmp_path / name).mkdir()
+        summary = {"metrics": {"pc_rhs_t0": value, "pc_residual": 1e-6}}
+        (tmp_path / name / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert artifact_diff.diff(tmp_path / "a", tmp_path / "b") == [
+        "sign of a zero differs  summary.json:metrics.pc_rhs_t0"]

@@ -8,9 +8,9 @@ in both trees whose bytes differ, it prints one line per numeric CSV column,
 per numeric leaf of a JSON summary and per NLSF snapshot: the largest change
 relative to the larger magnitude in that column or field,
 max|a - b| / max(max|a|, max|b|).  A column or key present in one tree only,
-a shape change and a changed text value are printed as such, and so is a file
-present in one tree only.  Lines come sorted by path.  Identical files print
-nothing.  The exit code is 0 whatever the difference, and 2 on a usage error.
+a shape change, a zero whose sign changed and a changed text value are printed
+as such, and so is a file present in one tree only.  Lines come sorted by
+path.  Identical files print nothing.  The exit code is 0 whatever the difference, and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ def _relative(a: np.ndarray, b: np.ndarray) -> str:
     if a.shape != b.shape:
         return f"shape {a.shape} -> {b.shape}"
     if np.array_equal(a, b, equal_nan=True):
-        return "0"
+        # equal values, but a zero's sign may still differ (the bytes do)
+        signs = [np.signbit(np.ascontiguousarray(x).view(np.float64)) for x in (a, b)]
+        return "0" if np.array_equal(*signs) else "sign of a zero differs"
     both = np.isfinite(a) & np.isfinite(b)
     if not np.array_equal(both, np.isfinite(a)) or not np.array_equal(both, np.isfinite(b)):
         return "non-finite entries differ"
