@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import grid as _grid
-from .convexity1d import FD_STEP, action_convexity_scan, curvature_model
+from .convexity1d import action_convexity_scan
 from .errors import BlowUpDetected, ConfigError, LogNLSError
 from .evolution import (
     H1_BOUND_SLACK,
@@ -105,6 +105,16 @@ def _tuple_of(convert):
             raise ConfigError(f"{value!r} is not a list")
         return tuple(map(convert, value)) or None
     return read
+
+
+def _frequencies(value) -> tuple[float, ...]:
+    """A nonempty list of distinct finite frequencies: a repeat leaves no monotone mass."""
+    omegas = _tuple_of(_number)(value)
+    if not omegas:
+        raise ConfigError("needs at least one frequency")
+    if len(set(omegas)) < len(omegas):
+        raise ConfigError(f"repeats a frequency: {list(omegas)}")
+    return omegas
 
 
 def _read(convert, value, where: str):
@@ -236,38 +246,7 @@ def _parse(config: dict) -> dict:
         typed["grid"] = _from_section(_grid.Grid, typed["grid"], "grid")
     if "time" in typed:  # EvolutionConfig checks every rule on an evolution's inputs
         typed["evolution"] = _evolution_config(typed)
-    for key in _LIST_FAMILY.keys() & typed.keys():
-        _check_frequencies(exp, key, typed)
     return typed
-
-
-# the one family each frequency-list experiment computes on
-_LIST_FAMILY = {"omega_list": Family.CUBIC_LOG_2D, "omega_grid": Family.QUINTIC_LOG_1D}
-
-
-def _check_frequencies(experiment: str, key: str, typed: dict):
-    """Each frequency of the list ``typed[key]`` checked against the window it is solved in.
-
-    ``omega_grid`` keeps the convexity scan's 5% edge margin, and with more than one
-    point its finite-difference neighbours omega +- ``FD_STEP`` lie in the window too.
-    A repeated frequency is refused: the mass along the list could not be strictly monotone.
-    """
-    omegas, model = typed[key], typed["model"]
-    if not omegas:
-        raise ConfigError(f"{key} needs at least one frequency")
-    if len(set(omegas)) < len(omegas):
-        raise ConfigError(f"{key} repeats a frequency: {list(omegas)}")
-    family = _LIST_FAMILY[key]
-    if model.family is not family:
-        raise ConfigError(f"{experiment} computes on {family.value}, not {model.family.value}")
-    for omega in omegas:
-        if key == "omega_list":
-            model.with_omega(omega)  # checks the window
-            continue
-        curvature_model(model.with_omega(omega))  # the window and its 5% edge margin
-        if len(omegas) > 1:  # the finite-difference neighbours
-            model.with_omega(omega - FD_STEP)
-            model.with_omega(omega + FD_STEP)
 
 
 def _evolution_config(typed: dict) -> EvolutionConfig:
@@ -390,9 +369,7 @@ def _trajectory_table(traj, pc=None):
 
 def _run_ground(typed, asserts: Assertions):
     model = typed["model"]
-    if model.omega is None:
-        raise ConfigError("ground experiment requires model.omega")
-    profile = find_ground_state(model, tol=typed["tol"])
+    profile = find_ground_state(model, tol=typed["tol"])  # MissingOmega without model.omega
     obs = radial_observables(profile)
     r1, r2, rv = profile.residuals
     asserts.check("pohozaev_r1", abs(r1), 1e-6)
@@ -478,8 +455,10 @@ def _mass_rises_with_omega(rows) -> float:
 
 
 def _run_sweep_mass(typed, asserts: Assertions):
-    rows, mass_q = mass_asymptotics_sweep(typed["model"].lam, typed["omega_list"],
-                                          tol=typed["tol"])
+    model = typed["model"]
+    if model.family is not Family.CUBIC_LOG_2D:
+        raise ConfigError(f"sweep_mass computes on cubic_log_2d, not {model.family.value}")
+    rows, mass_q = mass_asymptotics_sweep(model.lam, typed["omega_list"], tol=typed["tol"])
     masses = [r.mass for r in rows]
     if len(masses) > 1:  # decreasing along decreasing omega
         asserts.check("mass_strictly_decreasing", _mass_rises_with_omega(rows), 1.0, ">=")
@@ -585,7 +564,7 @@ class _Experiment(NamedTuple):
 
 
 _EVOLVING = ("grid", "time", "initial")
-_REQUIRED_FREQUENCIES = (_tuple_of(_number), _REQUIRED)
+_REQUIRED_FREQUENCIES = (_frequencies, _REQUIRED)
 
 # the one table of experiments; a runner reads its values from ``typed``, so a
 # default never enters the config that summaries and CSV headers echo

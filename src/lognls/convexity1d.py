@@ -29,7 +29,6 @@ from .grid import hermite_cubic
 from .model import (
     Family,
     ModelParams,
-    _density_log,
     nonlinear_phase_rate,
     omega_window,
     potential_density,
@@ -169,16 +168,15 @@ def mass_action_1d(model: ModelParams):
         phi = phimax - t * t
         return 2.0 * t * 2.0 * np.sqrt(-2.0 * potential_G(phi, model))
 
-    def sextic_integrand(t):
+    def potential_integrand(t):
         phi = phimax - t * t
-        s = phi * phi
-        val = s ** 3 * (_density_log(s) - 1.0 / 3.0)
-        return 2.0 * t * 2.0 * val / np.sqrt(-2.0 * potential_G(phi, model))
+        return 2.0 * t * 2.0 * potential_density(phi * phi, model) / np.sqrt(
+            -2.0 * potential_G(phi, model))
 
     mass = _adaptive_gauss(mass_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
     grad2 = _adaptive_gauss(grad_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
-    log_sextic = _adaptive_gauss(sextic_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
-    energy = 0.5 * grad2 + (model.lam / 3.0) * log_sextic
+    potential = _adaptive_gauss(potential_integrand, 0.0, tmax, _MASS_ACTION_REL_TOL)
+    energy = 0.5 * grad2 + potential
     action = energy + model.require_omega() * mass
     return mass, action, energy
 
@@ -251,19 +249,22 @@ def action_convexity_scan(model: ModelParams, omega_grid) -> list[ConvexityRow]:
     claims d''_quad > 0 and mass increasing in omega are the caller's to check.
     """
     omegas = [float(w) for w in omega_grid]
+    # every model is built, and so checked, before the first quadrature: each point by
+    # ``curvature_model``, and with more than one point its neighbours omega -+ FD_STEP
+    points = [curvature_model(model.with_omega(omega)) for omega in omegas]
+    neighbours = [(model.with_omega(omega - FD_STEP), model.with_omega(omega + FD_STEP))
+                  if len(omegas) > 1 else None for omega in omegas]
     rows = []
-    for omega in omegas:
-        at = model.with_omega(omega)
+    for at, pair in zip(points, neighbours):
         general, simplified = dpp_forms(at)
         mass, action, _ = mass_action_1d(at)
         fd = None
-        if len(omegas) > 1:
-            sp = mass_action_1d(model.with_omega(omega + FD_STEP))[1]
-            sm = mass_action_1d(model.with_omega(omega - FD_STEP))[1]
+        if pair is not None:
+            sm, sp = (mass_action_1d(m)[1] for m in pair)
             fd = (sp - 2.0 * action + sm) / FD_STEP ** 2
         rows.append(
             ConvexityRow(
-                omega=omega,
+                omega=at.omega,
                 dpp_quad=general,
                 dpp_simplified=simplified,
                 dpp_fd=fd,

@@ -36,6 +36,7 @@ from numpy.fft import fftn, ifftn
 from . import grid as _grid
 from .errors import (
     BlowUpDetected,
+    ConfigError,
     ConservationError,
     InsufficientSamples,
     NonFiniteField,
@@ -71,8 +72,9 @@ class GaussianInit:
     boost: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (self.width > 0 and 0 < self.width * self.width < math.inf):
-            raise ValueError(f"gaussian width {self.width} needs a positive, finite square")
+        # the profile divides by 2 width^2: a subnormal one overflows the quotient
+        if not (self.width > 0 and np.finfo(float).tiny <= 2.0 * self.width * self.width < math.inf):
+            raise ValueError(f"gaussian width {self.width} needs 2 width^2 to be a normal float")
 
 
 @dataclass
@@ -360,6 +362,10 @@ def evolve(config: EvolutionConfig) -> Trajectory:
     # saturates it, while bounded runs stay under the a-priori level.
     kmax2 = float(np.max(g.k2))
     threshold = min(BLOWUP_CEILING, 0.1 * kmax2 * obs0.mass)
+    if 2.0 * obs0.kinetic > threshold:
+        raise ConfigError(f"the initial data cross the collapse threshold before any step: "
+                          f"||grad u||^2 = {2.0 * obs0.kinetic:.3e} > {threshold:.3e}; resolve "
+                          f"them with grid.n and grid.half_width, or change the initial section")
 
     def record(step: int, values: np.ndarray):
         t = step * dt

@@ -37,6 +37,7 @@ import numpy as np
 from . import grid as _grid
 from .errors import (
     BracketFailure,
+    ConfigError,
     GridTooSmall,
     IntegratorFailure,
 )
@@ -52,9 +53,11 @@ from .model import (
     stationary_amplitude,
 )
 
-# DP5 tolerances of every shot, and the node count of a returned profile
+# DP5 tolerances of every shot, the node count of a returned profile, and the
+# sample count of the uniqueness certificate's sign conditions
 _RTOL, _ATOL = 1e-12, 1e-14
 _N_NODES = 3201
+_CERTIFICATE_SAMPLES = 10_000
 
 
 class ShotClass(Enum):
@@ -392,6 +395,12 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
     if not 1e-13 <= tol <= 1e-2:
         raise ValueError("tol must lie in [1e-13, 1e-2]")
     omega = model.require_omega()
+    r_max = default_r_max(omega)
+    # the certificate's tail integrals divide by the cube of the decay rate 40/r_max
+    # and every shot steps across r_max; a product, as float ** raises OverflowError
+    if not 0.0 < r_max * r_max * r_max < math.inf:
+        raise ConfigError(f"model.omega = {omega}: the radial box r_max = 40/sqrt(2 omega) "
+                          f"= {r_max:.3e} has a cube floats cannot carry")
     lo = positive_G_zero(model)
     hi = 2.0 * lo
     if model.family.log_power is not None:
@@ -581,7 +590,7 @@ def radial_observables(profile: RadialProfile) -> Observables:
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_certificate(model: ModelParams, samples: int = 10_000) -> UniquenessCertificate:
+def uniqueness_certificate(model: ModelParams) -> UniquenessCertificate:
     """The three sign conditions of the uniqueness proof at ``model.omega``, sampled.
 
     2D cubic-log family only.
@@ -596,7 +605,7 @@ def uniqueness_certificate(model: ModelParams, samples: int = 10_000) -> Uniquen
     def gtilde(z):
         return z * z * 0.25 - z * z * np.log(z) - wl
 
-    mids = (np.arange(samples) + 0.5) / samples
+    mids = (np.arange(_CERTIFICATE_SAMPLES) + 0.5) / _CERTIFICATE_SAMPLES
     z_inc = mids * zstar
     z_dec = zstar + mids * (2.0 - zstar)
     monotone = bool(
@@ -618,7 +627,7 @@ def uniqueness_certificate(model: ModelParams, samples: int = 10_000) -> Uniquen
         gtilde_monotone_ok=monotone,
         G_positive_on_interval_ok=g_positive,
         s_prime_negative_ok=s_prime_negative,
-        samples=samples,
+        samples=_CERTIFICATE_SAMPLES,
     )
 
 
@@ -647,15 +656,17 @@ def mass_asymptotics_sweep(
     lam: float, omega_list, tol: float = 1e-9
 ) -> tuple[list[MassSweepRow], float]:
     """Ground-state masses along a decreasing omega list, against M(Q)/sqrt(ln(1/w))."""
+    # every model is built, and so its frequency window-checked, before the reference solve
+    models = [ModelParams(Family.CUBIC_LOG_2D, lam, omega) for omega in omega_list]
     mass_Q = townes_mass(lam, tol=tol)
     rows = []
-    for omega in omega_list:
-        profile = find_ground_state(ModelParams(Family.CUBIC_LOG_2D, lam, omega), tol=tol)
+    for model in models:
+        profile = find_ground_state(model, tol=tol)
         mass = radial_observables(profile).mass
-        L = math.log(1.0 / omega)
+        L = math.log(1.0 / model.omega)
         rows.append(
             MassSweepRow(
-                omega=float(omega),
+                omega=float(model.omega),
                 mass=mass,
                 ratio=mass * math.sqrt(L) / mass_Q,
                 ratio_log=mass * L / mass_Q,

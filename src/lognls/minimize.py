@@ -395,7 +395,5 @@ def _rescale_field(coeffs: np.ndarray, g: _grid.Grid, mu: float) -> np.ndarray:
     weights = np.full(half, 2.0)
     weights[0] = weights[-1] = 1.0
     last = np.exp(1j * np.outer(targets, np.abs(g.k[:half]))) * (weights / g.n)
-    if g.dim == 1:
-        return mu * (last @ coeffs).real
     first = np.exp(1j * np.outer(targets, g.k)) / g.n
     return mu * (first @ coeffs @ last.T).real

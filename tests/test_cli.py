@@ -17,6 +17,7 @@ from properties import PROPERTY_SETTINGS, models_in_window
 import lognls.cli
 import lognls.convexity1d
 import lognls.evolution
+import lognls.groundstate
 from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
 from lognls.grid import ComplexField, Grid
@@ -175,6 +176,22 @@ def _nan_width(raw):
     return raw[:20] + np.array([np.nan, np.nan], dtype="<f8").tobytes() + raw[36:]
 
 
+def _bad_magic(raw):
+    return b"NLSG" + raw[4:]
+
+
+def _version_two(raw):
+    return raw[:4] + (2).to_bytes(4, "little") + raw[8:]
+
+
+def _anisotropic_n(raw):
+    return raw[:12] + (32).to_bytes(4, "little") + (16).to_bytes(4, "little") + raw[20:]
+
+
+def _anisotropic_width(raw):
+    return raw[:20] + np.array([8.0, 4.0], dtype="<f8").tobytes() + raw[36:]
+
+
 class TestMalformedSnapshot:
     def _write(self, tmp_path):
         g = Grid(2, 32, 8.0)
@@ -189,9 +206,10 @@ class TestMalformedSnapshot:
         assert run_config(_snapshot_start_config(path), out_dir=str(tmp_path))[0] == 0
 
     @pytest.mark.parametrize(
-        "damage", [_cut_header, _cut_samples, _trailing_byte, _dim_three, _odd_n, _nan_width],
+        "damage", [_cut_header, _cut_samples, _trailing_byte, _dim_three, _odd_n, _nan_width,
+                   _bad_magic, _version_two, _anisotropic_n, _anisotropic_width],
         ids=["shorter_than_header", "short_samples", "trailing_bytes", "dim_3", "odd_n",
-             "nan_half_width"],
+             "nan_half_width", "bad_magic", "version_2", "anisotropic_n", "anisotropic_width"],
     )
     def test_malformed_file_is_config_error(self, tmp_path, damage):
         path = self._write(tmp_path)
@@ -830,7 +848,7 @@ _FREQUENCY_LIST_CASES = {
     "omega_grid_neighbour_past_edge": (
         _with(_tiny_convexity1d(), ("omega_grid",), [5e-5, 0.05]), "OmegaOutOfWindow"),
     "convexity1d_of_another_family": (
-        _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "ConfigError"),
+        _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "OmegaOutOfWindow"),
     "omega_list_past_edge": (_with(_tiny_sweep_mass(), ("omega_list",), [0.5]), "OmegaOutOfWindow"),
     "sweep_mass_of_another_family": (
         _with(_tiny_sweep_mass(), ("model", "family"), "quintic_log_1d"), "ConfigError"),
@@ -843,15 +861,37 @@ _FREQUENCY_LIST_CASES = {
 # fails before any page is touched; the per-axis arrays made first take about 64 MB each
 _UNALLOCATABLE = _with(_tiny_evolve(), ("grid", "n"), 2**23)
 
-# a magnitude whose square, cell volume or largest wavenumber floats cannot carry,
-# refused where its key is read, and the key its message names
+# a magnitude whose square, cell volume, largest wavenumber or radial box floats cannot
+# carry, refused where its key is read, and the key its message names
 _MAGNITUDE_CASES = {
     "gaussian_width_overflows": (_with(_tiny_evolve(), ("initial", "width"), 1e300), "width"),
     "gaussian_width_squares_to_zero": (_with(_tiny_evolve(), ("initial", "width"), 1e-200),
                                        "width"),
+    # 2 width^2 is subnormal: the profile's quotient by it would overflow
+    "gaussian_width_square_subnormal": (_with(_tiny_evolve(), ("initial", "width"), 1e-160),
+                                        "width"),
     "grid_cell_overflows": (_with(_tiny_evolve(), ("grid", "half_width"), 1e300), "half_width"),
     "grid_wavenumber_overflows": (_with(_tiny_evolve(), ("grid", "half_width"), 1e-200),
                                   "half_width"),
+    # r_max = 40/sqrt(2 omega) cubes to inf, and to 0 at omega = 1e300
+    "ground_tail_divides_by_zero": (
+        _ground_config(model={"family": "cubic_log_2d", "lambda": 1e-300, "omega": 1e-301}),
+        "model.omega"),
+    "ground_box_cube_underflows": (
+        _ground_config(model={"family": "pure_cubic_2d", "lambda": 1.0, "omega": 1e300}),
+        "model.omega"),
+}
+
+# initial data whose t = 0 gradient norm already crosses the collapse threshold: a
+# Gaussian the grid cannot resolve, and a resolved one of amplitude 1000 (3.1e6 > 1e6)
+_PAST_THRESHOLD_AT_T0 = {
+    "initial_unresolved_by_the_grid": _with(_tiny_evolve(), ("grid", "half_width"), 1e150),
+    "initial_past_the_ceiling": _with(
+        _with(_tiny_evolve(), ("grid",), {"dim": 2, "n": 64, "half_width": 8.0}),
+        ("initial", "amplitude"), 1000.0),
+    # the pure-cubic half of a contrast run does not "blow up" at t = 0
+    "contrast_initial_past_the_ceiling": _with(
+        _contrast_outputs({"summary_json_path": "summary.json"}), ("initial", "amplitude"), 1000.0),
 }
 
 # a well-typed value out of range, and the error code of its exit 2
@@ -891,10 +931,15 @@ _OUT_OF_RANGE_CASES = {
                                            "ConfigError"),
     "grid_unallocatable": (_UNALLOCATABLE, "ConfigError"),
     **{name: (config, "ConfigError") for name, (config, _) in _MAGNITUDE_CASES.items()},
-    # division by zero in Python arithmetic is a config error too
-    "ground_tail_divides_by_zero": (
-        _ground_config(model={"family": "cubic_log_2d", "lambda": 1e-300, "omega": 1e-301}),
-        "ConfigError"),
+    **{name: (config, "ConfigError") for name, config in _PAST_THRESHOLD_AT_T0.items()},
+    "stability_without_perturbation": (_with(_tiny_stability(), ("perturbation",), None),
+                                       "ConfigError"),
+    "contrast_of_pure_cubic": (
+        _with(_contrast_outputs({"summary_json_path": "summary.json"}), ("model", "family"),
+              "pure_cubic_2d"), "ConfigError"),
+    "minimize_lambda_zero": (_with(_tiny_minimize(), ("model", "lambda"), 0), "ConfigError"),
+    "ground_without_omega": (_ground_config(model={"family": "cubic_log_2d", "lambda": 1.0}),
+                             "MissingOmega"),
 }
 
 
@@ -1029,6 +1074,15 @@ class TestMalformedConfig:
         _assert_config_error(code, summary)
         assert key in summary["error"]["message"]
 
+    @pytest.mark.parametrize("config", _PAST_THRESHOLD_AT_T0.values(),
+                             ids=list(_PAST_THRESHOLD_AT_T0))
+    def test_initial_data_past_the_threshold_name_their_keys(self, tmp_path, config):
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert "metrics" not in summary
+        message = summary["error"]["message"]
+        assert "grid.n" in message and "grid.half_width" in message and "initial" in message
+
     def test_window_checked_before_the_ground_state(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the ground state was solved for a rejected config")
@@ -1080,8 +1134,9 @@ class TestMalformedConfig:
         def never(*args, **kwargs):
             raise AssertionError("a rejected frequency list ran")
 
-        for name in ("action_convexity_scan", "mass_asymptotics_sweep"):
-            monkeypatch.setattr(lognls.cli, name, never)
+        for name in ("dpp_forms", "mass_action_1d"):
+            monkeypatch.setattr(lognls.convexity1d, name, never)
+        monkeypatch.setattr(lognls.groundstate, "find_ground_state", never)
         exit_code, summary = run_config(config, out_dir=str(tmp_path))
         assert exit_code == 2
         assert summary["error"]["code"] == code
@@ -1180,13 +1235,27 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_nan_shooting_step_fails_fast(tmp_path):
-    """At omega = 1e300 the first force is inf - inf: the NaN step ends the shot, not the run."""
+    """At omega = 1e300 the first force is inf - inf: the NaN step ends the shot, not the run.
+
+    ``find_ground_state`` refuses that omega before its first shot (its radial box cubes
+    to 0), so the run exits 2; the shot itself is taken directly.
+    """
     config = _ground_config(model={"family": "pure_cubic_2d", "lambda": 1.0, "omega": 1e300})
     path = tmp_path / "ground.json"
     path.write_text(json.dumps(config))
     script = ("import sys\nfrom lognls.cli import main\n"
+              "from lognls.errors import IntegratorFailure\n"
+              "from lognls.groundstate import _integrate_radial\n"
+              "from lognls.model import Family, ModelParams, positive_G_zero\n"
+              "model = ModelParams(Family.PURE_CUBIC_2D, 1.0, 1e300)\n"
+              "try:\n"
+              "    _integrate_radial(model, positive_G_zero(model), False)\n"
+              "except IntegratorFailure as exc:\n"
+              "    print(f'shot: {exc}')\n"
               "sys.exit(main(['run', '--config', sys.argv[1], '--out-dir', sys.argv[2]]))\n")
     proc = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "out")],
                           capture_output=True, text=True, env=_env_with_src(), timeout=60)
-    assert proc.returncode == 3, proc.stderr
-    assert "error[IntegratorFailure]" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "shot: step size nan under the floor" in proc.stdout
+    assert "error[ConfigError]" in proc.stderr and "model.omega" in proc.stderr
+    assert "Traceback" not in proc.stderr
