@@ -456,8 +456,7 @@ def _mass_rises_with_omega(rows) -> float:
 
 def _run_sweep_mass(typed, asserts: Assertions):
     model = typed["model"]
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise ConfigError(f"sweep_mass computes on cubic_log_2d, not {model.family.value}")
+    model.require_family(Family.CUBIC_LOG_2D, what="sweep_mass")
     rows, mass_q = mass_asymptotics_sweep(model.lam, typed["omega_list"], tol=typed["tol"])
     masses = [r.mass for r in rows]
     if len(masses) > 1:  # decreasing along decreasing omega
@@ -497,8 +496,7 @@ def _run_convexity1d(typed, asserts: Assertions):
 
 def _run_contrast(typed, asserts: Assertions):
     model, cfg = typed["model"], typed["evolution"]
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise ConfigError("contrast_blowup compares against the 2D cubic-log family")
+    model.require_family(Family.CUBIC_LOG_2D, what="contrast_blowup")
     deadline = typed["blowup_deadline"]
 
     cubic = ModelParams(Family.PURE_CUBIC_2D, model.lam)

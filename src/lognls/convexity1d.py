@@ -59,8 +59,7 @@ class Profile1D:
 
 def find_turning_point(model: ModelParams) -> TurningPoint:
     """Smallest positive zero a of W (``model.turning_density``), and W'(a) < 0 there."""
-    if model.family is not Family.QUINTIC_LOG_1D:
-        raise OmegaOutOfWindow("the turning point is defined for the 1D quintic-log family")
+    model.require_family(Family.QUINTIC_LOG_1D, what="the turning point")
     a = turning_density(model)
     w_prime = model.require_omega() + float(nonlinear_phase_rate(a, model))
     if w_prime >= 0.0:
@@ -90,8 +89,7 @@ def _adaptive_gauss(fn, lo: float, hi: float, rel_tol: float):
 
 def curvature_model(model: ModelParams) -> ModelParams:
     """``model``, a quintic model refused within 5% of its window edge."""
-    if model.family is not Family.QUINTIC_LOG_1D:
-        raise OmegaOutOfWindow("the curvature integral is defined for the 1D quintic-log family")
+    model.require_family(Family.QUINTIC_LOG_1D, what="the curvature integral")
     if model.require_omega() > 0.95 * omega_window(model)[1]:
         raise OmegaTooCloseToEdge(
             "W'(a) -> 0 within 5% of the window edge; curvature integral is singular"

@@ -40,7 +40,6 @@ from .errors import (
     ConservationError,
     InsufficientSamples,
     NonFiniteField,
-    UnsupportedFamily,
 )
 from .groundstate import RadialProfile, embed_radial, find_ground_state
 from .model import (
@@ -353,9 +352,7 @@ def evolve(config: EvolutionConfig) -> Trajectory:
 
     spectrum = np.empty(g.shape, dtype=complex)
     obs0 = observables(u, model, spectrum)
-    bound = h1_apriori_bound(obs0, model)
-    traj.h1_bound = bound
-    check_bound = model.family is not Family.PURE_CUBIC_2D
+    traj.h1_bound = bound = h1_apriori_bound(obs0, model)
     # mass conservation caps ||grad u||^2 at 2 kmax^2 M on the grid, so a
     # fixed 1e6 is unreachable on desk grids; scale the proxy to the run.
     # Collapse drives the norm to ~0.1-0.2 of the cap before aliasing
@@ -392,10 +389,9 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         drift = abs(obs.mass - obs0.mass) / max(abs(obs0.mass), 1e-300)
         if drift > MASS_DRIFT_TOL:
             raise ConservationError(f"mass drift {drift:.3e} at t={t}")
-        if check_bound and obs.kinetic > bound + H1_BOUND_SLACK:
-            raise ConservationError(
-                f"kinetic energy {obs.kinetic:.6e} broke the a-priori bound {bound:.6e} at t={t}"
-            )
+        if obs.kinetic > bound + H1_BOUND_SLACK:
+            raise ConservationError(f"kinetic energy {obs.kinetic:.6e} broke the a-priori bound "
+                                    f"{bound:.6e} at t={t}")
         return fld
 
     record(0, u.values)
@@ -494,9 +490,7 @@ def pc_identity_rhs(traj: Trajectory, model: ModelParams) -> np.ndarray:
     cubic-log family, 0 for the L2-critical pure cubic; the 1D quintic-log law needs
     int |u|^6, which a record does not take (UnsupportedFamily).
     """
-    if model.family is Family.QUINTIC_LOG_1D:
-        raise UnsupportedFamily(f"the {model.family.value} pc law needs int |u|^6, "
-                                "which a record does not take")
-    lam = model.lam if model.family is Family.CUBIC_LOG_2D else 0.0
+    model.require_family(Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D, what="the pc law of a record")
+    lam = 0.0 if model.family.log_power is None else model.lam
     # 0.0 - x, not -x: +0.0 at t = 0 and for the pure cubic, bitwise -x elsewhere
     return 0.0 - lam * np.asarray(traj.times) * np.asarray([s.quartic for s in traj.samples])

@@ -646,10 +646,11 @@ class MassSweepRow:
 
 
 def townes_mass(lam: float, tol: float = 1e-9) -> float:
-    """Mass of the cubic reference ground state Q at coupling lam (omega = 1)."""
-    model = ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0)
-    profile = find_ground_state(model, tol=tol)
-    return radial_observables(profile).mass
+    """Mass of the cubic reference ground state Q at coupling lam (omega = 1): M(Q_1)/lam, as
+    Q_1/sqrt(lam) solves the equation at lam, from one shot whose amplitude floats carry."""
+    ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0)  # the window check: lam > 0
+    profile = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, 1.0, omega=1.0), tol=tol)
+    return radial_observables(profile).mass / lam
 
 
 def mass_asymptotics_sweep(

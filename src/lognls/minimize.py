@@ -74,7 +74,6 @@ from .errors import (
     GridTooSmall,
     MaxIterations,
     NonPositiveRho,
-    UnsupportedFamily,
 )
 from .model import Family, ModelParams, _density_log, nonlinear_phase_rate, potential_density
 
@@ -236,8 +235,8 @@ def minimize_energy(
         raise NonPositiveRho(f"mass constraint must be positive, got {rho}")
     if model.lam <= 0:
         raise ValueError("minimization requires lam > 0")
-    if model.family is Family.PURE_CUBIC_2D:
-        raise UnsupportedFamily("the pure cubic energy is not bounded below at fixed mass")
+    # the pure cubic energy is not bounded below at fixed mass
+    model.require_family(Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D, what="energy minimization")
     model.check_grid(grid)
 
     g = grid
@@ -336,8 +335,7 @@ def negative_energy_witness(
     u_mu only where mu x lies in [-mu L, mu L)^d; GridTooSmall if the closed
     form of the part of u outside that box exceeds the cross-check's tolerance.
     """
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise UnsupportedFamily("the scaling witness is a 2D log-model statement")
+    model.require_family(Family.CUBIC_LOG_2D, what="the scaling witness")
     if model.lam <= 0:
         raise ValueError("witness requires lam > 0")
     g = field.grid

@@ -28,6 +28,7 @@ from .errors import (
     NegativeAmplitude,
     NonPositiveLambda,
     OmegaOutOfWindow,
+    UnsupportedFamily,
 )
 
 # Log-weighted terms evaluate to exactly 0 below this amplitude: z^3 ln z^2 -> 0
@@ -60,11 +61,11 @@ class ModelParams:
     omega: float | None = None
 
     def __post_init__(self):
-        """The one check of the frequency window: lam = 0 admits no frequency."""
+        """The one check of the frequency window."""
         if self.lam < 0:
             raise NonPositiveLambda(f"coupling must be >= 0, got {self.lam}")
         if self.omega is not None:
-            lo, hi = omega_window(self) if self.lam > 0 else (0.0, 0.0)
+            lo, hi = omega_window(self)
             if not lo < self.omega < hi:
                 raise OmegaOutOfWindow(
                     f"omega={self.omega} outside ({lo}, {hi}) for {self.family.value}"
@@ -79,6 +80,12 @@ class ModelParams:
             raise MissingOmega("operation requires a frequency omega")
         return float(self.omega)
 
+    def require_family(self, *families: Family, what: str) -> None:
+        """The one family rule: UnsupportedFamily unless the family is one of ``families``."""
+        if self.family not in families:
+            names = " and ".join(f.value for f in families)
+            raise UnsupportedFamily(f"{what} is defined for {names}, not {self.family.value}")
+
     def with_omega(self, omega: float) -> "ModelParams":
         return ModelParams(self.family, self.lam, omega)
 
@@ -90,12 +97,12 @@ class ModelParams:
 
 
 def omega_window(model: ModelParams) -> tuple[float, float]:
-    """(0, sup -V(rho)/rho): the open interval of frequencies admitting solitary waves."""
-    if model.lam <= 0:
-        raise NonPositiveLambda("frequency window requires lam > 0")
+    """(0, sup -V(rho)/rho): the frequencies admitting solitary waves, empty at lam = 0 (V = 0).
+
+    The edge is also the constant of ``h1_apriori_bound``."""
     p = model.family.log_power
     if p is None:
-        return 0.0, math.inf
+        return 0.0, math.inf if model.lam > 0 else 0.0
     return 0.0, model.lam * (math.exp(-1.0 / (p + 1)) / (p * (p + 1)))
 
 
@@ -156,8 +163,7 @@ def amplitude_roots(model: ModelParams) -> tuple[float, float]:
     stationary nonlinearity g vanishes exactly at 0, alpha and sqrt(z_omega).  2D
     cubic-log family only: alpha enters only its uniqueness proof.
     """
-    if model.family is not Family.CUBIC_LOG_2D:
-        raise OmegaOutOfWindow("amplitude roots are defined for the 2D cubic-log family")
+    model.require_family(Family.CUBIC_LOG_2D, what="amplitude_roots")
     return math.sqrt(_rate_density(model, 1e-300, 1.0 / math.e)), stationary_amplitude(model)
 
 
@@ -166,9 +172,8 @@ def stationary_amplitude(model: ModelParams) -> float:
 
     z_omega is the root of rho^p ln rho = -omega/lam on (e^(-1/p), 1).
     """
+    model.require_family(Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D, what="stationary_amplitude")
     p = model.family.log_power
-    if p is None:
-        raise OmegaOutOfWindow("the stationary amplitude is defined for the log families")
     return math.sqrt(_rate_density(model, math.exp(-1.0 / p), 1.0))
 
 
@@ -333,5 +338,7 @@ def observables(field, model: ModelParams, spectrum: np.ndarray | None = None) -
 
 
 def h1_apriori_bound(initial: Observables, model: ModelParams) -> float:
-    """B with (1/2)||grad u(t)||^2 <= B along any solution of the log models."""
-    return initial.energy + 0.5 * model.lam * math.sqrt(math.e) * initial.mass
+    """The a-priori bound E(u0) + edge M(u0) on (1/2)||grad u(t)||^2 = E - int V along any
+    solution, as V(rho) >= -edge rho (``omega_window``'s edge); inf for the pure cubic."""
+    edge = omega_window(model)[1]
+    return math.inf if math.isinf(edge) else initial.energy + edge * initial.mass

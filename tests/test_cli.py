@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,18 @@ class TestRunConfig:
         saved = json.loads((tmp_path / "summary.json").read_text())
         value = saved["metrics"]["pc_rhs_t0"]
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0], ids=["gaussian", "zero_field"])
+    def test_pure_cubic_evolve_reports_no_bound(self, tmp_path, amplitude):
+        # the pure cubic's window edge sup -V/rho is inf: inf in the CSV, null in the JSON
+        config = _with(_with(_tiny_evolve(), ("model", "family"), "pure_cubic_2d"),
+                       ("initial", "amplitude"), amplitude)
+        code, _ = run_config(config, out_dir=str(tmp_path))
+        assert code == 0
+        saved = json.loads((tmp_path / "summary.json").read_text())
+        assert saved["metrics"]["h1_bound"] is None
+        _, cols = read_csv(tmp_path / "traj.csv")
+        assert np.all(cols["h1_bound"] == math.inf)
 
 
 class TestSweep:
@@ -848,10 +861,10 @@ _FREQUENCY_LIST_CASES = {
     "omega_grid_neighbour_past_edge": (
         _with(_tiny_convexity1d(), ("omega_grid",), [5e-5, 0.05]), "OmegaOutOfWindow"),
     "convexity1d_of_another_family": (
-        _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "OmegaOutOfWindow"),
+        _with(_tiny_convexity1d(), ("model", "family"), "cubic_log_2d"), "UnsupportedFamily"),
     "omega_list_past_edge": (_with(_tiny_sweep_mass(), ("omega_list",), [0.5]), "OmegaOutOfWindow"),
     "sweep_mass_of_another_family": (
-        _with(_tiny_sweep_mass(), ("model", "family"), "quintic_log_1d"), "ConfigError"),
+        _with(_tiny_sweep_mass(), ("model", "family"), "quintic_log_1d"), "UnsupportedFamily"),
     "omega_grid_repeated": (_with(_tiny_convexity1d(), ("omega_grid",), [0.05, 0.05]),
                             "ConfigError"),
     "omega_list_repeated": (_with(_tiny_sweep_mass(), ("omega_list",), [0.1, 0.1]), "ConfigError"),
@@ -936,7 +949,7 @@ _OUT_OF_RANGE_CASES = {
                                        "ConfigError"),
     "contrast_of_pure_cubic": (
         _with(_contrast_outputs({"summary_json_path": "summary.json"}), ("model", "family"),
-              "pure_cubic_2d"), "ConfigError"),
+              "pure_cubic_2d"), "UnsupportedFamily"),
     "minimize_lambda_zero": (_with(_tiny_minimize(), ("model", "lambda"), 0), "ConfigError"),
     "ground_without_omega": (_ground_config(model={"family": "cubic_log_2d", "lambda": 1.0}),
                              "MissingOmega"),
@@ -1232,6 +1245,26 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"codes": [0] * len(configs), "scipy": []}
+
+
+def test_sweep_mass_at_a_tiny_coupling_stops_at_the_radial_box(tmp_path, monkeypatch):
+    """The Townes mass is one shot at lam = 1 scaled by 1/lam, so lam = 1e-300 overflows
+    nothing; the cubic-log box r_max = 40/sqrt(2e-301) is refused before its first shot."""
+    shoot, families = lognls.groundstate._integrate_radial, []
+
+    def recording(model, *args):
+        families.append(model.family)
+        return shoot(model, *args)
+
+    monkeypatch.setattr(lognls.groundstate, "_integrate_radial", recording)
+    config = _with(_with(_tiny_sweep_mass(), ("model", "lambda"), 1e-300), ("omega_list",), [1e-301])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, summary = run_config(config, out_dir=str(tmp_path))
+    assert [str(w.message) for w in caught] == []
+    _assert_config_error(code, summary)
+    assert "radial box" in summary["error"]["message"]
+    assert families and set(families) == {Family.PURE_CUBIC_2D}
 
 
 def test_nan_shooting_step_fails_fast(tmp_path):

@@ -17,7 +17,7 @@ from lognls.convexity1d import (
     ground_state_1d_quadrature,
     mass_action_1d,
 )
-from lognls.errors import MissingOmega, OmegaOutOfWindow, OmegaTooCloseToEdge
+from lognls.errors import MissingOmega, OmegaOutOfWindow, OmegaTooCloseToEdge, UnsupportedFamily
 from lognls.groundstate import find_ground_state
 from lognls.model import Family, ModelParams, omega_window, potential_G
 
@@ -232,5 +232,5 @@ class TestOneModelConvention:
     @pytest.mark.parametrize("family", [Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D])
     @pytest.mark.parametrize("fn", (*_QUADRATURES, _scan_at_005), ids=lambda fn: fn.__name__)
     def test_model_of_another_family(self, fn, family):
-        with pytest.raises(OmegaOutOfWindow):
+        with pytest.raises(UnsupportedFamily, match=family.value):
             fn(ModelParams(family, 1.0, 0.05))

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lognls import groundstate
-from lognls.errors import BracketFailure, GridTooSmall, MissingOmega, OmegaOutOfWindow
+from lognls.errors import (
+    BracketFailure,
+    GridTooSmall,
+    MissingOmega,
+    NonPositiveLambda,
+    OmegaOutOfWindow,
+    UnsupportedFamily,
+)
 from lognls.grid import ComplexField, Grid, integrate
 from lognls.groundstate import (
     _RTOL,
@@ -311,6 +318,18 @@ class TestTownes:
         assert mass_r == pytest.approx(11.7009, rel=2e-4)
         assert profile_r.center_value == pytest.approx(2.2062, abs=2e-4)
 
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_townes_mass_by_scaling(self, lam):
+        # Q_lam = Q_1 / sqrt(lam): the one shot at lam = 1 against a direct shot at lam
+        direct = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0), tol=1e-9)
+        assert townes_mass(lam) == pytest.approx(radial_observables(direct).mass, rel=1e-10)
+
+    def test_townes_mass_needs_a_positive_coupling(self):
+        with pytest.raises(OmegaOutOfWindow):  # the window is empty at lam = 0
+            townes_mass(0.0)
+        with pytest.raises(NonPositiveLambda):
+            townes_mass(-1.0)
+
 
 class TestUniqueness:
     def test_certificate_values_and_ordering(self, model2d):
@@ -333,7 +352,7 @@ class TestUniqueness:
         assert cert.alpha < cert.u1 < cert.sqrt_z_omega
 
     def test_wrong_family_rejected(self):
-        with pytest.raises(OmegaOutOfWindow):
+        with pytest.raises(UnsupportedFamily, match="quintic_log_1d"):
             uniqueness_certificate(ModelParams(Family.QUINTIC_LOG_1D, 1.0, 0.05))
 
 

@@ -6,12 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from lognls.cli import _run_contrast, _run_sweep_mass
+from lognls.convexity1d import curvature_model, find_turning_point
 from lognls.errors import (
     MissingOmega,
     NegativeAmplitude,
     NonPositiveLambda,
     OmegaOutOfWindow,
+    UnsupportedFamily,
 )
+from lognls.evolution import Trajectory, pc_identity_rhs
 from lognls.grid import (
     ComplexField,
     Grid,
@@ -21,6 +25,7 @@ from lognls.grid import (
     integrate,
     spectral_gradient,
 )
+from lognls.minimize import minimize_energy, negative_energy_witness
 from lognls.model import (
     _DENSITY_CLAMP,
     Family,
@@ -51,13 +56,35 @@ def test_omega_window_values():
     _, hi1d = omega_window(ModelParams(Family.QUINTIC_LOG_1D, 1.0))
     assert hi1d == pytest.approx(1.0 / (6.0 * math.e ** (1.0 / 3.0)), rel=1e-15)
     assert hi1d == pytest.approx(0.1194218850956316, rel=1e-12)
-    _, hicubic = omega_window(ModelParams(Family.PURE_CUBIC_2D, 1.0))
-    assert hicubic == math.inf
+    assert omega_window(ModelParams(Family.PURE_CUBIC_2D, 0.5)) == (0.0, math.inf)
 
 
 def test_omega_window_rejects_nonpositive_lambda():
+    # V = 0 at lam = 0: the window is empty, so it admits no frequency; lam < 0 is no model
+    assert omega_window(ModelParams(Family.CUBIC_LOG_2D, 0.0)) == (0.0, 0.0)
+    with pytest.raises(OmegaOutOfWindow):
+        ModelParams(Family.CUBIC_LOG_2D, 0.0, omega=1e-3)
     with pytest.raises(NonPositiveLambda):
-        omega_window(ModelParams(Family.CUBIC_LOG_2D, 0.0))
+        ModelParams(Family.CUBIC_LOG_2D, -1.0)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_the_window_is_empty_at_lam_zero(family):
+    assert omega_window(ModelParams(family, 0.0)) == (0.0, 0.0)
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window())
+def test_the_window_edge_is_sup_of_minus_V_over_rho(model):
+    edge = omega_window(model)[1]
+    rho = np.logspace(-300, 2, 3021)
+    v = potential_density(rho, model)
+    # V(rho) + edge * rho >= 0, each term exact to a few ulps of its own size
+    assert np.all(v + edge * rho >= -1e-15 * (np.abs(v) + edge * rho))
+    # with equality at rho* = e^(-1/(p(p+1))), where -V/rho peaks
+    p = model.family.log_power
+    rho_star = math.exp(-1.0 / (p * (p + 1)))
+    assert abs(float(potential_density(rho_star, model)) + edge * rho_star) <= 1e-15 * edge
 
 
 def test_model_params_window_validation():
@@ -93,7 +120,7 @@ def test_amplitude_roots_small_omega_limits():
 
 
 def test_amplitude_roots_errors():
-    with pytest.raises(OmegaOutOfWindow):
+    with pytest.raises(UnsupportedFamily, match="quintic_log_1d"):
         amplitude_roots(ModelParams(Family.QUINTIC_LOG_1D, 1.0, omega=0.05))
     with pytest.raises(MissingOmega):
         amplitude_roots(ModelParams(Family.CUBIC_LOG_2D, 1.0))
@@ -330,12 +357,70 @@ def test_h1_apriori_bound_values():
     _, fld = _gaussian_field()
     obs = observables(fld, m)
     bound = h1_apriori_bound(obs, m)
-    expected = math.pi / 4.0 + 0.5 * math.sqrt(math.e) * math.pi
+    # E + edge * M with the window edge 1/(2 sqrt(e)) = sup -V/rho
+    expected = math.pi / 4.0 + math.pi / (2.0 * math.sqrt(math.e))
     assert bound == pytest.approx(expected, rel=1e-12)
-    assert bound == pytest.approx(3.37520, abs=1e-4)
+    assert bound == pytest.approx(1.73813, abs=1e-5)
     free = ModelParams(Family.CUBIC_LOG_2D, 0.0)
     obs0 = observables(fld, free)
     assert h1_apriori_bound(obs0, free) == pytest.approx(obs0.energy, rel=1e-14)
+
+
+def test_the_pure_cubic_has_no_apriori_bound():
+    cubic = ModelParams(Family.PURE_CUBIC_2D, 1.0)
+    g, fld = _gaussian_field()
+    assert h1_apriori_bound(observables(fld, cubic), cubic) == math.inf
+    # edge * M would be inf * 0 for a zero field
+    zero = ComplexField(g, np.zeros(g.shape, dtype=complex))
+    assert h1_apriori_bound(observables(zero, cubic), cubic) == math.inf
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window(), data=st.data())
+def test_the_kinetic_energy_is_below_the_apriori_bound(model, data):
+    # bound - kinetic = int (V + edge * rho) >= 0 exactly, so only rounding may cross
+    obs = observables(data.draw(smooth_fields((model.dim,))), model)
+    scale = obs.kinetic + abs(obs.potential) + omega_window(model)[1] * obs.mass
+    assert obs.kinetic <= h1_apriori_bound(obs, model) + 1e-14 * scale
+
+
+@pytest.mark.parametrize("family", [Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D])
+def test_the_apriori_bound_is_attained_at_the_peak_density(family):
+    # |u|^2 = rho* everywhere makes V + edge * rho vanish pointwise: kinetic 0 = bound
+    model = ModelParams(family, 1.0)
+    p = family.log_power
+    g = Grid(model.dim, 16, 5.0)
+    fld = ComplexField(g, np.full(g.shape, math.exp(-0.5 / (p * (p + 1))), dtype=complex))
+    obs = observables(fld, model)
+    assert abs(h1_apriori_bound(obs, model)) <= 1e-14 * omega_window(model)[1] * obs.mass
+
+
+# each operation defined for some families only, and the families it accepts
+_FAMILY_RULES = {
+    "amplitude_roots": (amplitude_roots, {Family.CUBIC_LOG_2D}),
+    "stationary_amplitude": (stationary_amplitude, {Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D}),
+    "find_turning_point": (find_turning_point, {Family.QUINTIC_LOG_1D}),
+    "curvature_model": (curvature_model, {Family.QUINTIC_LOG_1D}),
+    "minimize_energy": (lambda m: minimize_energy(1.0, Grid(m.dim, 16, 5.0), m),
+                        {Family.CUBIC_LOG_2D, Family.QUINTIC_LOG_1D}),
+    "negative_energy_witness": (
+        lambda m: negative_energy_witness(ComplexField(Grid(m.dim, 16, 5.0), np.ones((16,) * m.dim)),
+                                          m),
+        {Family.CUBIC_LOG_2D}),
+    "pc_identity_rhs": (lambda m: pc_identity_rhs(Trajectory(), m),
+                        {Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D}),
+    "sweep_mass": (lambda m: _run_sweep_mass({"model": m}, None), {Family.CUBIC_LOG_2D}),
+    "contrast_blowup": (lambda m: _run_contrast({"model": m, "evolution": None}, None),
+                        {Family.CUBIC_LOG_2D}),
+}
+_REFUSED = [(name, family) for name, (_, accepted) in _FAMILY_RULES.items()
+            for family in Family if family not in accepted]
+
+
+@pytest.mark.parametrize("name, family", _REFUSED, ids=[f"{n}-{f.value}" for n, f in _REFUSED])
+def test_each_family_refusal_names_the_family_it_was_given(name, family):
+    with pytest.raises(UnsupportedFamily, match=f"not {family.value}"):
+        _FAMILY_RULES[name][0](ModelParams(family, 1.0, 0.05))
 
 
 def test_action_present_only_with_omega(profile_01):
