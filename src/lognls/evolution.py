@@ -41,7 +41,7 @@ from .errors import (
     InsufficientSamples,
     NonFiniteField,
 )
-from .groundstate import RadialProfile, embed_radial, find_ground_state
+from .groundstate import RadialProfile, check_radial_box, embed_radial, find_ground_state
 from .model import (
     Family,
     ModelParams,
@@ -152,6 +152,7 @@ class EvolutionConfig:
             raise ValueError(f"the initial field lies on {init.grid}, not on the configured {g}")
         if isinstance(init, GroundStateInit):
             self.model.with_omega(init.omega)  # OmegaOutOfWindow outside the model's window
+            check_radial_box(init.omega, "initial.omega")
         for name in ("initial", "perturbation"):
             section = getattr(self, name)
             for f in fields(section) if section is not None else ():

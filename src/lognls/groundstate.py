@@ -285,6 +285,16 @@ def default_r_max(omega: float) -> float:
     return 40.0 / math.sqrt(2.0 * omega)
 
 
+def check_radial_box(omega: float, key: str) -> None:
+    """The one radial-box rule, a ConfigError naming ``key``: every shot steps across r_max and
+    the certificate's tail integrals divide by the cube of 40/r_max, so that cube (a product,
+    as float ** raises OverflowError) must be positive and finite."""
+    r_max = default_r_max(omega)
+    if not 0.0 < r_max * r_max * r_max < math.inf:
+        raise ConfigError(f"{key}: omega = {omega} has a radial box r_max = 40/sqrt(2 omega) "
+                          f"= {r_max:.3e} whose cube floats cannot carry")
+
+
 def _classify(model, b):
     return _integrate_radial(model, b, False)[0]
 
@@ -384,23 +394,24 @@ def _exhausted_amplitude(model, lo, hi):
     return 0.5 * (lo + hi)
 
 
-def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
+# the largest Pohozaev residual a returned profile may carry: by default, and in the
+# Townes reference and the small-frequency sweep
+POHOZAEV_BOUND = 1e-6
+_SWEEP_POHOZAEV_BOUND = 1e-8
+
+
+def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> RadialProfile:
     """Shoot the amplitude to float exhaustion and return the certified profile at ``model.omega``.
 
     The amplitude is the one plain bisection of the bracket reaches when no
     midpoint lies strictly inside it any more (``_exhausted_amplitude``), so
-    ``tol`` does not steer the search: it only sets the Pohozaev bound 10*tol
-    that the returned profile is checked against.
+    nothing steers the search; ``bound`` is the largest Pohozaev residual
+    the returned profile may carry.
     """
-    if not 1e-13 <= tol <= 1e-2:
-        raise ValueError("tol must lie in [1e-13, 1e-2]")
+    if not 1e-12 <= bound <= 1e-1:
+        raise ValueError("bound must lie in [1e-12, 1e-1]")
     omega = model.require_omega()
-    r_max = default_r_max(omega)
-    # the certificate's tail integrals divide by the cube of the decay rate 40/r_max
-    # and every shot steps across r_max; a product, as float ** raises OverflowError
-    if not 0.0 < r_max * r_max * r_max < math.inf:
-        raise ConfigError(f"model.omega = {omega}: the radial box r_max = 40/sqrt(2 omega) "
-                          f"= {r_max:.3e} has a cube floats cannot carry")
+    check_radial_box(omega, "model.omega")
     lo = positive_G_zero(model)
     hi = 2.0 * lo
     if model.family.log_power is not None:
@@ -421,10 +432,7 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
     # Refine to float exhaustion: every extra bit of b pushes the radius where
     # the unstable mode takes over further out, buying clean tail decades.
     b = _exhausted_amplitude(model, lo, hi)
-    _, rs, ps, qs = _integrate_radial(model, b, True)
-    rs = np.asarray(rs)
-    ps = np.asarray(ps)
-    qs = np.asarray(qs)
+    rs, ps, qs = map(np.asarray, _integrate_radial(model, b, True)[1:])
 
     positive = ps > 0.0
     if not positive.all():
@@ -463,10 +471,8 @@ def find_ground_state(model: ModelParams, tol: float = 1e-7) -> RadialProfile:
                             tail_rate=tail_rate, tail_coeff=tail_coeff)
     res = pohozaev_residuals(profile)
     profile.residuals = res
-    if max(abs(x) for x in res) > 10.0 * tol:
-        raise IntegratorFailure(
-            f"pohozaev certification failed: residuals {res} exceed {10 * tol}"
-        )
+    if max(abs(x) for x in res) > bound:
+        raise IntegratorFailure(f"pohozaev certification failed: residuals {res} exceed {bound}")
     return profile
 
 
@@ -645,34 +651,28 @@ class MassSweepRow:
     #                   actually unitary against the cubic reference
 
 
-def townes_mass(lam: float, tol: float = 1e-9) -> float:
+def townes_mass(lam: float) -> float:
     """Mass of the cubic reference ground state Q at coupling lam (omega = 1): M(Q_1)/lam, as
     Q_1/sqrt(lam) solves the equation at lam, from one shot whose amplitude floats carry."""
     ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0)  # the window check: lam > 0
-    profile = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, 1.0, omega=1.0), tol=tol)
+    profile = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, 1.0, 1.0), _SWEEP_POHOZAEV_BOUND)
     return radial_observables(profile).mass / lam
 
 
-def mass_asymptotics_sweep(
-    lam: float, omega_list, tol: float = 1e-9
-) -> tuple[list[MassSweepRow], float]:
+def mass_asymptotics_sweep(lam: float, omega_list) -> tuple[list[MassSweepRow], float]:
     """Ground-state masses along a decreasing omega list, against M(Q)/sqrt(ln(1/w))."""
-    # every model is built, and so its frequency window-checked, before the reference solve
+    # every frequency is window- and box-checked before the reference solve
     models = [ModelParams(Family.CUBIC_LOG_2D, lam, omega) for omega in omega_list]
-    mass_Q = townes_mass(lam, tol=tol)
+    for model in models:
+        check_radial_box(model.omega, "omega_list")
+    mass_Q = townes_mass(lam)
     rows = []
     for model in models:
-        profile = find_ground_state(model, tol=tol)
+        profile = find_ground_state(model, _SWEEP_POHOZAEV_BOUND)
         mass = radial_observables(profile).mass
         L = math.log(1.0 / model.omega)
-        rows.append(
-            MassSweepRow(
-                omega=float(model.omega),
-                mass=mass,
-                ratio=mass * math.sqrt(L) / mass_Q,
-                ratio_log=mass * L / mass_Q,
-            )
-        )
+        rows.append(MassSweepRow(omega=float(model.omega), mass=mass,
+                                 ratio=mass * math.sqrt(L) / mass_Q, ratio_log=mass * L / mass_Q))
     return rows, mass_Q
 
 
@@ -692,11 +692,9 @@ def embed_radial(
     documented 1e-8 mass agreement additionally needs the stronger margin
     half_width >= last node + 5/tail_rate.
     """
-    dim = profile.model.dim
-    if grid.dim != dim:
-        raise GridTooSmall(f"profile is {dim}D but grid is {grid.dim}D")
+    profile.model.check_grid(grid)
     if center is None:
-        center = (0.0,) * dim
+        center = (0.0,) * grid.dim
     center = tuple(float(c) for c in center)
     margin = grid.half_width - max(abs(c) for c in center)
     if margin <= 0:

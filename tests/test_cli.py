@@ -413,7 +413,7 @@ class TestSweep:
     def test_two_list_valued_parameters_rejected(self, tmp_path):
         cfg = _ground_config()
         cfg["model"]["omega"] = [0.1, 0.2]
-        cfg["tol"] = [1e-6, 1e-7]
+        cfg["model"]["lambda"] = [1.0, 2.0]
         code, _ = run_sweep(cfg, out_dir=str(tmp_path))
         assert code == 2
 
@@ -515,7 +515,6 @@ class TestSweepMatchesMassSweep:
 
         cfg = _ground_config()
         cfg["model"]["omega"] = [1e-2, 1e-3]
-        cfg["tol"] = 1e-9
         code, _ = run_sweep(cfg, out_dir=str(tmp_path))
         assert code == 0
         _, agg = read_csv(tmp_path / "profile.csv")
@@ -870,6 +869,17 @@ _FREQUENCY_LIST_CASES = {
     "omega_list_repeated": (_with(_tiny_sweep_mass(), ("omega_list",), [0.1, 0.1]), "ConfigError"),
 }
 
+# the tiny config of each experiment that reads no model frequency: all but ground
+_TINY_BUT_GROUND = {
+    "evolve": _tiny_evolve(),
+    "stability": _tiny_stability(),
+    "minimize": _tiny_minimize(),
+    "sweep_mass": _tiny_sweep_mass(),
+    "convexity1d": _tiny_convexity1d(),
+    "contrast_blowup": _contrast_outputs({"summary_json_path": "summary.json"}),
+    "pseudoconformal": _tiny_pseudoconformal(),
+}
+
 # a 2D n = 2**23 mesh takes 512 TiB, past a 47-bit user address space, so numpy's request
 # fails before any page is touched; the per-axis arrays made first take about 64 MB each
 _UNALLOCATABLE = _with(_tiny_evolve(), ("grid", "n"), 2**23)
@@ -893,6 +903,9 @@ _MAGNITUDE_CASES = {
     "ground_box_cube_underflows": (
         _ground_config(model={"family": "pure_cubic_2d", "lambda": 1.0, "omega": 1e300}),
         "model.omega"),
+    "stability_tail_divides_by_zero": (
+        _with(_with(_tiny_stability(), ("model", "lambda"), 1e-300), ("initial", "omega"), 1e-301),
+        "initial.omega"),
 }
 
 # initial data whose t = 0 gradient norm already crosses the collapse threshold: a
@@ -1080,9 +1093,10 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("config, key", _MAGNITUDE_CASES.values(), ids=list(_MAGNITUDE_CASES))
     def test_magnitude_refused_where_its_key_is_read(self, tmp_path, monkeypatch, config, key):
         def never(*args, **kwargs):
-            raise AssertionError("an evolution ran on a magnitude floats cannot carry")
+            raise AssertionError("an evolution or a shot ran on a magnitude floats cannot carry")
 
         monkeypatch.setattr(lognls.cli, "evolve", never)
+        monkeypatch.setattr(lognls.groundstate, "_integrate_radial", never)
         code, summary = run_config(config, out_dir=str(tmp_path))
         _assert_config_error(code, summary)
         assert key in summary["error"]["message"]
@@ -1153,6 +1167,27 @@ class TestMalformedConfig:
         exit_code, summary = run_config(config, out_dir=str(tmp_path))
         assert exit_code == 2
         assert summary["error"]["code"] == code
+
+    @pytest.mark.parametrize("name", sorted(_TINY_BUT_GROUND))
+    def test_model_omega_is_a_key_of_ground_alone(self, tmp_path, monkeypatch, name):
+        def never(*args, **kwargs):
+            raise AssertionError("an experiment ran on a model.omega it does not read")
+
+        assert set(_TINY_BUT_GROUND) == set(lognls.cli.EXPERIMENTS) - {"ground"}
+        spec = lognls.cli.EXPERIMENTS[name]
+        monkeypatch.setitem(lognls.cli.EXPERIMENTS, name, spec._replace(run=never))
+        config = _with(_TINY_BUT_GROUND[name], ("model", "omega"), 0.1)
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert summary["error"]["message"] == "unknown key(s) ['omega'] in model"
+
+    @pytest.mark.parametrize("config", [_with(_ground_config(), ("tol",), 1e-7),
+                                        _with(_tiny_sweep_mass(), ("tol",), 1e-9)],
+                             ids=["ground", "sweep_mass"])
+    def test_the_pohozaev_bound_is_no_config_key(self, tmp_path, config):
+        code, summary = run_config(config, out_dir=str(tmp_path))
+        _assert_config_error(code, summary)
+        assert summary["error"]["message"] == "unknown key(s) ['tol'] in top level"
 
 
 _FUZZ_BASES = {
@@ -1248,8 +1283,8 @@ def test_runtime_imports_no_scipy(tmp_path):
 
 
 def test_sweep_mass_at_a_tiny_coupling_stops_at_the_radial_box(tmp_path, monkeypatch):
-    """The Townes mass is one shot at lam = 1 scaled by 1/lam, so lam = 1e-300 overflows
-    nothing; the cubic-log box r_max = 40/sqrt(2e-301) is refused before its first shot."""
+    """The cubic-log box r_max = 40/sqrt(2e-301) of an omega_list entry is refused where
+    the sweep builds its models: before the Townes shot, so no shot and no warning."""
     shoot, families = lognls.groundstate._integrate_radial, []
 
     def recording(model, *args):
@@ -1263,8 +1298,9 @@ def test_sweep_mass_at_a_tiny_coupling_stops_at_the_radial_box(tmp_path, monkeyp
         code, summary = run_config(config, out_dir=str(tmp_path))
     assert [str(w.message) for w in caught] == []
     _assert_config_error(code, summary)
+    assert summary["error"]["message"].startswith("omega_list: ")
     assert "radial box" in summary["error"]["message"]
-    assert families and set(families) == {Family.PURE_CUBIC_2D}
+    assert families == []
 
 
 def test_nan_shooting_step_fails_fast(tmp_path):

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from properties import PROPERTY_SETTINGS
+from properties import PROPERTY_SETTINGS, models_in_window
 from scipy.integrate import simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
@@ -135,6 +135,28 @@ class TestWindowProperties:
         slope = (mass_action_1d(model.with_omega(omega + d))[0]
                  - mass_action_1d(model.with_omega(omega - d))[0]) / (2 * d)
         assert general == pytest.approx(slope, rel=1e-4)
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window((Family.QUINTIC_LOG_1D,)))
+def test_curvature_and_mass_read_omega_over_lam_alone(model):
+    """d''_lam(omega) = lam^(-3/2) d''_1(omega/lam) and M_lam(omega) = lam^(-1/2) M_1(omega/lam).
+
+    Both models give the turning density a to an ulp, so each quadrature runs
+    the same panels at the same nodes, and the gap is the integrands' rounding.
+    W(s) = omega s + V(s) cancels toward s = a, where W ~ |W'(a)| t^2, so the
+    rounding of omega/lam is magnified by omega a / (|W'(a)| t^2) at the nodes
+    nearest t = 0: about 1e4 eps omega/|W'(a)| in the curvature and 1e3 in the
+    mass (largest ratios over 200 draws), and omega/|W'(a)| <= 1.9 below the
+    95% margin.
+    """
+    assume(model.omega <= 0.95 * omega_window(model)[1])  # curvature_model's margin
+    unit = quintic(model.omega / model.lam)
+    lam = model.lam
+    general, general_unit = dpp_forms(model)[0], dpp_forms(unit)[0]
+    assert abs(lam ** -1.5 * general_unit - general) <= 1e-10 * general
+    mass, mass_unit = mass_action_1d(model)[0], mass_action_1d(unit)[0]
+    assert abs(lam ** -0.5 * mass_unit - mass) <= 1e-11 * mass
 
 
 class TestProfile1D:

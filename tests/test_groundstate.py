@@ -74,15 +74,25 @@ def test_shooting_force_is_the_model_rate(model, p, tiny):
 @settings(PROPERTY_SETTINGS, max_examples=6)
 @given(model=models_in_window(tuple(Family)))
 def test_center_value_reads_omega_over_lam_alone(model):
-    """phi_{lam,omega}(r) = phi_{1,omega/lam}(sqrt(lam) r): the center values agree.
+    """phi_{lam,omega}(r) = phi_{1,omega/lam}(sqrt(lam) r): the center values agree, and the
+    masses obey M_lam(omega) = lam^(-d/2) M_1(omega/lam).
 
-    The law is exact, but the two shots take different DP5 steps (the first
-    step's cap and the absolute tolerance do not scale), so each amplitude
-    carries its own integration error, which the relative tolerance bounds.
+    The laws are exact, but the two shots take different DP5 steps (the first
+    step's cap and the absolute tolerance do not scale), so each profile
+    carries its own integration error.  The amplitude is the shooter's
+    float-exhausted root, within the relative tolerance _RTOL.  Each mass
+    integrates a whole trajectory, whose error is at most the sum of its
+    steps' local errors, each below _RTOL relative; these shots take a few
+    hundred steps (450 to 770 measured), so two masses differ by less than
+    2000 _RTOL.
     """
     unit = ModelParams(model.family, 1.0, model.omega / model.lam)
-    b = find_ground_state(model).center_value
-    assert abs(find_ground_state(unit).center_value - b) <= _RTOL * b
+    profile, unit_profile = find_ground_state(model), find_ground_state(unit)
+    b = profile.center_value
+    assert abs(unit_profile.center_value - b) <= _RTOL * b
+    mass = radial_observables(profile).mass
+    scaled = model.lam ** (-model.dim / 2) * radial_observables(unit_profile).mass
+    assert abs(scaled - mass) <= 2e3 * _RTOL * mass
 
 
 class TestShoot:
@@ -165,7 +175,7 @@ class TestFindGroundState:
 
     def test_bad_tolerance_rejected(self, model2d):
         with pytest.raises(ValueError):
-            find_ground_state(model2d.with_omega(0.1), tol=1e-14)
+            find_ground_state(model2d.with_omega(0.1), bound=1e-13)
 
 
 def _plain_bisection(model, lo, hi):
@@ -321,7 +331,7 @@ class TestTownes:
     @pytest.mark.parametrize("lam", [0.5, 2.0])
     def test_townes_mass_by_scaling(self, lam):
         # Q_lam = Q_1 / sqrt(lam): the one shot at lam = 1 against a direct shot at lam
-        direct = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0), tol=1e-9)
+        direct = find_ground_state(ModelParams(Family.PURE_CUBIC_2D, lam, omega=1.0), bound=1e-8)
         assert townes_mass(lam) == pytest.approx(radial_observables(direct).mass, rel=1e-10)
 
     def test_townes_mass_needs_a_positive_coupling(self):
@@ -354,6 +364,23 @@ class TestUniqueness:
     def test_wrong_family_rejected(self):
         with pytest.raises(UnsupportedFamily, match="quintic_log_1d"):
             uniqueness_certificate(ModelParams(Family.QUINTIC_LOG_1D, 1.0, 0.05))
+
+
+@PROPERTY_SETTINGS
+@given(model=models_in_window((Family.CUBIC_LOG_2D,)))
+def test_certificate_reads_omega_over_lam_alone(model):
+    """At (lam, omega) and (1, omega/lam) the certificate is the same, bit for bit.
+
+    Its roots solve y ln y = -omega/lam and s (1/2 - ln s) = 2 omega/lam (s = u1^2),
+    whose targets are one float for both models (doubling is exact); so the
+    samples are the same, and there the sign conditions are positive multiples
+    of each other.
+    """
+    cert = uniqueness_certificate(model)
+    unit = uniqueness_certificate(ModelParams(model.family, 1.0, model.omega / model.lam))
+    assert (cert.u1, cert.alpha, cert.sqrt_z_omega) == (unit.u1, unit.alpha, unit.sqrt_z_omega)
+    flags = ("gtilde_monotone_ok", "G_positive_on_interval_ok", "s_prime_negative_ok")
+    assert [getattr(cert, f) for f in flags] == [getattr(unit, f) for f in flags]
 
 
 class TestEmbed:
@@ -390,6 +417,13 @@ class TestEmbed:
     def test_grid_too_small(self, profile_01):
         with pytest.raises(GridTooSmall):
             embed_radial(profile_01, Grid(2, 64, 6.0))
+
+    def test_grid_of_another_dimension(self, profile_01):
+        # the one dimension rule, ModelParams.check_grid: no box is too small here
+        with pytest.raises(ValueError, match="grid.dim 1 differs from the cubic_log_2d "
+                                             "dimension 2") as caught:
+            embed_radial(profile_01, Grid(1, 64, 20.0))
+        assert not isinstance(caught.value, GridTooSmall)
 
     def test_off_center_embedding_keeps_mass(self, model2d):
         p02 = find_ground_state(model2d.with_omega(0.2))
