@@ -471,7 +471,7 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
                             tail_rate=tail_rate, tail_coeff=tail_coeff)
     res = pohozaev_residuals(profile)
     profile.residuals = res
-    if max(abs(x) for x in res) > bound:
+    if not all(abs(x) <= bound for x in res):  # a NaN residual fails too
         raise IntegratorFailure(f"pohozaev certification failed: residuals {res} exceed {bound}")
     return profile
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -19,8 +20,10 @@ import lognls.cli
 import lognls.convexity1d
 import lognls.evolution
 import lognls.groundstate
+import lognls.minimize
 from lognls.cli import main, run_config, run_sweep, validate_config
 from lognls.errors import ConfigError
+from lognls.groundstate import POHOZAEV_BOUND
 from lognls.grid import ComplexField, Grid
 from lognls.model import Family, ModelParams
 from lognls.snapshots import format_float, read_snapshot, write_csv, write_snapshot
@@ -349,15 +352,8 @@ class TestRunConfig:
         assert code == 0 and summary["pass"] is True
         metrics = summary["metrics"]
         assert 0.0 < metrics["amplitude"] < metrics["sqrt_z_omega"]
-        assert "amplitude_below_sqrt_z_omega" in [a["name"] for a in summary["assertions"]]
-
-    @pytest.mark.parametrize("family", ["cubic_log_2d", "pure_cubic_2d"])
-    def test_pc_rhs_at_t0_is_a_positive_zero(self, tmp_path, family):
-        config = _with(_tiny_pseudoconformal(), ("model", "family"), family)
-        run_config(_with(config, ("refine_dt",), False), out_dir=str(tmp_path))
-        saved = json.loads((tmp_path / "summary.json").read_text())
-        value = saved["metrics"]["pc_rhs_t0"]
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        # the shooter's bracket ends below sqrt(z_omega): a metric, no assertion
+        assert "amplitude_below_sqrt_z_omega" not in [a["name"] for a in summary["assertions"]]
 
     @pytest.mark.parametrize("amplitude", [1.0, 0.0], ids=["gaussian", "zero_field"])
     def test_pure_cubic_evolve_reports_no_bound(self, tmp_path, amplitude):
@@ -811,15 +807,122 @@ def test_run_writes_exactly_the_requested_files(tmp_path, config):
         assert read_snapshot(tmp_path / path)[1]["t"] in config["outputs"]["snapshot_times"]
 
 
-def test_failed_convexity_claim_is_an_assertion(tmp_path, monkeypatch):
-    # the library leaves d'' > 0 to the CLI's dpp_min check: exit 1 with the table written
-    monkeypatch.setattr(lognls.convexity1d, "dpp_forms", lambda model: (-1.0, -1.0))
-    config = _with(_tiny_convexity1d(), ("outputs", "csv_path"), "scan.csv")
-    code, summary = run_config(config, out_dir=str(tmp_path))
-    assert code == 1 and summary["error"] is None
-    (dpp_min,) = [a for a in summary["assertions"] if a["name"] == "dpp_min"]
-    assert dpp_min["pass"] is False and dpp_min["value"] == -1.0
-    assert read_csv(tmp_path / "scan.csv")[1]["dpp_quad"].tolist() == [-1.0]
+def _returning(module, name, change):
+    """A patch under which ``module.name`` returns change(what it returned)."""
+    def patch(monkeypatch):
+        solve = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: change(solve(*args, **kwargs)))
+    return patch
+
+
+def _leaking_kernel(monkeypatch):
+    """A split step that hands each record its state short by a part in 1e9."""
+    run = lognls.evolution.SplitStep.run
+
+    def leaking(self, *args):
+        for step, values in run(self, *args):
+            yield step, values * (1.0 - 1e-9)
+    monkeypatch.setattr(lognls.evolution.SplitStep, "run", leaking)
+
+
+def _bound_under_the_start(monkeypatch):
+    """The a-priori bound of a log family 1 under its initial kinetic energy."""
+    bound = lognls.evolution.h1_apriori_bound
+    monkeypatch.setattr(lognls.evolution, "h1_apriori_bound", lambda obs, model: (
+        bound(obs, model) if model.family.log_power is None else obs.kinetic - 1.0))
+
+
+def _gaussian_evolve(n, half_width, amplitude, dt, t_final, sample_every=1, **initial):
+    """An evolve config of a unit-width Gaussian on the cubic-log family."""
+    return {"experiment": "evolve", "model": {"family": "cubic_log_2d", "lambda": 1.0},
+            "grid": {"dim": 2, "n": n, "half_width": half_width},
+            "time": {"dt": dt, "t_final": t_final, "sample_every": sample_every},
+            "initial": {"kind": "gaussian", "amplitude": amplitude, "width": 1.0, **initial}}
+
+
+def _pohozaev(i, value):
+    """A certification whose residual i reads ``value``."""
+    return _returning(lognls.groundstate, "pohozaev_residuals",
+                      lambda res: (*res[:i], value, *res[i + 1:]))
+
+
+_UNCERTIFIED = ("IntegratorFailure", "pohozaev certification failed")
+_SHORT_CONTRAST = _with(_gaussian_evolve(32, 8.0, 1.0, 5e-3, 0.05, 5), ("experiment",),
+                        "contrast_blowup") | {"blowup_deadline": 0.05}
+_TOWNES_STABILITY = {
+    "experiment": "stability",
+    "model": {"family": "pure_cubic_2d", "lambda": 1.0},
+    "grid": {"dim": 2, "n": 64, "half_width": 10.0},
+    "time": {"dt": 1e-2, "t_final": 3.0},
+    "initial": {"kind": "ground_state", "omega": 1.0},
+    "perturbation": {"kind": "fourier_mode", "delta": 0.1},
+}
+_CONVEXITY_PAIR = _with(_tiny_convexity1d(), ("omega_grid",), [0.04, 0.07])
+
+# Every check a run makes, made to fail: {id: (config, patch or None, raised)}.  A summary
+# assertion (raised None; its id is its name) exits 1 with only itself failing.  Where no
+# config breaks the fact it certifies, the patch breaks the solver that computes its value.
+# A check the library makes raises the typed error ``raised`` (code, message start): exit 3.
+_FAILING_CHECKS = {
+    "tail_rate_ratio": (_ground_config(), _returning(lognls.cli, "find_ground_state", lambda p: (
+        dataclasses.replace(p, tail_rate=1.1 * p.tail_rate))), None),
+    "energy_drift": (_gaussian_evolve(32, 8.0, 1.5, 1e-2, 0.5, 10), None, None),
+    "momentum_drift": (_gaussian_evolve(16, 5.0, 1.0, 1e-2, 0.5, boost=[1.5, 0.0]), None, None),
+    # the L2-critical instability the paper contrasts with: Q drifts far off its orbit
+    "sup_orbit_distance": (_TOWNES_STABILITY, None, None),
+    "mass_constraint": (_tiny_minimize(), _returning(lognls.cli, "minimize_energy", lambda r: (
+        dataclasses.replace(r, field=ComplexField(r.field.grid, 1.001 * r.field.values)))), None),
+    "mass_strictly_decreasing": (
+        _with(_tiny_sweep_mass(), ("omega_list",), [0.1, 0.05]),
+        _returning(lognls.groundstate, "radial_observables",
+                   lambda obs: dataclasses.replace(obs, mass=-obs.mass)), None),
+    "dpp_min": (_tiny_convexity1d(), _returning(lognls.convexity1d, "dpp_forms",
+                                                 lambda forms: (-1.0, -1.0)), None),
+    "dpp_fd_agreement": (_CONVEXITY_PAIR, _returning(
+        lognls.convexity1d, "dpp_forms", lambda forms: tuple(2.0 * f for f in forms)), None),
+    "mass_strictly_increasing": (_CONVEXITY_PAIR, _returning(
+        lognls.convexity1d, "mass_action_1d", lambda out: (-out[0], *out[1:])), None),
+    "blowup_before_deadline": (_SHORT_CONTRAST, None, None),
+    "pc_residual": (_with(_gaussian_evolve(16, 5.0, 2.0, 1e-2, 0.1), ("experiment",),
+                          "pseudoconformal") | {"refine_dt": False}, None, None),
+    # the pure cubic conserves pc to rounding: no halving of dt can gain a factor 3
+    "pc_residual_halving_ratio": (_with(_pure_cubic_pseudoconformal(), ("refine_dt",), True),
+                                  None, None),
+    "pohozaev_rV_above_bound": (_ground_config(), _pohozaev(2, 2.0 * POHOZAEV_BOUND), _UNCERTIFIED),
+    "pohozaev_r1_nan": (_ground_config(), _pohozaev(0, math.nan), _UNCERTIFIED),
+    "pohozaev_r2_nan": (_ground_config(), _pohozaev(1, math.nan), _UNCERTIFIED),
+    "evolve_mass_drift": (_tiny_evolve(), _leaking_kernel, ("ConservationError", "mass drift")),
+    "stability_mass_drift": (TestStabilityGroundState._config(), _leaking_kernel,
+                             ("ConservationError", "mass drift")),
+    "kinetic_above_apriori_bound": (_SHORT_CONTRAST, _bound_under_the_start,
+                                    ("ConservationError", "kinetic energy")),
+    "minimize_residual": (_tiny_minimize(), lambda mp: mp.setattr(lognls.minimize, "_MAX_ITER", 2),
+                          ("MaxIterations", "no convergence to 0.01 within 2 iterations")),
+}
+
+
+@pytest.mark.parametrize("name", _FAILING_CHECKS)
+def test_every_check_can_fail(tmp_path, monkeypatch, name):
+    config, patch, raised = _FAILING_CHECKS[name]
+    if patch is not None:
+        patch(monkeypatch)
+    outputs = {"csv_path": "table.csv", "summary_json_path": "summary.json"}
+    code, summary = run_config(_with(config, ("outputs",), outputs), out_dir=str(tmp_path))
+    assert json.loads((tmp_path / "summary.json").read_text())["pass"] is False
+    if raised is None:  # the table is written beside the failed claim
+        assert code == 1 and summary["error"] is None
+        assert [a["name"] for a in summary["assertions"] if not a["pass"]] == [name]
+        assert (tmp_path / "table.csv").exists()
+    else:
+        assert code == 3
+        assert summary["error"]["code"] == raised[0]
+        assert summary["error"]["message"].startswith(raised[1])
+
+
+def test_every_summary_assertion_has_a_failing_row():
+    asserted = re.findall(r'asserts\.check\("(\w+)"', Path(lognls.cli.__file__).read_text())
+    assert sorted(asserted) == sorted(k for k, (_, _, raised) in _FAILING_CHECKS.items()
+                                      if raised is None)
 
 
 def _contrast_outputs(outputs):

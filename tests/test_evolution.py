@@ -260,6 +260,8 @@ class TestPseudoconformal:
         traj = Trajectory(times=[0.0, 0.1, 0.2], samples=[obs] * 3)
         assert pc_identity_rhs(traj, cubic).tolist() == [0.0] * 3
         assert pc_identity_rhs(traj, ModelParams(Family.CUBIC_LOG_2D, 1.0))[2] == -0.2 * obs.quartic
+        for family in (Family.CUBIC_LOG_2D, Family.PURE_CUBIC_2D):  # +0.0 at t = 0, not -0.0
+            assert math.copysign(1.0, pc_identity_rhs(traj, ModelParams(family, 1.0))[0]) == 1.0
         with pytest.raises(UnsupportedFamily, match="quintic_log_1d"):
             pc_identity_rhs(traj, ModelParams(Family.QUINTIC_LOG_1D, 1.0))
 

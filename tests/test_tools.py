@@ -39,7 +39,7 @@ def test_largest_relative_change_per_column_key_and_field(tmp_path):
         "1.000e-06  field.nlsf",
         "only in B  new.csv",
         "1.000e-09  points.csv:energy",
-        "1.000e-09  summary.json:assertions.0.value",
+        "1.000e-09  summary.json:assertions.residual.value",
         "1.000e-09  summary.json:metrics.energy_min",
         "only in B  summary.json:metrics.line_search_trials",
     ]
@@ -53,3 +53,19 @@ def test_a_zero_whose_sign_changed_is_reported(tmp_path):
         (tmp_path / name / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
     assert artifact_diff.diff(tmp_path / "a", tmp_path / "b") == [
         "sign of a zero differs  summary.json:metrics.pc_rhs_t0"]
+
+
+def test_named_entries_are_keyed_by_name_unless_a_name_repeats(tmp_path):
+    named = [{"name": "mass_drift", "value": 1e-15}, {"name": "energy_drift", "value": 1e-7}]
+    repeated = [{"name": "point", "value": 1.0}, {"name": "point", "value": 2.0}]
+    trees = {"a": {"assertions": named, "points": repeated},
+             "b": {"assertions": named[1:], "points": [repeated[0], {"name": "point", "value": 4.0}]}}
+    for name, summary in trees.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    # the removed entry shifts no later one; the repeated name leaves its list keyed by index
+    assert artifact_diff.diff(tmp_path / "a", tmp_path / "b") == [
+        "only in A  summary.json:assertions.mass_drift.name",
+        "only in A  summary.json:assertions.mass_drift.value",
+        "5.000e-01  summary.json:points.1.value",
+    ]

@@ -38,11 +38,15 @@ def _csv_columns(path: Path) -> dict[str, list[str]]:
 def _json_leaves(value, prefix: str = "") -> dict[str, object]:
     """{dotted key: value} of a JSON document, down to scalars and lists of scalars.
 
-    An array that holds objects or arrays is keyed by index, as in
-    ``assertions.0.value``.
+    An array that holds objects or arrays is keyed by index, as in ``points.0.mass``,
+    or, when every item is an object with a distinct string "name", by that name, as
+    in ``assertions.residual.value``: an entry one tree lacks then reads "only in",
+    instead of shifting the index of every later entry.
     """
     if isinstance(value, list) and any(isinstance(item, (dict, list)) for item in value):
-        value = dict(enumerate(value))
+        names = [item.get("name") if isinstance(item, dict) else None for item in value]
+        named = all(isinstance(name, str) for name in names) and len(set(names)) == len(names)
+        value = dict(zip(names, value) if named else enumerate(value))
     if not isinstance(value, dict):
         return {prefix: value}
     leaves = {}
