@@ -415,7 +415,6 @@ def _run_minimize(typed, asserts: Assertions):
     mass = _grid.integrate(g, np.abs(res.field.values) ** 2)
     asserts.check("mass_constraint", abs(mass - rho) / rho, 1e-12)
     metrics = {
-        "rho": rho,
         "energy_min": res.energy,
         "lagrange_omega": res.lagrange_omega,
         "residual": res.residual,

@@ -406,6 +406,14 @@ class TestSweep:
         assert "error[ConfigError]" in capsys.readouterr().err
         assert not (tmp_path / "api").exists() and not (tmp_path / "cli").exists()
 
+    def test_minimize_sweep_names_each_aggregate_column_once(self, tmp_path):
+        # the swept rho is the aggregate's second column; no metric repeats it
+        cfg = _with(_with(_tiny_minimize(), ("rho",), [1.0, 2.0]), ("outputs", "csv_path"), "points.csv")
+        assert run_sweep(cfg, out_dir=str(tmp_path))[0] == 0
+        header = next(line for line in (tmp_path / "points.csv").read_text(encoding="utf-8").splitlines()
+                      if not line.startswith("#")).split(",")
+        assert header[:2] == ["point", "rho"] and len(set(header)) == len(header), header
+
     def test_two_list_valued_parameters_rejected(self, tmp_path):
         cfg = _ground_config()
         cfg["model"]["omega"] = [0.1, 0.2]
