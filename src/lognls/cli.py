@@ -303,17 +303,14 @@ def _resolve_outputs(typed: dict, out_dir: str | None) -> dict:
     return resolved
 
 
-def _flatten(prefix: str, obj, into: list):
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], into)
-    else:
-        into.append(f"{prefix}: {json.dumps(obj)}")
-
-
 def provenance(config: dict) -> list[str]:
-    lines: list[str] = []
-    _flatten("", config, lines)
+    lines, todo = [], [("", config)]
+    while todo:  # depth first, keys in sorted order
+        prefix, obj = todo.pop()
+        if isinstance(obj, dict):
+            todo += [(f"{prefix}.{k}" if prefix else str(k), obj[k]) for k in sorted(obj)[::-1]]
+        else:
+            lines.append(f"{prefix}: {json.dumps(obj)}")
     return lines
 
 
@@ -333,10 +330,6 @@ class Assertions:
                 "pass": bool(self._COMPARE[comparator](value, threshold)),
             }
         )
-
-    @property
-    def all_pass(self) -> bool:
-        return all(item["pass"] for item in self.items)
 
 
 def _trajectory_table(traj, pc=None):
@@ -467,8 +460,7 @@ def _run_convexity1d(typed, asserts: Assertions):
         "n_points": len(rows),
     }
     table = (["omega", "dpp_quad", "dpp_simplified", "dpp_fd", "mass", "action"],
-             [[r.omega, r.dpp_quad, r.dpp_simplified,
-               "" if r.dpp_fd is None else r.dpp_fd, r.mass, r.action] for r in rows], [])
+             [[r.omega, r.dpp_quad, r.dpp_simplified, r.dpp_fd, r.mass, r.action] for r in rows], [])
     return metrics, {"csv_path": table}, {}
 
 
@@ -600,7 +592,7 @@ def run_config(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         summary["error"] = _error(exc)
         code = 3 if isinstance(exc, LogNLSError) and not isinstance(exc, ConfigError) else 2
     summary["assertions"] = asserts.items
-    summary["pass"] = asserts.all_pass and summary["error"] is None
+    summary["pass"] = all(item["pass"] for item in asserts.items) and summary["error"] is None
     if code == 0 and not summary["pass"]:
         code = 1
     if outputs.get("summary_json_path"):
@@ -618,7 +610,7 @@ def _find_swept_leaf(obj, prefix=()):
         for k, v in obj.items():
             found.extend(_find_swept_leaf(v, prefix + (k,)))
     elif isinstance(obj, list) and prefix not in _INHERENT_LISTS:
-        found.append(prefix)
+        found.append((prefix, obj))
     return found
 
 
@@ -626,12 +618,6 @@ def _set_leaf(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
     obj[path[-1]] = value
-
-
-def _get_leaf(obj, path):
-    for key in path:
-        obj = obj[key]
-    return obj
 
 
 def _numbered(path: str, i: int) -> str:
@@ -663,13 +649,17 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
             raise ConfigError(
                 f"sweep needs exactly one list-valued parameter, found {len(leaves)}"
             )
-        leaf = leaves[0]
+        leaf, values = leaves[0]
         aggregate_csv = _outputs(_read(_object, base.get("outputs", {}), "outputs"))["csv_path"]
         if not aggregate_csv:
             raise ConfigError("sweep requires outputs.csv_path for the aggregate table")
-        values = _get_leaf(base, leaf)
         if not values:
             raise ConfigError(f"the swept list {'.'.join(leaf)} is empty")
+        cells = [value if isinstance(value, (int, float)) else json.dumps(value) for value in values]
+        for cell in cells:  # json.dumps escapes line breaks: only a comma can split a cell
+            if isinstance(cell, str) and "," in cell:
+                raise ConfigError(f"the swept values of {'.'.join(leaf)} must each fill one "
+                                  f"aggregate CSV cell, but {cell} holds a comma")
         points = [_sweep_point(base, leaf, value, i) for i, value in enumerate(values)]
         agg_path = _writable(Path(out_dir or ".") / aggregate_csv)
     except _FAULTS as exc:
@@ -677,9 +667,9 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
 
     results = []
     metric_keys: list[str] = []
-    for value, point in zip(values, points):
+    for point in points:
         code, summary = run_config(point, out_dir)
-        results.append((value, code, summary))
+        results.append((code, summary))
         if code == 0 and not metric_keys:
             metric_keys = sorted(
                 k for k, v in summary.get("metrics", {}).items()
@@ -688,11 +678,11 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
 
     header = ["point", ".".join(leaf), "pass", "error"] + metric_keys
     rows = []
-    for i, (value, code, summary) in enumerate(results):
+    for i, (cell, (code, summary)) in enumerate(zip(cells, results)):
         err = summary.get("error")
         row = [
             float(i),
-            value if isinstance(value, (int, float)) else json.dumps(value),
+            cell,
             1.0 if (code == 0) else 0.0,
             err["code"] if err else "",
         ]
@@ -700,11 +690,11 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         row.extend(metrics.get(k, "") for k in metric_keys)
         rows.append(row)
     write_csv(agg_path, provenance(config), header, rows)
-    exit_code = 0 if all(code == 0 for _, code, _ in results) else 1
+    exit_code = 0 if all(code == 0 for code, _ in results) else 1
     return exit_code, {
         "pass": exit_code == 0,
         "points": len(results),
-        "failures": sum(1 for _, code, _ in results if code != 0),
+        "failures": sum(1 for code, _ in results if code != 0),
     }
 
 

@@ -3,8 +3,8 @@
 One step is a half linear substep (exact Fourier multiplier exp(-i|k|^2 dt/4)),
 the exact nonlinear phase rotation (|u| is pointwise invariant under the
 nonlinear subflow), and another half linear substep.  ``SplitStep`` is the one
-implementation of that step; ``evolve`` and ``strang_step`` both drive it.  Its
-loop fuses adjacent half substeps; sampling synchronizes on a copy, so
+implementation of that step, and ``evolve`` is the one caller of its loop,
+which fuses adjacent half substeps; sampling synchronizes on a copy, so
 recorded states are genuine full-step states.
 
 The kernel builds the half and full propagators once per run and transforms
@@ -173,7 +173,6 @@ class Trajectory:
     orbit_distances: list[float] | None = None
     snapshots: dict[float, _grid.ComplexField] = field(default_factory=dict)  # by requested time
     h1_bound: float | None = None
-    final_field: _grid.ComplexField | None = None
 
     @property
     def mass_drift(self) -> float:
@@ -218,7 +217,7 @@ class SplitStep:
         np.sin(angle, out=self.buffer.imag)
         v *= self.buffer
 
-    def run(self, values: np.ndarray, n_steps: int, sampled=lambda step: False):
+    def run(self, values: np.ndarray, n_steps: int, sampled):
         """Advance ``values`` by n_steps steps, yielding (step, full-step state).
 
         The final step is always yielded, together with every earlier step for
@@ -237,14 +236,6 @@ class SplitStep:
                 self.buffer[...] = v
                 yield step, self._linear(self.buffer, self.half)
             v = self._linear(v, self.full)
-
-
-def strang_step(field: _grid.ComplexField, dt: float, model: ModelParams) -> _grid.ComplexField:
-    """One full Strang step of ``field``, which is left untouched."""
-    ((_, values),) = SplitStep(field.grid, model, dt).run(field.values.copy(), 1)
-    out = _grid.ComplexField(field.grid, values)
-    out.check_finite()
-    return out
 
 
 def _lattice_step(t: float, dt: float, what: str) -> int:
@@ -295,8 +286,7 @@ def build_initial(config: EvolutionConfig) -> tuple[_grid.ComplexField, RadialPr
 
     boost = getattr(init, "boost", None)
     if boost:
-        xs = _grid.coordinates(g)
-        phase = sum(v * x for v, x in zip(boost, xs))
+        phase = sum(v * x for v, x in zip(boost, g.along_axes(g.axis)))
         fld = _grid.ComplexField(g, fld.values * np.exp(1j * phase))
     if config.perturbation is not None:
         fld = apply_perturbation(fld, config.perturbation)
@@ -317,7 +307,7 @@ def apply_perturbation(field: _grid.ComplexField, pert: Perturbation) -> _grid.C
     else:  # fourier_mode
         mode = pert.mode or (1,) * g.dim
         k = tuple(math.pi / g.half_width * m for m in mode)
-        wave = np.exp(1j * sum(ki * x for ki, x in zip(k, _grid.coordinates(g))))
+        wave = np.exp(1j * sum(ki * x for ki, x in zip(k, g.along_axes(g.axis))))
         norm = math.sqrt((2.0 * g.half_width) ** g.dim * (1.0 + sum(ki ** 2 for ki in k)))
         out = field.values + (pert.delta / norm) * wave
     result = _grid.ComplexField(g, out)
@@ -393,17 +383,14 @@ def evolve(config: EvolutionConfig) -> Trajectory:
         if obs.kinetic > bound + H1_BOUND_SLACK:
             raise ConservationError(f"kinetic energy {obs.kinetic:.6e} broke the a-priori bound "
                                     f"{bound:.6e} at t={t}")
-        return fld
 
     record(0, u.values)
 
     def sampled(step):
         return step % config.sample_every == 0 or step in snapshots
 
-    last = None
     for step, values in SplitStep(g, model, dt).run(u.values, n_steps, sampled):
-        last = record(step, values)
-    traj.final_field = last
+        record(step, values)
     return traj
 
 

@@ -68,14 +68,9 @@ class Grid:
         return tuple(vector.reshape((self.n,) + (1,) * (self.dim - 1 - j)) for j in range(self.dim))
 
 
-def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
-    """The coordinates x_j of the grid, as ``grid.along_axes(grid.axis)``."""
-    return grid.along_axes(grid.axis)
-
-
 def squared_distance(grid: Grid, center=None) -> np.ndarray:
     """|x - center|^2 on the grid (an n^dim array); ``center`` defaults to the origin."""
-    return sum((x - c) ** 2 for x, c in zip(coordinates(grid), center or (0.0,) * grid.dim))
+    return sum((x - c) ** 2 for x, c in zip(grid.along_axes(grid.axis), center or (0.0,) * grid.dim))
 
 
 @dataclass

@@ -48,9 +48,9 @@ from .model import (
     _DENSITY_CLAMP,
     _density_log,
     amplitude_roots,
-    positive_G_zero,
     potential_G,
     stationary_amplitude,
+    turning_density,
 )
 
 # DP5 tolerances of every shot, the node count of a returned profile, and the
@@ -412,7 +412,7 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
         raise ValueError("bound must lie in [1e-12, 1e-1]")
     omega = model.require_omega()
     check_radial_box(omega, "model.omega")
-    lo = positive_G_zero(model)
+    lo = math.sqrt(turning_density(model))  # the positive zero of G: no shot below it decays
     hi = 2.0 * lo
     if model.family.log_power is not None:
         # Just below the stationary point of g: that point is an exact equilibrium
@@ -437,7 +437,7 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
     positive = ps > 0.0
     if not positive.all():
         stop = int(np.argmin(positive))  # first nonpositive sample
-        rs, ps, qs = rs[:stop], ps[:stop], qs[:stop]
+        rs, ps, qs = rs[:stop], ps[:stop], qs[:stop]  # every sample kept is positive
     # Departure radius: turnaround (undershoot side) or the zero crossing.
     # Salvage only what lies a fixed margin of linear e-foldings before it;
     # beyond that the growing mode contaminates the samples.
@@ -448,7 +448,7 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
     if usable.size < 16:
         raise BracketFailure("trajectory never resolved a decaying tail")
     i_cut = int(usable[-1])
-    if ps[i_cut] > 1e-3 * b or ps[i_cut] <= 0.0:
+    if ps[i_cut] > 1e-3 * b:
         raise BracketFailure("tail not resolved below 1e-3 of the peak amplitude")
 
     r_nodes = np.linspace(0.0, float(rs[i_cut]), _N_NODES)
@@ -456,9 +456,7 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
     values[0] = b  # the profile's center_value
     derivs[0] = 0.0
 
-    window = (rs[: i_cut + 1] >= rs[i_cut] - 2.5 * math.log(10.0) / kappa) & (
-        ps[: i_cut + 1] > 0.0
-    )
+    window = rs[: i_cut + 1] >= rs[i_cut] - 2.5 * math.log(10.0) / kappa
     if int(window.sum()) < 6:
         raise BracketFailure("too few samples in the tail decades for a rate fit")
     slope = np.polyfit(rs[: i_cut + 1][window], np.log(ps[: i_cut + 1][window]), 1)[0]
@@ -554,8 +552,6 @@ def pohozaev_residuals(profile: RadialProfile) -> tuple[float, float, float]:
     (1/2) int phi'^2 + int G = 0 there.
     """
     model, omega = profile.model, profile.model.omega
-    if profile.values.size == 0 or not np.any(profile.values):
-        return (0.0, 0.0, 0.0)
     ints = _radial_integrals(profile)
     M, K2, nl, pd = ints["mass"], ints["grad2"], ints["nl"], ints["pd"]
     GV = -omega * M - pd  # int G(phi) = -omega M - int V(phi^2)
@@ -605,7 +601,7 @@ def uniqueness_certificate(model: ModelParams) -> UniquenessCertificate:
     wl = omega / lam
     zstar = math.exp(-0.25)
 
-    u1 = positive_G_zero(model)
+    u1 = math.sqrt(turning_density(model))
     alpha, sqz = amplitude_roots(model)
 
     def gtilde(z):

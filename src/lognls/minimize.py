@@ -354,7 +354,7 @@ def negative_energy_witness(
     grads = _grid.spectral_gradient(g, _grid.forward(field.values))
     energy_density = potential_density(vals * vals, model)
     energy_density += 0.5 * sum(_grid.spectral_power(d.values) for d in grads)
-    coords = _grid.coordinates(g)
+    coords = g.along_axes(g.axis)
 
     mu = 1.0
     while mu > 1e-8:

@@ -199,11 +199,6 @@ def turning_density(model: ModelParams) -> float:
     return _bisect_root(eq, 1e-12 ** (2 / p), math.exp(-1.0 / (p * (p + 1))))
 
 
-def positive_G_zero(model: ModelParams) -> float:
-    """Smallest z > 0 with G(z) = 0, sqrt(``turning_density``); below it shots cannot decay."""
-    return math.sqrt(turning_density(model))
-
-
 def _array(rho, out) -> np.ndarray:
     """``out``, or a new float array of ``rho``'s shape when None."""
     return np.empty(np.shape(rho)) if out is None else out

@@ -738,6 +738,35 @@ def _assert_config_error(code, summary):
     assert summary["error"]["code"] == "ConfigError"
 
 
+@pytest.mark.parametrize("leaf, values", [
+    (("perturbation",), [{"kind": "fourier_mode", "delta": 1e-2, "mode": [1, 0]},
+                         {"kind": "fourier_mode", "delta": 2e-2, "mode": [0, 1]}]),
+    (("model", "lambda"), [[1.0, 2.0], [0.5, 1.0]]),
+    (("model", "family"), ["cubic_log_2d", "cubic_log_2d,pure_cubic_2d"]),
+], ids=["objects", "arrays", "string_with_a_comma"])
+def test_sweep_value_that_would_split_its_aggregate_cell_refused(tmp_path, capsys, leaf, values):
+    """Refused before any point runs, naming the swept key: nothing is written."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_with(_tiny_stability(), leaf, values)))
+    assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error[ConfigError]" in err and f"swept values of {'.'.join(leaf)}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    _with(_tiny_evolve(), ("initial", "amplitude"), [1.0, 0.5]),
+    _with(_tiny_pseudoconformal(), ("refine_dt",), [True, False]),
+    _with(_tiny_evolve(), ("model", "family"), ["cubic_log_2d", "pure_cubic_2d", "cubic\nlog"]),
+], ids=["number", "boolean", "string"])
+def test_every_sweep_aggregate_row_has_a_cell_per_column(tmp_path, config):
+    _, agg = run_sweep(config, out_dir=str(tmp_path))
+    text = (tmp_path / config["outputs"]["csv_path"]).read_text(encoding="utf-8")
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    assert len(rows) == agg["points"] >= 2
+    assert all(len(row) == len(header) for row in rows), text
+
+
 # a value of the wrong JSON type, and the key its error names
 _STRICT_TYPE_CASES = {
     "lambda_string": (_with(_tiny_evolve(), ("model", "lambda"), "1"), "model.lambda"),
@@ -1423,13 +1452,13 @@ def test_nan_shooting_step_fails_fast(tmp_path):
     config = _ground_config(model={"family": "pure_cubic_2d", "lambda": 1.0, "omega": 1e300})
     path = tmp_path / "ground.json"
     path.write_text(json.dumps(config))
-    script = ("import sys\nfrom lognls.cli import main\n"
+    script = ("import math, sys\nfrom lognls.cli import main\n"
               "from lognls.errors import IntegratorFailure\n"
               "from lognls.groundstate import _integrate_radial\n"
-              "from lognls.model import Family, ModelParams, positive_G_zero\n"
+              "from lognls.model import Family, ModelParams, turning_density\n"
               "model = ModelParams(Family.PURE_CUBIC_2D, 1.0, 1e300)\n"
               "try:\n"
-              "    _integrate_radial(model, positive_G_zero(model), False)\n"
+              "    _integrate_radial(model, math.sqrt(turning_density(model)), False)\n"
               "except IntegratorFailure as exc:\n"
               "    print(f'shot: {exc}')\n"
               "sys.exit(main(['run', '--config', sys.argv[1], '--out-dir', sys.argv[2]]))\n")

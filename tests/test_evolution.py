@@ -31,12 +31,10 @@ from lognls.evolution import (
     pseudoconformal_residual,
     reference_spectrum,
     snapshot_steps,
-    strang_step,
 )
 from lognls.grid import (
     ComplexField,
     Grid,
-    coordinates,
     forward,
     h1_norm,
     integrate,
@@ -50,7 +48,7 @@ from properties import PROPERTY_SETTINGS, smooth_fields
 
 
 def _gaussian(g, amp=1.0, width=1.0):
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     r2 = sum(x * x for x in xs)
     return ComplexField(g, amp * np.exp(-r2 / (2.0 * width**2)))
 
@@ -59,22 +57,22 @@ class TestStrangStep:
     def test_constant_field_is_fixed_point(self):
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 64, 5.0)
-        u = ComplexField(g, np.ones(g.shape, dtype=complex))
-        out = strang_step(u, 1e-3, m)
-        assert np.max(np.abs(out.values - 1.0)) < 1e-14
+        ((_, out),) = evolution.SplitStep(g, m, 1e-3).run(np.ones(g.shape, dtype=complex), 1,
+                                                          lambda step: False)
+        assert np.max(np.abs(out - 1.0)) < 1e-14
 
     def test_free_flow_matches_gaussian_closed_form(self):
         m = ModelParams(Family.CUBIC_LOG_2D, 0.0)
         g = Grid(2, 192, 12.0)
         cfg = EvolutionConfig(
             model=m, grid=g, dt=0.005, t_final=1.0, sample_every=200,
-            initial=GaussianInit(amplitude=1.0, width=1.0),
+            initial=GaussianInit(amplitude=1.0, width=1.0), snapshot_times=(1.0,),
         )
         traj = evolve(cfg)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         r2 = xs[0] ** 2 + xs[1] ** 2
         exact = (1.0 / (1.0 + 1.0j)) * np.exp(-r2 / (2.0 * (1.0 + 1.0j)))
-        assert np.max(np.abs(traj.final_field.values - exact)) <= 1e-10
+        assert np.max(np.abs(traj.snapshots[1.0].values - exact)) <= 1e-10
 
     def test_ground_state_modulus_stationary(self, model2d):
         # box must hold the wrapped tail below the target; on L = 20 the
@@ -83,24 +81,21 @@ class TestStrangStep:
         g = Grid(2, 416, 32.0)
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=0.002, t_final=3.0, sample_every=500,
-            initial=GroundStateInit(omega=0.2),
+            initial=GroundStateInit(omega=0.2), snapshot_times=(3.0,),
         )
         traj = evolve(cfg)
         ref = embed_radial(profile, g)
-        dev = np.max(np.abs(np.abs(traj.final_field.values) - np.abs(ref.values)))
+        dev = np.max(np.abs(np.abs(traj.snapshots[3.0].values) - np.abs(ref.values)))
         assert dev <= 1e-7 * max(1.0, float(np.max(np.abs(ref.values))))
 
     def test_time_reversal(self):
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 128, 10.0)
         u0 = _gaussian(g)
-        u = u0
-        n = 100
-        for _ in range(n):
-            u = strang_step(u, 5e-3, m)
-        for _ in range(n):
-            u = strang_step(u, -5e-3, m)
-        diff = ComplexField(g, u.values - u0.values)
+        u = u0.values.copy()
+        for dt in (5e-3, -5e-3):  # 100 steps forward, then 100 back
+            ((_, u),) = evolution.SplitStep(g, m, dt).run(u, 100, lambda step: False)
+        diff = ComplexField(g, u - u0.values)
         assert h1_norm(diff) <= 1e-8
 
 
@@ -133,15 +128,15 @@ class TestEvolve:
         v = 8.0 * math.pi / 20.0  # grid-periodic boost, ~1.257
         cfg = EvolutionConfig(
             model=model2d, grid=g, dt=5e-3, t_final=2.0, sample_every=80,
-            initial=GroundStateInit(omega=0.1, boost=(v, 0.0)),
+            initial=GroundStateInit(omega=0.1, boost=(v, 0.0)), snapshot_times=(2.0,),
         )
         traj = evolve(cfg)
         assert traj.momentum_drift <= 1e-9
         obs0 = traj.samples[0]
         assert obs0.momentum[0] == pytest.approx(v * obs0.mass, rel=1e-10)
         # center of mass moved by v * t
-        fld = traj.final_field
-        xs = coordinates(g)
+        fld = traj.snapshots[2.0]
+        xs = g.along_axes(g.axis)
         rho = np.abs(fld.values) ** 2
         xbar = integrate(g, xs[0] * rho) / integrate(g, rho)
         assert xbar == pytest.approx(v * 2.0, rel=1e-3)
@@ -185,7 +180,7 @@ class TestOrbitDistance:
     def test_small_bump_triangle_bound(self, profile_01):
         g = Grid(2, 256, 20.0)
         ref = embed_radial(profile_01, g)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         bump = np.exp(-((xs[0] - 1.0) ** 2 + xs[1] ** 2))
         delta = 1e-2
         bump_norm = h1_norm(ComplexField(g, bump))
@@ -208,7 +203,7 @@ class TestOrbitDistance:
 
     def test_aliased_fourier_mode_is_rejected(self, model2d):
         g = Grid(2, 32, 8.0)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         ref = ComplexField(g, np.exp(-(xs[0] ** 2 + xs[1] ** 2)))
         nyquist = Perturbation(kind="fourier_mode", delta=1e-2, mode=(16, 0))
         diff = ComplexField(g, apply_perturbation(ref, nyquist).values - ref.values)
@@ -280,7 +275,7 @@ class TestPseudoconformal:
         model = ModelParams(Family.QUINTIC_LOG_1D if g.dim == 1 else Family.CUBIC_LOG_2D, 1.0)
         obs = observables(u, model)
         rho = np.abs(u.values) ** 2
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         grads = [d.values for d in spectral_gradient(g, forward(u.values))]
         currents = [x * np.imag(np.conj(u.values) * d) for x, d in zip(xs, grads)]
         variance = integrate(g, squared_distance(g) * rho)
@@ -495,28 +490,30 @@ class TestSplitStepProperties:
     @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=5))
     def test_mass_is_conserved(self, u0, model, dt, steps):
-        u = u0
+        kernel = evolution.SplitStep(u0.grid, model, dt)
+        u = u0.values.copy()
         for _ in range(steps):
-            u = strang_step(u, dt, model)
-        assert abs(_mass(u) - _mass(u0)) <= 1e-12 * _mass(u0)
+            ((_, u),) = kernel.run(u, 1, lambda step: False)
+        assert abs(_mass(ComplexField(u0.grid, u)) - _mass(u0)) <= 1e-12 * _mass(u0)
 
     @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps)
     def test_backward_step_undoes_forward_step(self, u0, model, dt):
-        before = u0.values.copy()
-        back = strang_step(strang_step(u0, dt, model), -dt, model)
-        assert np.array_equal(u0.values, before)  # the input is left untouched
-        assert np.max(np.abs(back.values - before)) <= 1e-12
+        u = u0.values.copy()
+        for h in (dt, -dt):
+            ((_, u),) = evolution.SplitStep(u0.grid, model, h).run(u, 1, lambda step: False)
+        assert np.max(np.abs(u - u0.values)) <= 1e-12
 
     @PROPERTY_SETTINGS
     @given(smooth_fields(), models, time_steps, st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=6))
-    def test_evolve_matches_iterated_strang_step(self, u0, model, dt, steps, sample_every):
-        traj = evolve(_free_config(u0, model, dt, steps, sample_every))
-        u = u0
+    def test_evolve_matches_iterated_single_steps(self, u0, model, dt, steps, sample_every):
+        traj = evolve(_free_config(u0, model, dt, steps, sample_every, (steps * dt,)))
+        kernel = evolution.SplitStep(u0.grid, model, dt)
+        u = u0.values.copy()
         for _ in range(steps):
-            u = strang_step(u, dt, model)
-        assert np.max(np.abs(traj.final_field.values - u.values)) <= 1e-12
+            ((_, u),) = kernel.run(u, 1, lambda step: False)
+        assert np.max(np.abs(traj.snapshots[steps * dt].values - u)) <= 1e-12
 
     @PROPERTY_SETTINGS
     @given(smooth_fields(), time_steps, st.integers(min_value=1, max_value=6),
@@ -530,12 +527,12 @@ class TestSplitStepProperties:
                 kernels.append(self)
 
         model = ModelParams(Family.CUBIC_LOG_2D, 1.0)
-        times = tuple(k * dt for k in sorted(picks) if k <= steps)
+        times = tuple(k * dt for k in sorted(picks | {steps}) if k <= steps)  # the final state too
         with mock.patch.object(evolution, "SplitStep", Recorded):
             traj = evolve(_free_config(u0, model, dt, steps, sample_every, times))
         (kernel,) = kernels
         owned = [kernel.buffer, kernel.half, kernel.full, u0.values]
-        kept = [f.values for f in traj.snapshots.values()] + [traj.final_field.values]
+        kept = [f.values for f in traj.snapshots.values()]
         assert sorted(traj.snapshots) == sorted(times)
         for i, a in enumerate(kept):
             assert not any(np.shares_memory(a, b) for b in owned + kept[i + 1:])

@@ -14,7 +14,6 @@ from lognls.grid import (
     ComplexField,
     Grid,
     _k2_contraction,
-    coordinates,
     forward,
     h1_norm,
     hermite_cubic,
@@ -58,7 +57,7 @@ def test_transform_roundtrip_and_spectra():
     assert spec[0] == pytest.approx((2.5 + 0.5j) * 64)
     assert np.max(np.abs(spec[1:])) < 1e-12
 
-    (x,) = coordinates(g)
+    (x,) = g.along_axes(g.axis)
     spec = fftn(np.exp(1j * math.pi / 5.0 * x))
     hot = np.argmax(np.abs(spec))
     assert g.k[hot] == pytest.approx(math.pi / 5.0, rel=1e-15)
@@ -83,7 +82,7 @@ def test_transform_size_mismatch():
 def test_laplacian_eigenfunction_and_constants():
     g = Grid(1, 128, 5.0)
     k1 = math.pi / 5.0
-    (x,) = coordinates(g)
+    (x,) = g.along_axes(g.axis)
     mode = np.exp(1j * k1 * x)
     assert np.allclose(_laplacian(g, mode), -(k1**2) * mode, rtol=1e-12, atol=1e-13)
     assert np.max(np.abs(_laplacian(g, np.ones(128, dtype=complex)))) < 1e-13
@@ -91,7 +90,7 @@ def test_laplacian_eigenfunction_and_constants():
 
 def test_laplacian_gaussian_closed_form():
     g = Grid(2, 256, 10.0)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     r2 = xs[0] ** 2 + xs[1] ** 2
     lap = _laplacian(g, np.exp(-r2 / 2.0))
     exact = (r2 - 2.0) * np.exp(-r2 / 2.0)
@@ -101,7 +100,7 @@ def test_laplacian_gaussian_closed_form():
 def test_integrate_oracles():
     g = Grid(2, 256, 10.0)
     assert integrate(g, np.ones(g.shape)) == pytest.approx(400.0, rel=1e-15)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     gauss = np.exp(-(xs[0] ** 2 + xs[1] ** 2))
     assert integrate(g, gauss) == pytest.approx(math.pi, abs=1e-12)
     g1 = Grid(1, 512, 10.0)
@@ -121,7 +120,7 @@ def test_parseval():
 
 def test_gradient_laplacian_consistency():
     g = Grid(2, 128, 8.0)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     fld = ComplexField(g, np.exp(-(xs[0] ** 2 + 0.5 * xs[1] ** 2)) * (1.0 + 0.3j))
     gx, gy = _gradient(fld)
     div = _laplacian(g, fld.values)
@@ -132,7 +131,7 @@ def test_gradient_laplacian_consistency():
 
 def test_real_even_field_derivative_is_odd_and_real():
     g = Grid(1, 256, 8.0)
-    (x,) = coordinates(g)
+    (x,) = g.along_axes(g.axis)
     (d,) = _gradient(ComplexField(g, np.exp(-(x**2))))
     assert np.max(np.abs(d.values.imag)) < 1e-13
     # odd: d(x) = -d(-x) on the symmetric part of the grid
@@ -142,7 +141,7 @@ def test_real_even_field_derivative_is_odd_and_real():
 
 def test_h1_norm_matches_direct_sum():
     g = Grid(2, 64, 6.0)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     fld = ComplexField(g, (1.0 + 0.5j) * np.exp(-(xs[0] ** 2 + xs[1] ** 2)))
     grads = _gradient(fld)
     expected = integrate(g, np.abs(fld.values) ** 2)
@@ -259,7 +258,7 @@ def _grids_and_centers(draw):
 def test_axis_views_equal_the_mesh_formulas_bitwise(drawn):
     g, center, seed = drawn
     meshes = _mesh_coordinates(g)
-    assert all(_same_bits(np.broadcast_to(x, g.shape), m) for x, m in zip(coordinates(g), meshes))
+    assert all(_same_bits(np.broadcast_to(x, g.shape), m) for x, m in zip(g.along_axes(g.axis), meshes))
     assert _same_bits(g.k2, _mesh_k2(g))
     # the Gaussian initial data, gaussian_bump and embed_radial, then the minimizer's start
     assert _same_bits(squared_distance(g, center),

@@ -8,7 +8,7 @@ from scipy.fft import fftn, ifftn, irfftn, rfftn
 
 import lognls.minimize
 from lognls.errors import GridTooSmall, NonPositiveRho, UnsupportedFamily
-from lognls.grid import ComplexField, Grid, coordinates, forward, integrate
+from lognls.grid import ComplexField, Grid, forward, integrate
 from lognls.groundstate import embed_radial, radial_observables
 from lognls.evolution import orbit_distance, reference_spectrum
 from lognls.minimize import (
@@ -31,7 +31,7 @@ from properties import PROPERTY_SETTINGS, real_fields
 
 def _random_smooth(g, seed):
     rng = np.random.default_rng(seed)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     r2 = sum(x * x for x in xs)
     vals = np.exp(-r2 / 8.0) * rng.standard_normal(g.shape)
     # smooth by damping high modes
@@ -234,7 +234,7 @@ class TestMinimize:
         g = Grid(2, 128, 15.0)
         rho = 2.0
         res = minimize_energy(rho, g, model2d, tol=1e-5)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         r2 = sum(x * x for x in xs)
         for width in (0.5, 1.0, 3.0):
             trial = np.exp(-r2 / (2.0 * width**2))
@@ -312,7 +312,7 @@ class TestWitness:
     def test_unit_gaussian_closed_form(self):
         m = ModelParams(Family.CUBIC_LOG_2D, 1.0)
         g = Grid(2, 256, 20.0)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         u = ComplexField(g, np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0))
         mu, e_mu = negative_energy_witness(u, m)
         assert 0.0 < mu < 1.0
@@ -340,7 +340,7 @@ class TestWitness:
                              ids=["zero_field", "complex_field"])
     def test_rejects_zero_or_complex_field(self, imag, message):
         g = Grid(2, 64, 8.0)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         gauss = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
         u = ComplexField(g, np.zeros(g.shape) if imag is None else gauss + 1j * imag * gauss)
         with pytest.raises(ValueError, match=message):
@@ -370,7 +370,7 @@ class TestSmallMass:
         from lognls.minimize import _rescale_field
 
         g = Grid(2, 64, 8.0)
-        xs = coordinates(g)
+        xs = g.along_axes(g.axis)
         u = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0)
         back = _rescale_field(rfftn(u), g, 1.0)
         assert np.max(np.abs(back - u)) <= 1e-12

@@ -19,7 +19,6 @@ from lognls.evolution import Trajectory, pc_identity_rhs
 from lognls.grid import (
     ComplexField,
     Grid,
-    coordinates,
     forward,
     h1_norm,
     integrate,
@@ -36,7 +35,6 @@ from lognls.model import (
     nonlinear_phase_rate,
     observables,
     omega_window,
-    positive_G_zero,
     potential_G,
     potential_density,
     stationary_amplitude,
@@ -128,8 +126,8 @@ def test_amplitude_roots_errors():
 
 @PROPERTY_SETTINGS
 @given(model=models_in_window())
-def test_positive_G_zero_solves_G_below_the_stationary_amplitude(model):
-    z = positive_G_zero(model)
+def test_sqrt_turning_density_solves_G_below_the_stationary_amplitude(model):
+    z = math.sqrt(turning_density(model))
     assert abs(potential_G(z, model)) <= 1e-12 * model.omega * z * z
     assert z < stationary_amplitude(model)
 
@@ -298,7 +296,7 @@ def test_potential_G_quintic_zero_matches_turning_point():
 
 def _gaussian_field(n=256, half_width=10.0, boost=None):
     g = Grid(2, n, half_width)
-    xs = coordinates(g)
+    xs = g.along_axes(g.axis)
     vals = np.exp(-(xs[0] ** 2 + xs[1] ** 2) / 2.0).astype(complex)
     if boost is not None:
         vals = vals * np.exp(1j * (boost[0] * xs[0] + boost[1] * xs[1]))

@@ -69,3 +69,15 @@ def test_named_entries_are_keyed_by_name_unless_a_name_repeats(tmp_path):
         "only in A  summary.json:assertions.mass_drift.value",
         "5.000e-01  summary.json:points.1.value",
     ]
+
+
+def test_a_repeated_csv_column_is_compared_once_per_occurrence(tmp_path):
+    tables = {"a": (["point", "rho", "residual", "rho"], [1.0, 2.0, 1e-7, 2.0]),
+              "b": (["point", "rho", "residual"], [1.0, 2.0, 1e-7]),
+              "c": (["point", "rho", "residual", "rho"], [1.0, 2.5, 1e-7, 2.0])}
+    for name, (header, row) in tables.items():
+        (tmp_path / name).mkdir()
+        write_csv(tmp_path / name / "points.csv", ["config"], header, [row])
+    # the second rho, equal to the first, is gone; then the first rho changes alone
+    assert artifact_diff.diff(tmp_path / "a", tmp_path / "b") == ["only in A  points.csv:rho#2"]
+    assert artifact_diff.diff(tmp_path / "a", tmp_path / "c") == ["2.000e-01  points.csv:rho"]

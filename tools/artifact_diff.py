@@ -7,7 +7,8 @@ A and B are directories of artifacts, for example two runs of
 in both trees whose bytes differ, it prints one line per numeric CSV column,
 per numeric leaf of a JSON summary and per NLSF snapshot: the largest change
 relative to the larger magnitude in that column or field,
-max|a - b| / max(max|a|, max|b|).  A column or key present in one tree only,
+max|a - b| / max(max|a|, max|b|); a name a CSV header repeats is compared once
+per occurrence, the k-th (k >= 2) as ``name#k``.  A column or key present in one tree only,
 a shape change, a zero whose sign changed and a changed text value are printed
 as such, and so is a file present in one tree only.  Lines come sorted by
 path.  Identical files print nothing.  The exit code is 0 whatever the difference, and 2 on a usage error.
@@ -28,11 +29,14 @@ from lognls.snapshots import read_snapshot  # noqa: E402
 
 
 def _csv_columns(path: Path) -> dict[str, list[str]]:
+    """{name: cells} per column; the k-th column of a repeated name (k >= 2) is keyed name#k."""
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
              if ln.strip() and not ln.startswith("#")]
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
-    return {name: [row[j] for row in rows] for j, name in enumerate(header)}
+    keys = [f"{name}#{header[:j].count(name) + 1}" if name in header[:j] else name
+            for j, name in enumerate(header)]
+    return {key: [row[j] for row in rows] for j, key in enumerate(keys)}
 
 
 def _json_leaves(value, prefix: str = "") -> dict[str, object]:
