@@ -303,14 +303,22 @@ def _resolve_outputs(typed: dict, out_dir: str | None) -> dict:
     return resolved
 
 
+def _one_cell(text: str, what: str) -> str:
+    """The CSV cell rule, for a swept value's cell and every config key path: no comma, CR or LF."""
+    if any(c in text for c in ",\r\n"):
+        raise ConfigError(f"{what} must each fill one aggregate CSV cell, "
+                          f"but {text!r} holds a comma or a line break")
+    return text
+
+
 def provenance(config: dict) -> list[str]:
     lines, todo = [], [("", config)]
     while todo:  # depth first, keys in sorted order
         prefix, obj = todo.pop()
         if isinstance(obj, dict):
             todo += [(f"{prefix}.{k}" if prefix else str(k), obj[k]) for k in sorted(obj)[::-1]]
-        else:
-            lines.append(f"{prefix}: {json.dumps(obj)}")
+        else:  # each key path heads a line, and a swept one a column
+            lines.append(f"{_one_cell(prefix, 'the config keys')}: {json.dumps(obj)}")
     return lines
 
 
@@ -643,6 +651,7 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
     try:
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
+        comments = provenance(config)
         base = copy.deepcopy(config)
         leaves = _find_swept_leaf(base)
         if len(leaves) != 1:
@@ -655,11 +664,8 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
             raise ConfigError("sweep requires outputs.csv_path for the aggregate table")
         if not values:
             raise ConfigError(f"the swept list {'.'.join(leaf)} is empty")
-        cells = [value if isinstance(value, (int, float)) else json.dumps(value) for value in values]
-        for cell in cells:  # json.dumps escapes line breaks: only a comma can split a cell
-            if isinstance(cell, str) and "," in cell:
-                raise ConfigError(f"the swept values of {'.'.join(leaf)} must each fill one "
-                                  f"aggregate CSV cell, but {cell} holds a comma")
+        what = f"the swept values of {'.'.join(leaf)}"
+        cells = [v if isinstance(v, (int, float)) else _one_cell(json.dumps(v), what) for v in values]
         points = [_sweep_point(base, leaf, value, i) for i, value in enumerate(values)]
         agg_path = _writable(Path(out_dir or ".") / aggregate_csv)
     except _FAULTS as exc:
@@ -689,7 +695,7 @@ def run_sweep(config: dict, out_dir: str | None = None) -> tuple[int, dict]:
         metrics = summary.get("metrics", {})
         row.extend(metrics.get(k, "") for k in metric_keys)
         rows.append(row)
-    write_csv(agg_path, provenance(config), header, rows)
+    write_csv(agg_path, comments, header, rows)
     exit_code = 0 if all(code == 0 for code, _ in results) else 1
     return exit_code, {
         "pass": exit_code == 0,

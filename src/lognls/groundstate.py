@@ -153,15 +153,12 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 # A scalar copy of model.nonlinear_phase_rate: the array call makes a solve ~5x slower.
 # Every scalar is a Python float: numpy scalars would slow the DP5 loop.
-def _make_rhs(model: ModelParams):
+def _make_force(model: ModelParams):
     omega = model.require_omega()
     lam = float(model.lam)
-    dim = model.dim
-    dm1 = dim - 1
-    fam = model.family
     log = math.log
 
-    if fam is Family.CUBIC_LOG_2D:
+    if model.family is Family.CUBIC_LOG_2D:
 
         def force(p):
             pp = p * p
@@ -169,7 +166,7 @@ def _make_rhs(model: ModelParams):
                 return 2.0 * (omega * p + lam * p * pp * log(pp))
             return 2.0 * (omega * p)
 
-    elif fam is Family.QUINTIC_LOG_1D:
+    elif model.family is Family.QUINTIC_LOG_1D:
 
         def force(p):
             pp = p * p
@@ -182,29 +179,26 @@ def _make_rhs(model: ModelParams):
         def force(p):
             return 2.0 * (omega * p - lam * p * p * p)
 
-    def rhs(r, p, q):
-        f = force(p)
-        if r > 0.0:
-            return q, f - dm1 * q / r
-        return q, f / dim
-
-    return rhs
+    return force
 
 
 def _integrate_radial(model, b, store):
-    """March the radial ODE from r=0 out to ``default_r_max`` and classify the trajectory.
+    """March p' = q, q' = force(p) - (d-1) q/r from (p, q) = (b, 0) at r = 0 out to
+    ``default_r_max``, and classify the trajectory.
 
-    Returns (classification, rs, ps, qs): the lists hold every accepted sample
-    from r = 0 when ``store`` is true, and the exit sample alone otherwise.
-    Either way their last entries are the state (r, p, q) at which the shot
-    was classified.
+    A stage's p-slope is the stage's q, so the first stage's is q and the last one's qn;
+    the first q-slope at r = 0 is the limit force(b)/d.  Returns (classification, rs, ps,
+    qs): the lists hold every accepted sample from r = 0 when ``store`` is true, and the
+    exit sample alone otherwise.  Either way their last entries are the state (r, p, q)
+    at which the shot was classified.
     """
-    rhs = _make_rhs(model)
+    force = _make_force(model)
+    dm1 = model.dim - 1
     omega = model.require_omega()
     r_max = default_r_max(omega)
     rtol, atol = _RTOL, _ATOL  # locals: the step loop is hot
     r, p, q = 0.0, float(b), 0.0
-    k1p, k1q = rhs(r, p, q)
+    k1q = force(p) / model.dim
     h = min(1e-3 / math.sqrt(2.0 * abs(omega) + abs(k1q / max(b, 1e-300)) + 1e-12), 0.01)
     rs, ps, qs = [0.0], [float(b)], [0.0]
     conv = 1e-12
@@ -218,34 +212,23 @@ def _integrate_radial(model, b, store):
         if not h >= 1e-14 * max(1.0, r):  # NaN-safe: a NaN force makes a NaN step
             raise IntegratorFailure(f"step size {h} under the floor at r={r}")
 
-        k2p, k2q = rhs(r + _C2 * h, p + h * _A21 * k1p, q + h * _A21 * k1q)
-        k3p, k3q = rhs(
-            r + _C3 * h,
-            p + h * (_A31 * k1p + _A32 * k2p),
-            q + h * (_A31 * k1q + _A32 * k2q),
-        )
-        k4p, k4q = rhs(
-            r + _C4 * h,
-            p + h * (_A41 * k1p + _A42 * k2p + _A43 * k3p),
-            q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q),
-        )
-        k5p, k5q = rhs(
-            r + _C5 * h,
-            p + h * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p),
-            q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q),
-        )
-        k6p, k6q = rhs(
-            r + h,
-            p + h * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p),
-            q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q + _A65 * k5q),
-        )
-        pn = p + h * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
+        k2p = q + h * _A21 * k1q
+        k2q = force(p + h * _A21 * q) - dm1 * k2p / (r + _C2 * h)
+        k3p = q + h * (_A31 * k1q + _A32 * k2q)
+        k3q = force(p + h * (_A31 * q + _A32 * k2p)) - dm1 * k3p / (r + _C3 * h)
+        k4p = q + h * (_A41 * k1q + _A42 * k2q + _A43 * k3q)
+        k4q = force(p + h * (_A41 * q + _A42 * k2p + _A43 * k3p)) - dm1 * k4p / (r + _C4 * h)
+        k5p = q + h * (_A51 * k1q + _A52 * k2q + _A53 * k3q + _A54 * k4q)
+        k5q = (force(p + h * (_A51 * q + _A52 * k2p + _A53 * k3p + _A54 * k4p))
+               - dm1 * k5p / (r + _C5 * h))
+        k6p = q + h * (_A61 * k1q + _A62 * k2q + _A63 * k3q + _A64 * k4q + _A65 * k5q)
+        k6q = (force(p + h * (_A61 * q + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p))
+               - dm1 * k6p / (r + h))
+        pn = p + h * (_B1 * q + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
         qn = q + h * (_B1 * k1q + _B3 * k3q + _B4 * k4q + _B5 * k5q + _B6 * k6q)
-        k7p, k7q = rhs(r + h, pn, qn)
+        k7q = force(pn) - dm1 * qn / (r + h)
 
-        ep = h * (
-            _E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p
-        )
+        ep = h * (_E1 * q + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * qn)
         eq = h * (
             _E1 * k1q + _E3 * k3q + _E4 * k4q + _E5 * k5q + _E6 * k6q + _E7 * k7q
         )
@@ -256,7 +239,7 @@ def _integrate_radial(model, b, store):
         if err <= 1.0:
             r += h
             p, q = pn, qn
-            k1p, k1q = k7p, k7q
+            k1q = k7q
             if store:
                 rs.append(r)
                 ps.append(p)
@@ -452,9 +435,8 @@ def find_ground_state(model: ModelParams, bound: float = POHOZAEV_BOUND) -> Radi
         raise BracketFailure("tail not resolved below 1e-3 of the peak amplitude")
 
     r_nodes = np.linspace(0.0, float(rs[i_cut]), _N_NODES)
+    # at the first node r = 0 the spline returns the first sample (b, +0.0) exactly
     values, derivs = _grid.hermite_cubic(rs[: i_cut + 1], ps[: i_cut + 1], qs[: i_cut + 1], r_nodes)
-    values[0] = b  # the profile's center_value
-    derivs[0] = 0.0
 
     window = rs[: i_cut + 1] >= rs[i_cut] - 2.5 * math.log(10.0) / kappa
     if int(window.sum()) < 6:

@@ -767,6 +767,20 @@ def test_every_sweep_aggregate_row_has_a_cell_per_column(tmp_path, config):
     assert all(len(row) == len(header) for row in rows), text
 
 
+@pytest.mark.parametrize("path", [("x,y",), ("x\ny",), ("model", "x\ry")],
+                         ids=["comma", "line_feed", "nested_carriage_return"])
+def test_sweep_key_that_would_split_a_cell_or_a_line_refused(tmp_path, capsys, path):
+    """The swept key path heads an aggregate column and every key path a provenance line: one
+    holding a comma, CR or LF is refused by name before any point runs, and nothing is written."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(_with(_ground_config(), path, [1, 2])))
+    assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error[ConfigError]: the config keys must each fill one aggregate CSV cell, " \
+           f"but {'.'.join(path)!r} holds" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 # a value of the wrong JSON type, and the key its error names
 _STRICT_TYPE_CASES = {
     "lambda_string": (_with(_tiny_evolve(), ("model", "lambda"), "1"), "model.lambda"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -23,7 +24,7 @@ from lognls.groundstate import (
     ShotClass,
     _classify,
     _integrate_radial,
-    _make_rhs,
+    _make_force,
     embed_radial,
     find_ground_state,
     pohozaev_residuals,
@@ -62,13 +63,98 @@ def _g_zero_oracle(omega, lam=1.0):
 )
 def test_shooting_force_is_the_model_rate(model, p, tiny):
     """The DP5 loop's scalar force is 2 (omega p + p rate(p^2)), exactly 2 omega p below the clamp."""
-    rhs = _make_rhs(model)
-    force = rhs(1.0, p, 0.0)[1]
+    force = _make_force(model)
     rate_term = p * float(nonlinear_phase_rate(p * p, model))
     expected = 2.0 * (model.omega * p + rate_term)
-    assert abs(force - expected) <= 1e-14 * 2.0 * (model.omega * p + abs(rate_term))
+    assert abs(force(p) - expected) <= 1e-14 * 2.0 * (model.omega * p + abs(rate_term))
     assert tiny * tiny <= _DENSITY_CLAMP
-    assert rhs(1.0, tiny, 0.0)[1] == 2.0 * (model.omega * tiny)
+    assert force(tiny) == 2.0 * (model.omega * tiny)
+
+
+# The Dormand-Prince 5(4) pair as published (J. Comput. Appl. Math. 6 (1980) 19-26): the
+# nodes c, the stage coefficients a and the fifth-order weights b, written out apart from
+# the module's constants, so a reference step shares no coefficient with the shooter.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+
+
+def _dp5_reference_step(model, r, y, h):
+    """One DP5 step of p' = q, q' = 2 (omega p + p rate(p^2)) - (d-1) q/r from (r, y), with
+    the limit q' = 2 (omega p + p rate(p^2)) / d at r = 0."""
+    def slope(r, y):
+        p, q = y
+        force = 2.0 * (model.omega * p + p * float(nonlinear_phase_rate(p * p, model)))
+        return np.array([q, force - (model.dim - 1) * q / r if r > 0.0 else force / model.dim])
+
+    k = np.zeros((6, 2))
+    for s in range(6):
+        k[s] = slope(r + _DP_C[s] * h, y + h * (_DP_A[s] @ k[:5]))
+    return y + h * (_DP_B @ k)
+
+
+_FAMILY_MODELS = [
+    ModelParams(Family.CUBIC_LOG_2D, 1.0, 0.1),
+    ModelParams(Family.QUINTIC_LOG_1D, 1.0, 0.05),
+    ModelParams(Family.PURE_CUBIC_2D, 1.0, 1.0),
+]
+
+
+def _force_budget(monkeypatch, calls=100_000):
+    """Fail any shot past ``calls`` force evaluations (a ground-state shot takes under 5,000):
+    a broken stage drives the step toward its floor, and the shot would run for hours."""
+    make_force = groundstate._make_force
+
+    def budgeted(model):
+        force, spent = make_force(model), itertools.count()
+
+        def counted(p):
+            if next(spent) >= calls:
+                raise AssertionError(f"a shot took over {calls} force evaluations")
+            return force(p)
+
+        return counted
+
+    monkeypatch.setattr(groundstate, "_make_force", budgeted)
+
+
+@pytest.mark.parametrize("model", _FAMILY_MODELS, ids=lambda m: m.family.value)
+def test_every_accepted_shot_step_is_one_dormand_prince_step(monkeypatch, model):
+    """Each accepted step of the ground-state shot is one DP5 step of the radial system from
+    the previous sample, to 1e-13 of |p| + |q| at the sample: h = r_(i+1) - r_i rebuilt from
+    the samples differs from the step's own h by rounding.  The profile's first node is the
+    shot's first sample (b, +0.0)."""
+    _force_budget(monkeypatch)
+
+    def searched_amplitude(model, b, store):
+        if store:
+            raise _Stored(b)
+        return _integrate_radial(model, b, store)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groundstate, "_integrate_radial", searched_amplitude)
+        with pytest.raises(_Stored) as stored:
+            find_ground_state(model)
+    b = stored.value.args[0]
+    _, rs, ps, qs = _integrate_radial(model, b, True)
+    assert len(rs) > 100
+    reference = np.array([_dp5_reference_step(model, rs[i], np.array([ps[i], qs[i]]), rs[i + 1] - rs[i])
+                          for i in range(len(rs) - 1)])
+    samples = np.column_stack([ps[1:], qs[1:]])
+    scale = np.abs(samples).sum(axis=1, keepdims=True)
+    worst = float(np.max(np.abs(reference - samples) / scale))
+    assert worst <= 1e-13
+    assert (ps[0], qs[0]) == (b, 0.0)
+    profile = find_ground_state(model)
+    assert profile.values[0] == b
+    assert profile.derivs[0] == 0.0 and math.copysign(1.0, profile.derivs[0]) == 1.0
 
 
 @settings(PROPERTY_SETTINGS, max_examples=6)
